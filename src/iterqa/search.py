@@ -8,10 +8,19 @@ length normalization:
 
 A paragraph's relevance to a query is the sum of both parts. Natural log
 throughout; queries are multisets, so repeated terms contribute repeatedly.
+
+``search_topk`` and ``rank_of`` score a whole query term at a time: each
+term's idf is computed once, its postings add their contributions into one
+accumulator per paragraph and one per article, and each article's total is
+then added to its paragraphs. ``score_paragraph``, ``score_article`` and
+``combined_score`` score one paragraph at a time and are the reference:
+the accumulators add the same contributions in the same query-term order,
+so every accumulated score equals ``combined_score`` bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -51,6 +60,7 @@ class InvertedIndex:
     df_article: dict[str, int]
     para_article: dict[str, str]                 # paragraph_id -> parent article_id
     article_paragraphs: dict[str, tuple[str, ...]]
+    para_norm: dict[str, float]                  # paragraph_id -> BM25 length norm
 
     @property
     def sentinel_rank(self) -> int:
@@ -60,6 +70,37 @@ class InvertedIndex:
 
 class IndexFormatError(ValueError):
     """A persisted index file is unreadable or was built with other constants."""
+
+
+def _make_index(
+    postings: dict[str, dict[str, int]],
+    article_postings: dict[str, dict[str, int]],
+    doc_lengths: dict[str, int],
+    article_lengths: dict[str, int],
+    para_article: dict[str, str],
+    article_paragraphs: dict[str, tuple[str, ...]],
+) -> InvertedIndex:
+    """Derive the collection statistics shared by build_index and load_index."""
+    avg = sum(doc_lengths.values()) / len(doc_lengths)
+    # score_paragraph's expression, so scores stay bit-identical. When avg is
+    # 0.0 no paragraph has a token, and no posting needs a norm.
+    para_norm = {
+        pid: K1 * (1.0 - B + B * length / avg) for pid, length in doc_lengths.items()
+    } if avg else {}
+    return InvertedIndex(
+        postings=postings,
+        article_postings=article_postings,
+        doc_lengths=doc_lengths,
+        article_lengths=article_lengths,
+        avg_doc_length=avg,
+        n_para=len(doc_lengths),
+        n_article=len(article_lengths),
+        df_para={term: len(entry) for term, entry in postings.items()},
+        df_article={term: len(entry) for term, entry in article_postings.items()},
+        para_article=para_article,
+        article_paragraphs=article_paragraphs,
+        para_norm=para_norm,
+    )
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -84,18 +125,8 @@ def build_index(corpus: Corpus) -> InvertedIndex:
         for term, tf in _term_counts(article.full_text_tokens).items():
             article_postings.setdefault(term, {})[article.article_id] = tf
 
-    return InvertedIndex(
-        postings=postings,
-        article_postings=article_postings,
-        doc_lengths=doc_lengths,
-        article_lengths=article_lengths,
-        avg_doc_length=sum(doc_lengths.values()) / len(doc_lengths),
-        n_para=len(doc_lengths),
-        n_article=len(article_lengths),
-        df_para={term: len(entry) for term, entry in postings.items()},
-        df_article={term: len(entry) for term, entry in article_postings.items()},
-        para_article=para_article,
-        article_paragraphs=article_paragraphs,
+    return _make_index(
+        postings, article_postings, doc_lengths, article_lengths, para_article, article_paragraphs
     )
 
 
@@ -160,14 +191,41 @@ class SearchHit:
     rank: int
 
 
-def _candidate_paragraphs(index: InvertedIndex, query: Query) -> set[str]:
-    # Every paragraph term also occurs in its article's full text, so
-    # expanding matching articles covers all nonzero-scoring paragraphs.
-    candidates: set[str] = set()
-    for term in set(query):
-        for article_id in index.article_postings.get(term, ()):
-            candidates.update(index.article_paragraphs[article_id])
-    return candidates
+def _accumulate(index: InvertedIndex, query: Query) -> dict[str, float]:
+    """Combined score of every paragraph the query reaches, a term at a time.
+
+    Each contribution is written as in score_paragraph and score_article and
+    added in query-term order, and 0.0 + c == c and p + 0.0 == p, so every
+    value equals combined_score bit for bit. The tie-breaks of search_topk and
+    rank_of rely on that exact equality.
+    """
+    scores: dict[str, float] = {}
+    article_scores: dict[str, float] = {}
+    norm = index.para_norm
+    para_gain = K1 + 1.0
+    article_gain = ARTICLE_K1 + 1.0
+    for term in query:
+        entry = index.postings.get(term)
+        if entry:
+            idf = idf_paragraph(index, term)
+            get = scores.get
+            for pid, tf in entry.items():
+                scores[pid] = get(pid, 0.0) + idf * tf * para_gain / (tf + norm[pid])
+        entry = index.article_postings.get(term)
+        if entry:
+            idf = idf_article_clamped(index, term)
+            if idf == 0.0:
+                continue  # adds 0.0 to every article: no change
+            get = article_scores.get
+            for aid, tf in entry.items():
+                article_scores[aid] = (
+                    get(aid, 0.0) + idf * idf * tf * article_gain / (tf + ARTICLE_K1)
+                )
+    for aid, total in article_scores.items():
+        if total > 0.0:
+            for pid in index.article_paragraphs[aid]:
+                scores[pid] = scores.get(pid, 0.0) + total
+    return scores
 
 
 def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
@@ -179,11 +237,11 @@ def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scored = []
-    for pid in _candidate_paragraphs(index, query):
-        score = combined_score(index, pid, query)
-        if score > 0.0:
-            scored.append((score, pid))
+    scores = _accumulate(index, query)
+    # Only paragraphs scoring at least the k-th best score can make the top
+    # k, so the tuple sort below sees about k entries, not every one reached.
+    cutoff = heapq.nlargest(k, scores.values())[-1] if len(scores) > k else 0.0
+    scored = [(score, pid) for pid, score in scores.items() if score > 0.0 and score >= cutoff]
     scored.sort(key=lambda item: (-item[0], item[1]))
     top = scored[:k]
     if len(top) < k and len(top) < index.n_para:
@@ -201,16 +259,12 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     """
     if target_paragraph_id not in index.doc_lengths:
         raise KeyError(f"unknown paragraph id {target_paragraph_id!r}")
-    if not query:
-        return index.sentinel_rank
-    target_score = combined_score(index, target_paragraph_id, query)
+    scores = _accumulate(index, query)
+    target_score = scores.get(target_paragraph_id, 0.0)
     if target_score <= 0.0:
         return index.sentinel_rank
     rank = 1
-    for pid in _candidate_paragraphs(index, query):
-        if pid == target_paragraph_id:
-            continue
-        score = combined_score(index, pid, query)
+    for pid, score in scores.items():
         if score > target_score or (score == target_score and pid < target_paragraph_id):
             rank += 1
     return rank
@@ -275,37 +329,51 @@ def load_index(path) -> InvertedIndex:
         article_lengths: dict[str, int] = {}
         para_article: dict[str, str] = {}
         article_paragraphs: dict[str, tuple[str, ...]] = {}
+        # Every id is mapped to the string object of its own record, so the
+        # postings share their keys instead of holding one copy per posting.
+        # save_index writes para and article records before term records.
+        para_ids: dict[str, str] = {}
+        article_ids: dict[str, str] = {}
         for line in handle:
             if not line.strip():
                 continue
             record = json.loads(line)
             kind = record.get("kind")
             if kind == "para":
-                doc_lengths[record["id"]] = record["len"]
-                para_article[record["id"]] = record["article"]
+                pid = para_ids[record["id"]] = record["id"]
+                doc_lengths[pid] = record["len"]
+                para_article[pid] = record["article"]
             elif kind == "article":
-                article_lengths[record["id"]] = record["len"]
-                article_paragraphs[record["id"]] = tuple(record["paragraphs"])
+                aid = article_ids[record["id"]] = record["id"]
+                article_lengths[aid] = record["len"]
+                paragraphs = record["paragraphs"]
+                try:
+                    article_paragraphs[aid] = tuple(para_ids[pid] for pid in paragraphs)
+                except KeyError as exc:
+                    raise _unknown_id("article", aid, exc) from None
             elif kind == "term":
-                if record["p"]:
-                    postings[record["t"]] = {pid: tf for pid, tf in record["p"]}
-                if record["a"]:
-                    article_postings[record["t"]] = {aid: tf for aid, tf in record["a"]}
+                term, para_entry, article_entry = record["t"], record["p"], record["a"]
+                try:
+                    if para_entry:
+                        postings[term] = {para_ids[pid]: tf for pid, tf in para_entry}
+                    if article_entry:
+                        article_postings[term] = {article_ids[aid]: tf for aid, tf in article_entry}
+                except KeyError as exc:
+                    raise _unknown_id("term", term, exc) from None
             else:
                 raise IndexFormatError(f"unknown record kind {kind!r}")
+        for pid, aid in para_article.items():
+            try:
+                para_article[pid] = article_ids[aid]
+            except KeyError as exc:
+                raise _unknown_id("para", pid, exc) from None
 
     if len(doc_lengths) != header["n_para"] or len(article_lengths) != header["n_article"]:
         raise IndexFormatError("index file is truncated")
-    return InvertedIndex(
-        postings=postings,
-        article_postings=article_postings,
-        doc_lengths=doc_lengths,
-        article_lengths=article_lengths,
-        avg_doc_length=header["avg_doc_length"],
-        n_para=header["n_para"],
-        n_article=header["n_article"],
-        df_para={term: len(entry) for term, entry in postings.items()},
-        df_article={term: len(entry) for term, entry in article_postings.items()},
-        para_article=para_article,
-        article_paragraphs=article_paragraphs,
+    return _make_index(
+        postings, article_postings, doc_lengths, article_lengths, para_article, article_paragraphs
     )
+
+
+def _unknown_id(kind: str, name: str, exc: KeyError) -> IndexFormatError:
+    return IndexFormatError(f"{kind} record {name!r} names unknown id {exc.args[0]!r}")

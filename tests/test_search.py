@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BruteForceScorer, make_random_corpus, make_random_query
 from iterqa.corpus import ingest_corpus
@@ -340,6 +342,79 @@ def test_rank_of_agrees_with_topk_membership():
             assert not in_topk
 
 
+def twinned_corpus(rng):
+    """A random corpus in which some articles are copied under a second id,
+    so exact score ties between different paragraphs occur."""
+    words = [f"w{i:02d}" for i in range(40)]
+    records = []
+    for a in range(rng.randint(3, 15)):
+        paras = [" ".join(rng.choices(words, k=rng.randint(1, 12)))
+                 for _ in range(rng.randint(1, 4))]
+        copies = 2 if rng.random() < 0.3 else 1
+        for c in range(copies):
+            for order, text in enumerate(paras):
+                records.append({"article_id": f"a{a:02d}c{c}", "title": "T",
+                                "order": order, "text": text})
+    return corpus_from(records), words
+
+
+def duplicated_query(rng, words):
+    query = rng.choices(words, k=rng.randint(1, 5))
+    query += rng.choices(query, k=rng.randint(1, 3))  # repeated terms
+    if rng.random() < 0.5:
+        query.insert(rng.randrange(len(query) + 1), "zzqabsent")
+    return query
+
+
+def test_topk_scores_equal_combined_score_exactly():
+    rng = random.Random(19)
+    for _ in range(8):
+        corpus, words = twinned_corpus(rng)
+        index = build_index(corpus)
+        brute = BruteForceScorer(corpus)
+        for _ in range(25):
+            query = duplicated_query(rng, words)
+            k = rng.randint(1, 30)
+            hits = search_topk(index, query, k)
+            for hit in hits:
+                assert hit.score == combined_score(index, hit.paragraph_id, query)
+            assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, k)
+
+
+def test_rank_of_equals_brute_force_exactly_with_ties():
+    rng = random.Random(20)
+    for _ in range(8):
+        corpus, words = twinned_corpus(rng)
+        index = build_index(corpus)
+        brute = BruteForceScorer(corpus)
+        pids = sorted(index.doc_lengths)
+        for _ in range(25):
+            query = duplicated_query(rng, words)
+            target = rng.choice(pids)
+            assert rank_of(index, target, query) == brute.rank_of(target, query)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    articles=st.lists(
+        st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), min_size=1, max_size=3),
+        min_size=1,
+        max_size=6,
+    ),
+    query=st.lists(st.sampled_from("abcdefghz"), max_size=6),
+    k=st.integers(min_value=1, max_value=20),
+)
+def test_topk_equals_brute_force_on_generated_corpora(articles, query, k):
+    corpus = corpus_from(
+        {"article_id": f"a{a}", "title": "T", "order": order, "text": " ".join(tokens)}
+        for a, paras in enumerate(articles)
+        for order, tokens in enumerate(paras)
+    )
+    hits = search_topk(build_index(corpus), query, k)
+    expected = BruteForceScorer(corpus).topk(query, k)
+    assert [(h.paragraph_id, h.score) for h in hits] == expected
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -377,4 +452,42 @@ def test_load_rejects_mismatched_constants(tmp_path):
     header["k1"] = 0.9
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(IndexFormatError, match="k1"):
+        load_index(path)
+
+
+def test_load_shares_id_strings(tmp_path):
+    path = tmp_path / "index.jsonl"
+    save_index(build_index(make_random_corpus(random.Random(21), n_articles=15)), path)
+    index = load_index(path)
+    para_ids = {pid: pid for pid in index.doc_lengths}
+    article_ids = {aid: aid for aid in index.article_lengths}
+    for entry in index.postings.values():
+        assert all(pid is para_ids[pid] for pid in entry)
+    for entry in index.article_postings.values():
+        assert all(aid is article_ids[aid] for aid in entry)
+    for pid, aid in index.para_article.items():
+        assert aid is article_ids[aid]
+    for members in index.article_paragraphs.values():
+        assert all(pid is para_ids[pid] for pid in members)
+
+
+@pytest.mark.parametrize("kind, field", [("term", "p"), ("term", "a"), ("article", "paragraphs"),
+                                         ("para", "article")])
+def test_load_rejects_unknown_ids(tmp_path, kind, field):
+    path = tmp_path / "index.jsonl"
+    save_index(build_index(make_random_corpus(random.Random(22), n_articles=5)), path)
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        if record["kind"] == kind and record[field]:
+            if kind == "term":
+                record[field][0][0] = "ghost"
+            elif kind == "article":
+                record[field][0] = "ghost"
+            else:
+                record[field] = "ghost"
+            lines[i] = json.dumps(record)
+            break
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IndexFormatError, match="unknown id 'ghost'"):
         load_index(path)
