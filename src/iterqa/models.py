@@ -269,7 +269,8 @@ class LexicalReranker:
         if path.steps:
             reference |= set(path.steps[-1].tokens)
         shared = reference & set(candidate.tokens)
-        total = sum(idf_paragraph(self.index, t) for t in shared)
+        # Sorted: a set's order, and so the float sum, varies with the hash seed.
+        total = sum(idf_paragraph(self.index, t) for t in sorted(shared))
         return total / math.sqrt(len(candidate.tokens))
 
 

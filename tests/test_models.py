@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -313,6 +316,34 @@ def test_reranker_matches_brute_force(fixture_corpus, fixture_index):
             idf_paragraph(fixture_index, t) for t in set(para.tokens) & reference
         ) / math.sqrt(len(para.tokens))
         assert reranker(path, para) == pytest.approx(expected, abs=1e-12)
+
+
+RERANKER_SCORES_SNIPPET = """
+from iterqa.models import LexicalReranker
+from iterqa.pipeline import initial_path
+from iterqa.search import build_index
+from iterqa.synth import make_chain_benchmark
+
+bench = make_chain_benchmark(n_per_hop=(20, 20, 20), n_distractors=20, seed=13)
+reranker = LexicalReranker(build_index(bench.corpus))
+scores = []
+for example in bench.examples:
+    path = initial_path(example.question).extended(bench.corpus.paragraphs[example.gold_ids[0]])
+    scores.extend(reranker(path, para) for para in bench.corpus.paragraphs.values())
+print(repr(scores))
+"""
+
+
+def test_reranker_scores_do_not_depend_on_hash_seed():
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", RERANKER_SCORES_SNIPPET],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_reranker_more_overlap_wins(fixture_corpus, fixture_index):
