@@ -33,7 +33,6 @@ from .oracle import (
     build_oracle_query,
     extract_overlap_spans,
     oracle_recall_curve,
-    span_importance,
 )
 from .pipeline import (
     AnswerRecord,

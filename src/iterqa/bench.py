@@ -34,6 +34,8 @@ def load_examples(path) -> list[QuestionExample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise QuestionsFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise QuestionsFormatError(f"line {line_no}: record is not an object")
             if "id" not in record or "question" not in record:
                 raise QuestionsFormatError(f"line {line_no}: needs id and question fields")
             answers = tuple(record.get("answers", ()))

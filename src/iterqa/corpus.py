@@ -8,6 +8,7 @@ term identity is consistent across modules.
 from __future__ import annotations
 
 import json
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -152,7 +153,8 @@ def ingest_corpus(source: Iterable[str]) -> Corpus:
                 article_id=article_id,
                 title=record["title"],
                 text=text,
-                tokens=tuple(tokenize(text)),
+                # One string object per distinct word, shared by every paragraph.
+                tokens=tuple(map(sys.intern, tokenize(text))),
             )
             members.append(para)
             paragraphs[para.id] = para

@@ -25,7 +25,8 @@ class OverlapSpan:
     """A maximal contiguous token run common to the path and the target.
 
     Extending the run by one token on either side breaks the match.
-    ``importance`` is filled in by span_importance / build_oracle_query.
+    ``importance`` is filled in by build_oracle_query: the target's rank
+    under every other span minus its rank under this span alone.
     """
 
     tokens: tuple[str, ...]
@@ -84,26 +85,6 @@ def extract_overlap_spans(path_tokens: Sequence[str], target: Paragraph) -> list
         seen.add(tokens)
         spans.append(OverlapSpan(tokens=tokens, path_offset=i))
     return spans
-
-
-def span_importance(
-    index: InvertedIndex,
-    target_id: str,
-    spans: Sequence[OverlapSpan],
-    i: int,
-    rank_fn: Callable[[InvertedIndex, str, Sequence[str]], int] = rank_of,
-) -> float:
-    """Rank of the target without span i, minus its rank under span i alone.
-
-    The first term captures what the span contributes in combination with
-    the others; the second what it achieves by itself. Costs exactly two
-    rank evaluations.
-    """
-    if not spans:
-        raise ValueError("spans must be non-empty")
-    others = [t for j, span in enumerate(spans) if j != i for t in span.tokens]
-    alone = list(spans[i].tokens)
-    return float(rank_fn(index, target_id, others) - rank_fn(index, target_id, alone))
 
 
 def _scored_spans(

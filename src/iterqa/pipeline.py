@@ -47,6 +47,12 @@ class PipelineConfig:
     # candidates at exactly this step.
     fixed_steps: int | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("k_cap", "docs_per_step", "reranker_candidates", "fixed_steps"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+
 
 @dataclass(frozen=True)
 class ReasoningPath:

@@ -9,13 +9,16 @@ length normalization:
 A paragraph's relevance to a query is the sum of both parts. Natural log
 throughout; queries are multisets, so repeated terms contribute repeatedly.
 
-``search_topk`` and ``rank_of`` score a whole query term at a time: each
-term's idf is computed once, its postings add their contributions into one
-accumulator per paragraph and one per article, and each article's total is
-then added to its paragraphs. ``score_paragraph``, ``score_article`` and
-``combined_score`` score one paragraph at a time and are the reference:
-the accumulators add the same contributions in the same query-term order,
-so every accumulated score equals ``combined_score`` bit for bit.
+``search_topk`` and ``rank_of`` score a whole query term at a time, adding
+each term's contributions into one accumulator per paragraph and one per
+article, then each article's total into its paragraphs. A term's
+contributions are computed on its first use and cached on the index
+(``InvertedIndex.impacts``), so build and load pay nothing for terms no query
+uses. ``score_paragraph``, ``score_article`` and ``combined_score`` score one
+paragraph at a time and are the reference: the cache holds their per-term
+expressions, and the accumulators add them in the same query-term order, so
+every accumulated score equals ``combined_score`` bit for bit. (Merged
+per-span sums would reassociate the additions and break that equality.)
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from operator import countOf
 from typing import Sequence
 
 from .corpus import Corpus
@@ -46,7 +51,12 @@ Query = Sequence[str]
 class InvertedIndex:
     """Paragraph- and article-level postings over an ingested corpus.
 
-    Immutable after build_index; concurrent reads are safe.
+    Immutable after build_index or load_index except ``impacts``, the
+    scorer's lazily filled cache: term -> (paragraph, article) contribution
+    arrays in the key order of ``postings[term]`` and ``article_postings[term]``,
+    left out of ``==`` and ``repr``. Concurrent reads stay safe: each entry is
+    an idempotent value, derived from the immutable postings and set with one
+    dict assignment under the GIL, so a reader never sees a partial entry.
     """
 
     postings: dict[str, dict[str, int]]          # term -> {paragraph_id: tf}
@@ -60,7 +70,9 @@ class InvertedIndex:
     df_article: dict[str, int]
     para_article: dict[str, str]                 # paragraph_id -> parent article_id
     article_paragraphs: dict[str, tuple[str, ...]]
-    para_norm: dict[str, float]                  # paragraph_id -> BM25 length norm
+    impacts: dict[str, tuple[array, array]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def sentinel_rank(self) -> int:
@@ -82,11 +94,6 @@ def _make_index(
 ) -> InvertedIndex:
     """Derive the collection statistics shared by build_index and load_index."""
     avg = sum(doc_lengths.values()) / len(doc_lengths)
-    # score_paragraph's expression, so scores stay bit-identical. When avg is
-    # 0.0 no paragraph has a token, and no posting needs a norm.
-    para_norm = {
-        pid: K1 * (1.0 - B + B * length / avg) for pid, length in doc_lengths.items()
-    } if avg else {}
     return InvertedIndex(
         postings=postings,
         article_postings=article_postings,
@@ -99,7 +106,6 @@ def _make_index(
         df_article={term: len(entry) for term, entry in article_postings.items()},
         para_article=para_article,
         article_paragraphs=article_paragraphs,
-        para_norm=para_norm,
     )
 
 
@@ -191,36 +197,56 @@ class SearchHit:
     rank: int
 
 
+def _impacts(index: InvertedIndex, term: str) -> tuple[array, array]:
+    """The term's contribution to each paragraph and article it occurs in.
+
+    Written exactly as in score_paragraph and score_article. A clamped article
+    idf of 0.0 adds nothing, so its article array is empty. Terms the index
+    lacks are not stored, so the cache stays within the vocabulary.
+    """
+    entry = index.postings.get(term, {})
+    idf = idf_paragraph(index, term)
+    lengths, avg = index.doc_lengths, index.avg_doc_length
+    para = array("d", [
+        idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * lengths[pid] / avg))
+        for pid, tf in entry.items()
+    ])
+    article_entry = index.article_postings.get(term, {})
+    idf = idf_article_clamped(index, term)
+    article = array("d", [
+        idf * idf * tf * (ARTICLE_K1 + 1.0) / (tf + ARTICLE_K1) for tf in article_entry.values()
+    ] if idf else ())
+    if entry or article_entry:
+        index.impacts[term] = (para, article)
+    return para, article
+
+
+def _add(acc: dict[str, float], keys, contributions: array) -> None:
+    if acc:
+        get = acc.get
+        for key, c in zip(keys, contributions):
+            acc[key] = get(key, 0.0) + c
+    else:
+        acc.update(zip(keys, contributions))  # 0.0 + c == c
+
+
 def _accumulate(index: InvertedIndex, query: Query) -> dict[str, float]:
     """Combined score of every paragraph the query reaches, a term at a time.
 
-    Each contribution is written as in score_paragraph and score_article and
-    added in query-term order, and 0.0 + c == c and p + 0.0 == p, so every
-    value equals combined_score bit for bit. The tie-breaks of search_topk and
-    rank_of rely on that exact equality.
+    Each term's cached contributions are added in query-term order, and
+    0.0 + c == c and p + 0.0 == p, so every value equals combined_score bit
+    for bit. The tie-breaks of search_topk and rank_of rely on that exact
+    equality.
     """
     scores: dict[str, float] = {}
     article_scores: dict[str, float] = {}
-    norm = index.para_norm
-    para_gain = K1 + 1.0
-    article_gain = ARTICLE_K1 + 1.0
+    cache = index.impacts
     for term in query:
-        entry = index.postings.get(term)
-        if entry:
-            idf = idf_paragraph(index, term)
-            get = scores.get
-            for pid, tf in entry.items():
-                scores[pid] = get(pid, 0.0) + idf * tf * para_gain / (tf + norm[pid])
-        entry = index.article_postings.get(term)
-        if entry:
-            idf = idf_article_clamped(index, term)
-            if idf == 0.0:
-                continue  # adds 0.0 to every article: no change
-            get = article_scores.get
-            for aid, tf in entry.items():
-                article_scores[aid] = (
-                    get(aid, 0.0) + idf * idf * tf * article_gain / (tf + ARTICLE_K1)
-                )
+        para, article = cache.get(term) or _impacts(index, term)
+        if para:
+            _add(scores, index.postings[term], para)
+        if article:
+            _add(article_scores, index.article_postings[term], article)
     for aid, total in article_scores.items():
         if total > 0.0:
             for pid in index.article_paragraphs[aid]:
@@ -263,10 +289,13 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     target_score = scores.get(target_paragraph_id, 0.0)
     if target_score <= 0.0:
         return index.sentinel_rank
-    rank = 1
-    for pid, score in scores.items():
-        if score > target_score or (score == target_score and pid < target_paragraph_id):
-            rank += 1
+    values = scores.values()
+    rank = 1 + sum(map(target_score.__lt__, values))
+    if countOf(values, target_score) > 1:
+        rank += sum(
+            1 for pid, score in scores.items()
+            if score == target_score and pid < target_paragraph_id
+        )
     return rank
 
 
@@ -312,7 +341,7 @@ def load_index(path) -> InvertedIndex:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise IndexFormatError(f"unreadable index header: {exc.msg}") from exc
-        if header.get("magic") != INDEX_MAGIC:
+        if not isinstance(header, dict) or header.get("magic") != INDEX_MAGIC:
             raise IndexFormatError("not an index file (bad magic)")
         if header.get("format_version") != INDEX_FORMAT_VERSION:
             raise IndexFormatError(f"unsupported index format version {header.get('format_version')!r}")
@@ -334,41 +363,52 @@ def load_index(path) -> InvertedIndex:
         # save_index writes para and article records before term records.
         para_ids: dict[str, str] = {}
         article_ids: dict[str, str] = {}
-        for line in handle:
+        for line_no, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IndexFormatError(f"line {line_no}: unreadable record ({exc.msg})") from None
+            if not isinstance(record, dict):
+                raise IndexFormatError(f"line {line_no}: record is not an object")
             kind = record.get("kind")
-            if kind == "para":
-                pid = para_ids[record["id"]] = record["id"]
-                doc_lengths[pid] = record["len"]
-                para_article[pid] = record["article"]
-            elif kind == "article":
-                aid = article_ids[record["id"]] = record["id"]
-                article_lengths[aid] = record["len"]
-                paragraphs = record["paragraphs"]
-                try:
-                    article_paragraphs[aid] = tuple(para_ids[pid] for pid in paragraphs)
-                except KeyError as exc:
-                    raise _unknown_id("article", aid, exc) from None
-            elif kind == "term":
-                term, para_entry, article_entry = record["t"], record["p"], record["a"]
-                try:
-                    if para_entry:
-                        postings[term] = {para_ids[pid]: tf for pid, tf in para_entry}
-                    if article_entry:
-                        article_postings[term] = {article_ids[aid]: tf for aid, tf in article_entry}
-                except KeyError as exc:
-                    raise _unknown_id("term", term, exc) from None
-            else:
-                raise IndexFormatError(f"unknown record kind {kind!r}")
+            # A KeyError here is a missing field: unknown ids are caught inside.
+            try:
+                if kind == "para":
+                    pid = para_ids[record["id"]] = record["id"]
+                    doc_lengths[pid] = record["len"]
+                    para_article[pid] = record["article"]
+                elif kind == "article":
+                    aid = article_ids[record["id"]] = record["id"]
+                    article_lengths[aid] = record["len"]
+                    paragraphs = record["paragraphs"]
+                    try:
+                        article_paragraphs[aid] = tuple(para_ids[pid] for pid in paragraphs)
+                    except KeyError as exc:
+                        raise _unknown_id("article", aid, exc) from None
+                elif kind == "term":
+                    term, para_entry, article_entry = record["t"], record["p"], record["a"]
+                    try:
+                        if para_entry:
+                            postings[term] = {para_ids[pid]: tf for pid, tf in para_entry}
+                        if article_entry:
+                            article_postings[term] = {article_ids[aid]: tf for aid, tf in article_entry}
+                    except KeyError as exc:
+                        raise _unknown_id("term", term, exc) from None
+                else:
+                    raise IndexFormatError(f"unknown record kind {kind!r}")
+            except KeyError as exc:
+                raise IndexFormatError(
+                    f"line {line_no}: {kind} record has no field {exc.args[0]!r}"
+                ) from None
         for pid, aid in para_article.items():
             try:
                 para_article[pid] = article_ids[aid]
             except KeyError as exc:
                 raise _unknown_id("para", pid, exc) from None
 
-    if len(doc_lengths) != header["n_para"] or len(article_lengths) != header["n_article"]:
+    if len(doc_lengths) != header.get("n_para") or len(article_lengths) != header.get("n_article"):
         raise IndexFormatError("index file is truncated")
     return _make_index(
         postings, article_postings, doc_lengths, article_lengths, para_article, article_paragraphs

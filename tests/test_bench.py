@@ -159,3 +159,11 @@ def test_load_examples_rejects_malformed(tmp_path):
     path.write_text('{"question": "missing id"}\n')
     with pytest.raises(QuestionsFormatError, match="line 1"):
         load_examples(path)
+
+
+@pytest.mark.parametrize("line", ['"just a string"', "42", '["id", "question"]', "null"])
+def test_load_examples_rejects_non_object_records(tmp_path, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"id": "a", "question": "q1"}) + "\n" + line + "\n")
+    with pytest.raises(QuestionsFormatError, match="^line 2: record is not an object$"):
+        load_examples(path)

@@ -113,6 +113,18 @@ def test_paragraph_tokens_match_retokenization():
     assert list(para.tokens) == tokenize(para.text)
 
 
+def test_ingest_shares_one_string_per_word():
+    corpus = ingest_corpus(lines([
+        {"article_id": "a", "title": "A", "order": 0, "text": "Gatsby waits in West Egg."},
+        {"article_id": "b", "title": "B", "order": 0, "text": "Nick visits gatsby there"},
+    ]))
+    first, second = corpus.paragraphs["a#0"], corpus.paragraphs["b#0"]
+    assert first.tokens[0] == second.tokens[2] == "gatsby"
+    assert first.tokens[0] is second.tokens[2]
+    for para in (first, second):
+        assert list(para.tokens) == tokenize(para.text)
+
+
 # ---------------------------------------------------------------------------
 # map_paragraph
 # ---------------------------------------------------------------------------

@@ -6,13 +6,11 @@ import pytest
 from conftest import CountingRank, make_random_corpus
 from iterqa.corpus import ingest_corpus
 from iterqa.oracle import (
-    OverlapSpan,
     UntrainableExample,
     build_oracle_query,
     extract_overlap_spans,
     oracle_recall_curve,
     oracle_trace_record,
-    span_importance,
 )
 from iterqa.search import build_index, rank_of, search_topk
 
@@ -100,7 +98,7 @@ def test_spans_maximality_property():
 
 
 # ---------------------------------------------------------------------------
-# span_importance
+# span importance, as oracle_trace_record reports it
 # ---------------------------------------------------------------------------
 
 def importance_fixture():
@@ -114,48 +112,34 @@ def importance_fixture():
 
 def test_importance_single_span_uses_sentinel():
     corpus, index = importance_fixture()
-    spans = [OverlapSpan(tokens=("unique",), path_offset=0)]
-    imp = span_importance(index, "t#0", spans, 0)
+    record = oracle_trace_record(index, ["unique"], corpus.paragraphs["t#0"])
+    assert record["spans"] == [["unique"]]
+    imp = record["importances"][0]
     assert imp == (index.sentinel_rank - rank_of(index, "t#0", ["unique"]))
     assert imp == index.sentinel_rank - 1
 
 
 def test_importance_unique_span_nonnegative():
     corpus, index = importance_fixture()
-    spans = [
-        OverlapSpan(tokens=("shared",), path_offset=0),
-        OverlapSpan(tokens=("unique",), path_offset=1),
-    ]
-    imp = span_importance(index, "t#0", spans, 1)
+    record = oracle_trace_record(index, ["shared", "zz", "unique"], corpus.paragraphs["t#0"])
+    assert record["spans"] == [["shared"], ["unique"]]
+    imp = record["importances"][1]
     others_rank = rank_of(index, "t#0", ["shared"])
     assert imp == others_rank - 1
     assert imp >= 0
 
 
 def test_importance_duplicate_spans_complement_equals_full_set():
+    # A repeated run is one span, so its complement is empty: its importance
+    # is the sentinel minus its own rank.
     corpus, index = importance_fixture()
-    dup = OverlapSpan(tokens=("shared", "words"), path_offset=0)
-    spans = [dup, OverlapSpan(tokens=("shared", "words"), path_offset=2)]
+    path = ["shared", "words", "zz", "shared", "words"]
+    record = oracle_trace_record(index, path, corpus.paragraphs["t#0"])
+    assert record["spans"] == [["shared", "words"]]
     full_rank = rank_of(index, "t#0", ["shared", "words", "shared", "words"])
     removing_one = rank_of(index, "t#0", ["shared", "words"])
-    imp = span_importance(index, "t#0", spans, 0)
-    assert imp == removing_one - removing_one  # complement == singleton here
-    # Cross-check against an explicit brute-force evaluation of both terms.
-    assert imp == rank_of(index, "t#0", list(spans[1].tokens)) - rank_of(
-        index, "t#0", list(spans[0].tokens)
-    )
+    assert record["importances"] == [index.sentinel_rank - removing_one]
     assert full_rank == removing_one  # same multiset scaled; same ordering
-
-
-def test_importance_exactly_two_rank_evaluations():
-    corpus, index = importance_fixture()
-    spans = [
-        OverlapSpan(tokens=("shared",), path_offset=0),
-        OverlapSpan(tokens=("unique",), path_offset=1),
-    ]
-    counter = CountingRank()
-    span_importance(index, "t#0", spans, 0, rank_fn=counter)
-    assert counter.calls == 2
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +211,11 @@ def test_rank_budget_within_linear_bound():
             continue
         n_spans = len(extract_overlap_spans(path, target))
         assert counter.calls <= 3 * n_spans + 1
+        # Each span's importance costs exactly two evaluations; the greedy
+        # pass reuses the first span's singleton rank and then evaluates each
+        # span it adds, plus at most one it rejects.
+        greedy = counter.calls - 2 * n_spans
+        assert len(query.spans_included) - 1 <= greedy <= len(query.spans_included)
         assert query.achieved_rank <= index.sentinel_rank
         checked += 1
     assert checked > 50

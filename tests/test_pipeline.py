@@ -441,3 +441,12 @@ def test_trace_record_round_trips_json():
         parsed = json.loads(json.dumps(trace_record(trace)))
         assert parsed["qid"] == trace.qid
         assert parsed["candidates"] == list(trace.candidates)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k_cap", -1), ("k_cap", 0), ("docs_per_step", 0), ("reranker_candidates", 0),
+    ("fixed_steps", 0), ("fixed_steps", -2),
+])
+def test_pipeline_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        PipelineConfig(**{field: value})

@@ -12,6 +12,7 @@ from iterqa.search import (
     IndexFormatError,
     build_index,
     combined_score,
+    idf_article_clamped,
     load_index,
     rank_of,
     save_index,
@@ -415,6 +416,86 @@ def test_topk_equals_brute_force_on_generated_corpora(articles, query, k):
     assert [(h.paragraph_id, h.score) for h in hits] == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    articles=st.lists(
+        st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), min_size=1, max_size=3),
+        min_size=1,
+        max_size=6,
+    ),
+    queries=st.lists(st.lists(st.sampled_from("abcdefghz"), max_size=6), min_size=1, max_size=4),
+    target=st.integers(min_value=0),
+)
+def test_rank_of_equals_brute_force_cold_and_warm(articles, queries, target):
+    corpus = corpus_from(
+        {"article_id": f"a{a}", "title": "T", "order": order, "text": " ".join(tokens)}
+        for a, paras in enumerate(articles)
+        for order, tokens in enumerate(paras)
+    )
+    index = build_index(corpus)
+    brute = BruteForceScorer(corpus)
+    pids = sorted(index.doc_lengths)
+    for i, query in enumerate(queries):
+        target_id = pids[(target + i) % len(pids)]
+        expected = brute.rank_of(target_id, query)
+        assert rank_of(index, target_id, query) == expected  # cold for new terms
+        assert rank_of(index, target_id, query) == expected  # every term cached
+    assert set(index.impacts) == {t for q in queries for t in q if t in index.postings}
+
+
+# ---------------------------------------------------------------------------
+# the per-term contribution cache
+# ---------------------------------------------------------------------------
+
+def test_cached_contributions_equal_reference_and_stay_unchanged():
+    corpus = make_random_corpus(random.Random(26), n_articles=20)
+    index = build_index(corpus)
+    term = next(t for t in sorted(index.postings) if idf_article_clamped(index, t) > 0.0)
+    search_topk(index, [term], 5)
+    para, article = index.impacts[term]
+    assert list(para) == [score_paragraph(index, pid, [term]) for pid in index.postings[term]]
+    assert list(article) == [
+        score_article(index, aid, [term]) for aid in index.article_postings[term]
+    ]
+    snapshot = (list(para), list(article))
+    target = next(iter(index.postings[term]))
+    for query in ([term, "w001"], [term, term], [term, "w002", "w001", term]):
+        search_topk(index, query, 5)
+        rank_of(index, target, query)
+    assert index.impacts[term][0] is para and index.impacts[term][1] is article
+    assert (list(para), list(article)) == snapshot
+
+
+def test_absent_terms_are_not_cached():
+    index = build_index(make_random_corpus(random.Random(27), n_articles=5))
+    search_topk(index, ["zzqabsent", "w000"], 3)
+    assert set(index.impacts) == {"w000"}
+
+
+def test_warm_index_matches_fresh_load(tmp_path):
+    corpus = make_random_corpus(random.Random(24), n_articles=15)
+    index = build_index(corpus)
+    path = tmp_path / "index.jsonl"
+    save_index(index, path)
+    rng = random.Random(25)
+    queries = [make_random_query(rng) for _ in range(30)]
+    targets = [rng.choice(sorted(index.doc_lengths)) for _ in queries]
+
+    def results(idx):
+        return [
+            ([(h.paragraph_id, h.score) for h in search_topk(idx, q, 10)], rank_of(idx, t, q))
+            for q, t in zip(queries, targets)
+        ]
+
+    cold = results(index)
+    warm = results(index)
+    fresh = load_index(path)
+    assert index.impacts and not fresh.impacts
+    assert fresh == index
+    assert "impacts" not in repr(index)
+    assert results(fresh) == warm == cold
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -491,3 +572,33 @@ def test_load_rejects_unknown_ids(tmp_path, kind, field):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IndexFormatError, match="unknown id 'ghost'"):
         load_index(path)
+
+
+def rewrite_first(path, kind, change):
+    """Replace the first record of the given kind with change(record), a line."""
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        record = json.loads(line)
+        if record["kind"] == kind:
+            lines[i] = change(record)
+            break
+    path.write_text("\n".join(lines) + "\n")
+
+
+def without_len(record):
+    del record["len"]
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize("kind, change, message", [
+    ("para", without_len, "line 2: para record has no field 'len'"),
+    ("term", lambda record: json.dumps(record)[:-5], "line \\d+: unreadable record"),
+    ("article", lambda record: json.dumps([record]), "line \\d+: record is not an object"),
+])
+def test_load_rejects_malformed_records(tmp_path, kind, change, message):
+    path = tmp_path / "index.jsonl"
+    save_index(build_index(make_random_corpus(random.Random(23), n_articles=5)), path)
+    rewrite_first(path, kind, change)
+    with pytest.raises(IndexFormatError, match=message) as info:
+        load_index(path)
+    assert "\n" not in str(info.value)
