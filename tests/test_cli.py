@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,81 @@ def test_cli_oracle(workspace):
         assert record["achieved_rank"] >= 1
         assert record["query"]
         assert len(record["spans"]) == len(record["importances"])
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cli_oracle_output_is_pinned(workspace):
+    tmp_path, corpus_path, questions_path = workspace
+    out = tmp_path / "oracle.jsonl"
+    assert main([
+        "oracle", "--corpus", str(corpus_path),
+        "--questions", str(questions_path), "--out", str(out),
+    ]) == 0
+    assert sha256(out) == "74da3bb123135d9a50728a64724b68cf2794fa0885e7607c15769bc8803143c5"
+
+
+def test_cli_traces_output_is_pinned(workspace):
+    tmp_path, corpus_path, questions_path = workspace
+    out = tmp_path / "traces.jsonl"
+    assert main([
+        "traces", "--corpus", str(corpus_path),
+        "--questions", str(questions_path), "--out", str(out),
+    ]) == 0
+    assert sha256(out) == "215e36a842e44b42ade1b8884b692190f68fea8c6fd3025bbd859c99cf65d290"
+
+
+@pytest.fixture()
+def broken_chain(tmp_path):
+    """Question "broken" has a second gold paragraph sharing no token with its path."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    questions_path = tmp_path / "questions.jsonl"
+    records = [
+        {"article_id": "hall", "title": "Alpha Hall", "order": 0,
+         "text": "the alpha hall stands beside the river mill"},
+        {"article_id": "far", "title": "Far", "order": 0, "text": "zorbic quills vex nobody"},
+        {"article_id": "d1", "title": "D1", "order": 0, "text": "a river mill grinds grain"},
+        {"article_id": "d2", "title": "D2", "order": 0, "text": "the hall of mirrors"},
+        {"article_id": "d3", "title": "D3", "order": 0, "text": "alpha particles decay"},
+        {"article_id": "d4", "title": "D4", "order": 0, "text": "stands of pine trees"},
+    ]
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    questions = [
+        {"id": "broken", "question": "where does the alpha hall stand",
+         "answers": ["nobody"], "gold_paragraph_ids": ["hall#0", "far#0"]},
+        {"id": "whole", "question": "where does the alpha hall stand",
+         "answers": ["river mill"], "gold_paragraph_ids": ["hall#0"]},
+    ]
+    questions_path.write_text("".join(json.dumps(q) + "\n" for q in questions))
+    return tmp_path, corpus_path, questions_path
+
+
+def test_cli_oracle_writes_steps_before_an_untrainable_one(broken_chain, capsys):
+    tmp_path, corpus_path, questions_path = broken_chain
+    out = tmp_path / "oracle.jsonl"
+    assert main([
+        "oracle", "--corpus", str(corpus_path),
+        "--questions", str(questions_path), "--out", str(out),
+    ]) == 0
+    records = read_jsonl(out)
+    assert [(r["qid"], r["target_id"]) for r in records] == [
+        ("broken", "hall#0"), ("whole", "hall#0"),
+    ]
+    assert "oracle queries for 2 questions (1 skipped)" in capsys.readouterr().err
+
+
+def test_cli_traces_skip_an_example_with_an_untrainable_step(broken_chain, capsys):
+    tmp_path, corpus_path, questions_path = broken_chain
+    out = tmp_path / "traces.jsonl"
+    assert main([
+        "traces", "--corpus", str(corpus_path),
+        "--questions", str(questions_path), "--out", str(out),
+    ]) == 0
+    records = read_jsonl(out)
+    assert records and {r["qid"] for r in records} == {"whole"}
+    assert "(1 examples skipped" in capsys.readouterr().out
 
 
 def test_cli_traces(workspace):
