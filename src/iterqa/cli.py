@@ -18,6 +18,7 @@ from .pipeline import (
     run_question,
     step_log_record,
     trace_record,
+    walk_gold_path,
 )
 from .search import build_index, load_index, save_index
 from .synth import make_chain_benchmark, write_benchmark
@@ -76,19 +77,14 @@ def cmd_oracle(args) -> int:
     skipped = 0
     try:
         for example in examples:
-            from .pipeline import initial_path
-
-            path = initial_path(example.question)
-            for gold_id in example.gold_ids:
-                target = corpus.paragraphs[gold_id]
-                try:
-                    record = oracle_trace_record(index, path.path_tokens(), target)
-                except UntrainableExample:
-                    skipped += 1
-                    break
-                record["qid"] = example.qid
-                out.write(json.dumps(record) + "\n")
-                path = path.extended(target)
+            gold_path = walk_gold_path(corpus, index, example.question, example.gold_ids)
+            try:
+                for path, target, query in gold_path:
+                    record = oracle_trace_record(path.path_tokens(), target, query)
+                    record["qid"] = example.qid
+                    out.write(json.dumps(record) + "\n")
+            except UntrainableExample:
+                skipped += 1
     finally:
         if out is not sys.stdout:
             out.close()
@@ -196,9 +192,9 @@ def cmd_synth(args) -> int:
         n_per_hop=tuple(args.per_hop), n_distractors=args.distractors, seed=args.seed
     )
     write_benchmark(benchmark, args.corpus_out, args.questions_out)
-    stats = benchmark.corpus.stats
+    corpus = benchmark.corpus
     print(
-        f"wrote {stats.n_paragraphs} paragraphs / {stats.n_articles} articles "
+        f"wrote {len(corpus.paragraphs)} paragraphs / {len(corpus.articles)} articles "
         f"and {len(benchmark.examples)} questions"
     )
     return 0

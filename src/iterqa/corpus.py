@@ -69,22 +69,12 @@ class Article:
     full_text_tokens: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    n_paragraphs: int
-    n_articles: int
-
-
 @dataclass
 class Corpus:
     """Immutable-after-ingestion store of paragraphs and their articles."""
 
     paragraphs: dict[str, Paragraph]
     articles: dict[str, Article]
-
-    @property
-    def stats(self) -> CorpusStats:
-        return CorpusStats(len(self.paragraphs), len(self.articles))
 
 
 class IngestError(ValueError):

@@ -39,6 +39,8 @@ class OracleQuery:
     spans_included: tuple[OverlapSpan, ...]
     terms: tuple[str, ...]
     achieved_rank: int
+    # Every extracted span, in path order, with its importance filled in.
+    spans: tuple[OverlapSpan, ...]
 
 
 def extract_overlap_spans(path_tokens: Sequence[str], target: Paragraph) -> list[OverlapSpan]:
@@ -87,60 +89,6 @@ def extract_overlap_spans(path_tokens: Sequence[str], target: Paragraph) -> list
     return spans
 
 
-def _scored_spans(
-    index: InvertedIndex,
-    path_tokens: Sequence[str],
-    target: Paragraph,
-    rank_fn: Callable[[InvertedIndex, str, Sequence[str]], int],
-) -> tuple[list[OverlapSpan], list[int]]:
-    spans = extract_overlap_spans(path_tokens, target)
-    if not spans:
-        raise UntrainableExample(
-            f"no overlap between path and target paragraph {target.id!r}"
-        )
-    singleton_rank = [rank_fn(index, target.id, list(span.tokens)) for span in spans]
-    for i, span in enumerate(spans):
-        others = [t for j, other in enumerate(spans) if j != i for t in other.tokens]
-        span.importance = float(rank_fn(index, target.id, others) - singleton_rank[i])
-    return spans, singleton_rank
-
-
-def _greedy_query(
-    index: InvertedIndex,
-    target_id: str,
-    spans: list[OverlapSpan],
-    singleton_rank: list[int],
-    rank_fn: Callable[[InvertedIndex, str, Sequence[str]], int],
-) -> OracleQuery:
-    # Ties in importance resolve to the earlier path position.
-    order = sorted(range(len(spans)), key=lambda i: (-spans[i].importance, spans[i].path_offset))
-
-    included: list[OverlapSpan] = []
-    terms: list[str] = []
-    best_rank = index.sentinel_rank
-    for step, i in enumerate(order):
-        span = spans[i]
-        if step == 0:
-            # The first candidate query is the top span alone; its rank is
-            # already known, and span tokens occur in the target, so it
-            # always beats the sentinel and is always accepted.
-            rank = singleton_rank[i]
-        else:
-            rank = rank_fn(index, target_id, terms + list(span.tokens))
-        if rank >= best_rank:
-            break
-        included.append(span)
-        terms.extend(span.tokens)
-        best_rank = rank
-        if best_rank == 1:
-            break
-    return OracleQuery(
-        spans_included=tuple(included),
-        terms=tuple(terms),
-        achieved_rank=best_rank,
-    )
-
-
 def build_oracle_query(
     index: InvertedIndex,
     path_tokens: Sequence[str],
@@ -156,8 +104,44 @@ def build_oracle_query(
 
     Raises UntrainableExample when the path and target share no tokens.
     """
-    spans, singleton_rank = _scored_spans(index, path_tokens, target, rank_fn)
-    return _greedy_query(index, target.id, spans, singleton_rank, rank_fn)
+    spans = extract_overlap_spans(path_tokens, target)
+    if not spans:
+        raise UntrainableExample(
+            f"no overlap between path and target paragraph {target.id!r}"
+        )
+    singleton_rank = [rank_fn(index, target.id, list(span.tokens)) for span in spans]
+    for i, span in enumerate(spans):
+        others = [t for j, other in enumerate(spans) if j != i for t in other.tokens]
+        span.importance = float(rank_fn(index, target.id, others) - singleton_rank[i])
+
+    # Ties in importance resolve to the earlier path position.
+    order = sorted(range(len(spans)), key=lambda i: (-spans[i].importance, spans[i].path_offset))
+
+    included: list[OverlapSpan] = []
+    terms: list[str] = []
+    best_rank = index.sentinel_rank
+    for step, i in enumerate(order):
+        span = spans[i]
+        if step == 0:
+            # The first candidate query is the top span alone; its rank is
+            # already known, and span tokens occur in the target, so it
+            # always beats the sentinel and is always accepted.
+            rank = singleton_rank[i]
+        else:
+            rank = rank_fn(index, target.id, terms + list(span.tokens))
+        if rank >= best_rank:
+            break
+        included.append(span)
+        terms.extend(span.tokens)
+        best_rank = rank
+        if best_rank == 1:
+            break
+    return OracleQuery(
+        spans_included=tuple(included),
+        terms=tuple(terms),
+        achieved_rank=best_rank,
+        spans=tuple(spans),
+    )
 
 
 @dataclass(frozen=True)
@@ -206,20 +190,18 @@ def oracle_recall_curve(
 
 
 def oracle_trace_record(
-    index: InvertedIndex, path_tokens: Sequence[str], target: Paragraph
+    path_tokens: Sequence[str], target: Paragraph, query: OracleQuery
 ) -> dict:
-    """JSON-serializable record of one oracle run, for line-delimited output.
+    """JSON-serializable record of one oracle query, for line-delimited output.
 
     Lists every extracted span with its importance, not just the spans the
-    greedy pass kept. Raises UntrainableExample when no span exists.
+    greedy pass kept.
     """
-    spans, singleton_rank = _scored_spans(index, path_tokens, target, rank_of)
-    query = _greedy_query(index, target.id, spans, singleton_rank, rank_of)
     return {
         "path_tokens": list(path_tokens),
         "target_id": target.id,
-        "spans": [list(span.tokens) for span in spans],
-        "importances": [span.importance for span in spans],
+        "spans": [list(span.tokens) for span in query.spans],
+        "importances": [span.importance for span in query.spans],
         "query": list(query.terms),
         "achieved_rank": query.achieved_rank,
     }

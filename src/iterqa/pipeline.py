@@ -19,7 +19,7 @@ candidate evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .corpus import Corpus, Paragraph, tokenize
 from .models import (
@@ -32,7 +32,6 @@ from .models import (
 from .oracle import OracleQuery, UntrainableExample, build_oracle_query
 from .search import InvertedIndex, SearchHit, search_topk
 
-ACTIVE = "active"
 ANSWERED = "answered"
 EXHAUSTED = "exhausted"
 
@@ -60,7 +59,6 @@ class ReasoningPath:
 
     question: str
     steps: tuple[Paragraph, ...] = ()
-    status: str = ACTIVE
 
     def step_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self.steps)
@@ -96,9 +94,9 @@ class StepOutcome:
     """One loop iteration: what was asked, found, and decided."""
 
     query_used: tuple[str, ...]
-    retrieved: tuple[SearchHit, ...]
-    answer: AnswerRecord | None
-    chosen_paragraph: str | None
+    retrieved: tuple[SearchHit, ...] = ()
+    answer: AnswerRecord | None = None
+    chosen_paragraph: str | None = None
     candidate_answerabilities: tuple[tuple[str, float], ...] = ()
     best_candidate: AnswerRecord | None = None
     exhausted_reason: str | None = None
@@ -137,17 +135,6 @@ def _answer_record(
     )
 
 
-def _exhausted(path: ReasoningPath, query: tuple[str, ...], reason: str):
-    outcome = StepOutcome(
-        query_used=query,
-        retrieved=(),
-        answer=None,
-        chosen_paragraph=None,
-        exhausted_reason=reason,
-    )
-    return replace(path, status=EXHAUSTED), outcome
-
-
 def step(
     path: ReasoningPath,
     corpus: Corpus,
@@ -158,23 +145,22 @@ def step(
     """Run one retrieve-read-rerank iteration; returns the new path.
 
     The input path is not mutated. Zero-score hits count as not retrieved.
+    The outcome has an ``answer`` when the run should stop with it, and an
+    ``exhausted_reason`` when the path cannot be extended.
     """
-    if path.status != ACTIVE:
-        raise ValueError(f"cannot step a path with status {path.status!r}")
-
     query = tuple(models.retriever(path))
     if not query:
-        return _exhausted(path, query, "empty query")
+        return path, StepOutcome(query_used=query, exhausted_reason="empty query")
     hits = tuple(h for h in search_topk(index, list(query), config.docs_per_step) if h.score > 0.0)
     if not hits:
-        return _exhausted(path, query, "no results")
+        return path, StepOutcome(query_used=query, exhausted_reason="no results")
 
     on_path = set(path.step_ids())
     candidates = [
         corpus.paragraphs[h.paragraph_id] for h in hits if h.paragraph_id not in on_path
     ][: config.reranker_candidates]
     if not candidates:
-        return _exhausted(path, query, "no new candidates")
+        return path, StepOutcome(query_used=query, exhausted_reason="no new candidates")
 
     evaluated = []
     for para in candidates:
@@ -199,18 +185,16 @@ def step(
             query_used=query,
             retrieved=hits,
             answer=best_record,
-            chosen_paragraph=None,
             candidate_answerabilities=answerabilities,
             best_candidate=best_record,
         )
-        return replace(best_ext, status=ANSWERED), outcome
+        return best_ext, outcome
 
     scored = [(models.reranker(path, para), para) for para, _, _, _, _ in evaluated]
     _, chosen = min(scored, key=lambda item: (-item[0], item[1].id))
     outcome = StepOutcome(
         query_used=query,
         retrieved=hits,
-        answer=None,
         chosen_paragraph=chosen.id,
         candidate_answerabilities=answerabilities,
         best_candidate=best_record,
@@ -235,7 +219,7 @@ def run_question(
     best_attempt: AnswerRecord | None = None
     retrieved_total = 0
 
-    while path.status == ACTIVE and len(path.steps) < config.k_cap:
+    while len(path.steps) < config.k_cap:
         path, outcome = step(path, corpus, index, models, config)
         outcomes.append(outcome)
         retrieved_total += len(outcome.retrieved)
@@ -244,14 +228,14 @@ def run_question(
             best_attempt is None or candidate.answerability > best_attempt.answerability
         ):
             best_attempt = candidate
+        if outcome.answer is not None or outcome.exhausted_reason is not None:
+            break
 
-    answered = path.status == ANSWERED
-    if path.status == ACTIVE:
-        path = replace(path, status=EXHAUSTED)
+    answer = outcomes[-1].answer
     return RunResult(
         question=question,
-        status=ANSWERED if answered else EXHAUSTED,
-        answer=outcomes[-1].answer if answered else None,
+        status=ANSWERED if answer is not None else EXHAUSTED,
+        answer=answer,
         best_attempt=best_attempt,
         steps=tuple(outcomes),
         paragraphs_retrieved=retrieved_total,
@@ -387,6 +371,21 @@ def generate_training_traces(
     return result
 
 
+def walk_gold_path(
+    corpus: Corpus, index: InvertedIndex, question: str, gold_ids: Iterable[str]
+) -> Iterator[tuple[ReasoningPath, Paragraph, OracleQuery]]:
+    """Yield (path before the step, target, oracle query) for each gold step.
+
+    Raises UntrainableExample at the first target that shares no token with
+    its path, after the steps before it have been yielded.
+    """
+    path = initial_path(question)
+    for gold_id in gold_ids:
+        target = corpus.paragraphs[gold_id]
+        yield path, target, build_oracle_query(index, path.path_tokens(), target)
+        path = path.extended(target)
+
+
 def _example_traces(
     corpus: Corpus,
     index: InvertedIndex,
@@ -394,15 +393,12 @@ def _example_traces(
     config: TraceConfig,
     cap: int,
 ) -> Iterable[TrainingTrace]:
-    path = initial_path(example.question)
-    for gold_id in example.gold_ids[:cap]:
-        target = corpus.paragraphs[gold_id]
-        oracle_query = build_oracle_query(index, path.path_tokens(), target)
+    gold_path = walk_gold_path(corpus, index, example.question, example.gold_ids[:cap])
+    for path, target, oracle_query in gold_path:
         hits = search_topk(index, list(oracle_query.terms), config.docs_per_step)
         on_path = set(path.step_ids())
         candidates = _trace_candidates(hits, on_path, index, config.reranker_candidates)
-        next_path = path.extended(target)
-        label, span = _reader_label(next_path, example)
+        label, span = _reader_label(path.extended(target), example)
         yield TrainingTrace(
             qid=example.qid,
             variant="gold",
@@ -418,7 +414,6 @@ def _example_traces(
             trace = _recovery_trace(corpus, index, example, config, cap, path, target, hits)
             if trace is not None:
                 yield trace
-        path = next_path
 
 
 def _recovery_trace(

@@ -61,8 +61,8 @@ def test_ingest_counts():
         {"article_id": "a", "title": "A", "order": 0, "text": "one two"},
         {"article_id": "a", "title": "A", "order": 1, "text": "three"},
     ]))
-    assert corpus.stats.n_paragraphs == 2
-    assert corpus.stats.n_articles == 1
+    assert len(corpus.paragraphs) == 2
+    assert len(corpus.articles) == 1
     assert set(corpus.paragraphs) == {"a#0", "a#1"}
 
 

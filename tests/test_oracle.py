@@ -98,7 +98,7 @@ def test_spans_maximality_property():
 
 
 # ---------------------------------------------------------------------------
-# span importance, as oracle_trace_record reports it
+# span importance, as build_oracle_query reports it on every span
 # ---------------------------------------------------------------------------
 
 def importance_fixture():
@@ -112,18 +112,18 @@ def importance_fixture():
 
 def test_importance_single_span_uses_sentinel():
     corpus, index = importance_fixture()
-    record = oracle_trace_record(index, ["unique"], corpus.paragraphs["t#0"])
-    assert record["spans"] == [["unique"]]
-    imp = record["importances"][0]
+    spans = build_oracle_query(index, ["unique"], corpus.paragraphs["t#0"]).spans
+    assert [span.tokens for span in spans] == [("unique",)]
+    imp = spans[0].importance
     assert imp == (index.sentinel_rank - rank_of(index, "t#0", ["unique"]))
     assert imp == index.sentinel_rank - 1
 
 
 def test_importance_unique_span_nonnegative():
     corpus, index = importance_fixture()
-    record = oracle_trace_record(index, ["shared", "zz", "unique"], corpus.paragraphs["t#0"])
-    assert record["spans"] == [["shared"], ["unique"]]
-    imp = record["importances"][1]
+    spans = build_oracle_query(index, ["shared", "zz", "unique"], corpus.paragraphs["t#0"]).spans
+    assert [span.tokens for span in spans] == [("shared",), ("unique",)]
+    imp = spans[1].importance
     others_rank = rank_of(index, "t#0", ["shared"])
     assert imp == others_rank - 1
     assert imp >= 0
@@ -134,11 +134,11 @@ def test_importance_duplicate_spans_complement_equals_full_set():
     # is the sentinel minus its own rank.
     corpus, index = importance_fixture()
     path = ["shared", "words", "zz", "shared", "words"]
-    record = oracle_trace_record(index, path, corpus.paragraphs["t#0"])
-    assert record["spans"] == [["shared", "words"]]
+    spans = build_oracle_query(index, path, corpus.paragraphs["t#0"]).spans
+    assert [span.tokens for span in spans] == [("shared", "words")]
     full_rank = rank_of(index, "t#0", ["shared", "words", "shared", "words"])
     removing_one = rank_of(index, "t#0", ["shared", "words"])
-    assert record["importances"] == [index.sentinel_rank - removing_one]
+    assert [span.importance for span in spans] == [index.sentinel_rank - removing_one]
     assert full_rank == removing_one  # same multiset scaled; same ordering
 
 
@@ -306,7 +306,8 @@ def test_recall_rank_cutoff_matches_topk_membership():
 def test_oracle_trace_record_shape():
     corpus, index = chain_case()
     target = corpus.paragraphs["t#0"]
-    record = oracle_trace_record(index, ["secret", "zz", "token"], target)
+    path = ["secret", "zz", "token"]
+    record = oracle_trace_record(path, target, build_oracle_query(index, path, target))
     assert record["target_id"] == "t#0"
     assert len(record["spans"]) == len(record["importances"]) == 2
     assert 0 < len(record["query"]) <= 2

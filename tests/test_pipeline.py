@@ -6,7 +6,6 @@ from iterqa.corpus import ingest_corpus
 from iterqa.metrics import normalize_answer
 from iterqa.models import GoldReader, LexicalReranker, ModelBundle, OracleRetriever
 from iterqa.pipeline import (
-    ACTIVE,
     ANSWERED,
     EXHAUSTED,
     PipelineConfig,
@@ -83,8 +82,8 @@ def one_hop_setup():
 
 def test_initial_path_is_question_only():
     path = initial_path("who")
+    assert path.question == "who"
     assert path.steps == ()
-    assert path.status == ACTIVE
 
 
 def test_path_rejects_duplicate_paragraphs():
@@ -112,7 +111,8 @@ def test_step_answer_branch_has_no_chosen_paragraph():
     new_path, outcome = step(path, corpus, index, models, PipelineConfig())
     assert outcome.answer is not None
     assert outcome.chosen_paragraph is None
-    assert new_path.status == ANSWERED
+    assert outcome.exhausted_reason is None
+    assert new_path.step_ids() == outcome.answer.path_snapshot == ("tower#0",)
     assert outcome.answer.answerability == 10.0
 
 
@@ -122,7 +122,7 @@ def test_step_append_branch_uses_reranker_argmax():
     new_path, outcome = step(path, corpus, index, models, PipelineConfig())
     assert outcome.answer is None
     assert outcome.chosen_paragraph is not None
-    assert new_path.status == ACTIVE
+    assert outcome.exhausted_reason is None
     assert new_path.step_ids() == (outcome.chosen_paragraph,)
     scores = {
         pid: models.reranker(path, corpus.paragraphs[pid])
@@ -140,7 +140,7 @@ def test_step_empty_query_exhausts():
         reranker=LexicalReranker(index),
     )
     new_path, outcome = step(initial_path("q"), corpus, index, models, PipelineConfig())
-    assert new_path.status == EXHAUSTED
+    assert new_path.steps == ()
     assert outcome.exhausted_reason == "empty query"
     assert outcome.answer is None and outcome.chosen_paragraph is None
 
@@ -153,19 +153,9 @@ def test_step_no_results_exhausts():
         reranker=LexicalReranker(index),
     )
     new_path, outcome = step(initial_path("q"), corpus, index, models, PipelineConfig())
-    assert new_path.status == EXHAUSTED
+    assert new_path.steps == ()
     assert outcome.exhausted_reason == "no results"
-
-
-def test_step_requires_active_path():
-    corpus, index, models = one_hop_setup()
-    path = initial_path("q")
-    answered, _ = step(
-        initial_path("where is the bronze bell in the old tower"),
-        corpus, index, models, PipelineConfig(),
-    )
-    with pytest.raises(ValueError):
-        step(answered, corpus, index, models, PipelineConfig())
+    assert outcome.answer is None and outcome.chosen_paragraph is None
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +243,13 @@ def test_recovery_after_nongold_first_step():
     path = initial_path(TOAD_QUESTION).extended(corpus.paragraphs["genus#0"])
     config = PipelineConfig()
     outcomes = []
-    while path.status == ACTIVE and len(path.steps) < config.k_cap:
+    while len(path.steps) < config.k_cap:
         path, outcome = step(path, corpus, index, models, config)
         outcomes.append(outcome)
-    assert path.status == ANSWERED
+        if outcome.answer is not None or outcome.exhausted_reason is not None:
+            break
+    assert outcomes[-1].answer is not None
+    assert all(outcome.exhausted_reason is None for outcome in outcomes)
     assert normalize_answer(outcomes[-1].answer.text) == normalize_answer("150 million copies")
     assert "genus#0" in path.step_ids()  # the mistake stays on the path
 
@@ -450,3 +443,4 @@ def test_trace_record_round_trips_json():
 def test_pipeline_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
         PipelineConfig(**{field: value})
+
