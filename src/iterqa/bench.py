@@ -38,6 +38,12 @@ def load_examples(path) -> list[QuestionExample]:
                 raise QuestionsFormatError(f"line {line_no}: record is not an object")
             if "id" not in record or "question" not in record:
                 raise QuestionsFormatError(f"line {line_no}: needs id and question fields")
+            fixed_steps = record.get("fixed_steps")
+            if fixed_steps is not None and (type(fixed_steps) is not int or fixed_steps < 1):
+                raise QuestionsFormatError(
+                    f"line {line_no}: fixed_steps must be null or an integer >= 1, "
+                    f"got {fixed_steps!r}"
+                )
             answers = tuple(record.get("answers", ()))
             kind = record.get("answer_kind")
             if kind is None:
@@ -49,7 +55,7 @@ def load_examples(path) -> list[QuestionExample]:
                     answers=answers,
                     gold_ids=tuple(record.get("gold_paragraph_ids", ())),
                     answer_kind=kind,
-                    fixed_steps=record.get("fixed_steps"),
+                    fixed_steps=fixed_steps,
                     dataset=record.get("dataset", ""),
                 )
             )
@@ -152,29 +158,27 @@ def run_benchmark(
     """
     if not examples:
         raise ValueError("no questions to run")
+    # Built before any question runs, so a bad grid value fails at once.
+    docs_configs = [replace(config, docs_per_step=docs) for docs in docs_grid]
+    fixed_configs = [replace(config, fixed_steps=k) for k in fixed_k_grid]
     result = evaluate(examples, corpus, index, factory, config)
     report = BenchmarkReport(result=result)
 
     for row in result.per_question:
         report.step_histogram[row.steps_used] = report.step_histogram.get(row.steps_used, 0) + 1
 
-    if docs_grid:
-        for docs in docs_grid:
-            grid_result = evaluate(
-                examples, corpus, index, factory, replace(config, docs_per_step=docs)
-            )
-            mean_retrieved = sum(
-                r.paragraphs_retrieved_total for r in grid_result.per_question
-            ) / len(grid_result.per_question)
-            report.budget_table.append((docs, mean_retrieved, grid_result.em, grid_result.f1))
+    for docs, docs_config in zip(docs_grid, docs_configs):
+        grid_result = evaluate(examples, corpus, index, factory, docs_config)
+        mean_retrieved = sum(
+            r.paragraphs_retrieved_total for r in grid_result.per_question
+        ) / len(grid_result.per_question)
+        report.budget_table.append((docs, mean_retrieved, grid_result.em, grid_result.f1))
 
     if fixed_k_grid:
         report.dynamic_vs_fixed.append(("dynamic", result.em, result.f1))
-        for k in fixed_k_grid:
-            fixed_result = evaluate(
-                examples, corpus, index, factory, replace(config, fixed_steps=k)
-            )
-            report.dynamic_vs_fixed.append((f"fixed-{k}", fixed_result.em, fixed_result.f1))
+    for k, fixed_config in zip(fixed_k_grid, fixed_configs):
+        fixed_result = evaluate(examples, corpus, index, factory, fixed_config)
+        report.dynamic_vs_fixed.append((f"fixed-{k}", fixed_result.em, fixed_result.f1))
     return report
 
 

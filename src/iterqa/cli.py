@@ -6,11 +6,12 @@ import argparse
 import json
 import sys
 
-from .bench import load_examples, run_benchmark, write_reports, format_summary
-from .corpus import load_corpus, map_paragraph
-from .models import build_model_factory, load_manifest
+from .bench import QuestionsFormatError, format_summary, load_examples, run_benchmark, write_reports
+from .corpus import IngestError, load_corpus, map_paragraph
+from .models import ManifestError, build_model_factory, load_manifest
 from .oracle import UntrainableExample, oracle_trace_record
 from .pipeline import (
+    ConfigError,
     PipelineConfig,
     QuestionExample,
     TraceConfig,
@@ -20,7 +21,7 @@ from .pipeline import (
     trace_record,
     walk_gold_path,
 )
-from .search import build_index, load_index, save_index
+from .search import IndexFormatError, build_index, load_index, save_index
 from .synth import make_chain_benchmark, write_benchmark
 
 
@@ -61,6 +62,18 @@ def _index_for(args, corpus):
     return build_index(corpus)
 
 
+def _examples_for(path, corpus) -> list[QuestionExample]:
+    """The questions in ``path``, once every gold id is known to be in the corpus."""
+    examples = load_examples(path)
+    for example in examples:
+        for gold_id in example.gold_ids:
+            if gold_id not in corpus.paragraphs:
+                raise QuestionsFormatError(
+                    f"question {example.qid!r}: gold paragraph {gold_id!r} is not in the corpus"
+                )
+    return examples
+
+
 def cmd_index(args) -> int:
     corpus = load_corpus(args.corpus)
     index = build_index(corpus)
@@ -72,7 +85,7 @@ def cmd_index(args) -> int:
 def cmd_oracle(args) -> int:
     corpus = load_corpus(args.corpus)
     index = _index_for(args, corpus)
-    examples = load_examples(args.questions)
+    examples = _examples_for(args.questions, corpus)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     skipped = 0
     try:
@@ -95,7 +108,7 @@ def cmd_oracle(args) -> int:
 def cmd_traces(args) -> int:
     corpus = load_corpus(args.corpus)
     index = _index_for(args, corpus)
-    examples = load_examples(args.questions)
+    examples = _examples_for(args.questions, corpus)
     config = TraceConfig(
         max_steps=args.max_steps,
         augment_nongold=not args.no_augment,
@@ -116,7 +129,7 @@ def cmd_run(args) -> int:
     corpus = load_corpus(args.corpus)
     index = _index_for(args, corpus)
     if args.question_file:
-        example = load_examples(args.question_file)[0]
+        example = _examples_for(args.question_file, corpus)[0]
     else:
         example = QuestionExample(qid="cli", question=args.question)
     factory = _factory(args, index, corpus)
@@ -140,7 +153,7 @@ def cmd_run(args) -> int:
 def cmd_bench(args) -> int:
     corpus = load_corpus(args.corpus)
     index = _index_for(args, corpus)
-    examples = load_examples(args.questions)
+    examples = _examples_for(args.questions, corpus)
     factory = _factory(args, index, corpus)
     report = run_benchmark(
         examples,
@@ -270,7 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (IngestError, IndexFormatError, QuestionsFormatError, ManifestError, ConfigError) as exc:
+        print(f"iterqa {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

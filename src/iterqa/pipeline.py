@@ -36,6 +36,17 @@ ANSWERED = "answered"
 EXHAUSTED = "exhausted"
 
 
+class ConfigError(ValueError):
+    """A pipeline or trace setting is out of range."""
+
+
+def _require_positive(config, names: Iterable[str]) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     k_cap: int = 5
@@ -47,10 +58,7 @@ class PipelineConfig:
     fixed_steps: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("k_cap", "docs_per_step", "reranker_candidates", "fixed_steps"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        _require_positive(self, ("k_cap", "docs_per_step", "reranker_candidates", "fixed_steps"))
 
 
 @dataclass(frozen=True)
@@ -284,6 +292,9 @@ class TraceConfig:
     augment_nongold: bool = True
     docs_per_step: int = 50
     reranker_candidates: int = 5
+
+    def __post_init__(self) -> None:
+        _require_positive(self, ("max_steps", "docs_per_step", "reranker_candidates"))
 
     def cap_for(self, dataset: str) -> int:
         if self.max_steps_by_dataset and dataset in self.max_steps_by_dataset:

@@ -12,7 +12,7 @@ from iterqa.bench import (
 )
 from iterqa.corpus import ingest_corpus
 from iterqa.models import build_model_factory
-from iterqa.pipeline import PipelineConfig, QuestionExample
+from iterqa.pipeline import ConfigError, PipelineConfig, QuestionExample
 from iterqa.search import build_index
 
 
@@ -167,3 +167,32 @@ def test_load_examples_rejects_non_object_records(tmp_path, line):
     path.write_text(json.dumps({"id": "a", "question": "q1"}) + "\n" + line + "\n")
     with pytest.raises(QuestionsFormatError, match="^line 2: record is not an object$"):
         load_examples(path)
+
+
+@pytest.mark.parametrize("value", [0, -1, "2", 1.5, True, [2]])
+def test_load_examples_rejects_bad_fixed_steps(tmp_path, value):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        json.dumps({"id": "a", "question": "q1", "fixed_steps": None}) + "\n"
+        + json.dumps({"id": "b", "question": "q2", "fixed_steps": value}) + "\n"
+    )
+    with pytest.raises(
+        QuestionsFormatError, match="^line 2: fixed_steps must be null or an integer >= 1, got "
+    ):
+        load_examples(path)
+
+
+@pytest.mark.parametrize("grids", [
+    {"fixed_k_grid": (1, 0)}, {"docs_grid": (50, 0)}, {"docs_grid": (50,), "fixed_k_grid": (-1,)},
+])
+def test_run_benchmark_rejects_grid_values_before_any_question(bench_setup, grids):
+    corpus, index, factory = bench_setup
+    calls = []
+
+    def counting_factory(example):
+        calls.append(example.qid)
+        return factory(example)
+
+    with pytest.raises(ConfigError, match=" must be >= 1, got "):
+        run_benchmark([ONE_HOP, TWO_HOP], corpus, index, counting_factory, **grids)
+    assert calls == []

@@ -192,3 +192,109 @@ def test_cli_map(workspace, tmp_path, capsys):
     verdicts = read_jsonl(out)
     assert verdicts
     assert all(v["matched"] for v in verdicts)
+
+
+# ---------------------------------------------------------------------------
+# bad input: exit code 2 and one line on stderr, before any question runs
+# ---------------------------------------------------------------------------
+
+def cli_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_cli_reports_bad_corpus_line(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text('{"article_id": "a", "title": "A", "order": 0}\n')
+    message = cli_error(
+        ["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "i.jsonl")], capsys
+    )
+    assert message == "iterqa index: line 1: missing field 'text'"
+
+
+def test_cli_reports_bad_index(workspace, capsys):
+    tmp_path, corpus_path, questions_path = workspace
+    index_path = tmp_path / "index.jsonl"
+    index_path.write_text('{"magic": "something-else"}\n')
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+        "--index", str(index_path),
+    ], capsys)
+    assert message.startswith("iterqa bench: ") and "magic" in message
+
+
+def test_cli_reports_bad_question_record(workspace, capsys):
+    tmp_path, corpus_path, _ = workspace
+    questions_path = tmp_path / "bad.jsonl"
+    questions_path.write_text("[1, 2]\n")
+    message = cli_error([
+        "oracle", "--corpus", str(corpus_path), "--questions", str(questions_path),
+    ], capsys)
+    assert message == "iterqa oracle: line 1: record is not an object"
+
+
+def test_cli_reports_bad_manifest(workspace, capsys):
+    tmp_path, corpus_path, questions_path = workspace
+    manifest = tmp_path / "models.json"
+    manifest.write_text(json.dumps({"retriever": "psychic"}))
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+        "--models", str(manifest),
+    ], capsys)
+    assert message == "iterqa bench: unknown retriever 'psychic'"
+
+
+@pytest.mark.parametrize("command", ["oracle", "traces", "bench"])
+def test_cli_reports_unknown_gold_id_before_running(workspace, capsys, command):
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(questions_path)
+    records[-1]["gold_paragraph_ids"] = [records[-1]["gold_paragraph_ids"][0], "nope#0"]
+    questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out.jsonl"
+    argv = [command, "--corpus", str(corpus_path), "--questions", str(questions_path)]
+    if command != "bench":
+        argv += ["--out", str(out)]
+    message = cli_error(argv, capsys)
+    assert message == (
+        f"iterqa {command}: question {records[-1]['id']!r}: "
+        "gold paragraph 'nope#0' is not in the corpus"
+    )
+    assert not out.exists() or out.read_text() == ""
+
+
+@pytest.mark.parametrize("command, flags, name", [
+    ("traces", ["--docs-per-step", "0"], "docs_per_step"),
+    ("traces", ["--max-steps", "0"], "max_steps"),
+    ("bench", ["--k-cap", "-1"], "k_cap"),
+    ("bench", ["--fixed-k-grid", "2", "0"], "fixed_steps"),
+    ("bench", ["--docs-grid", "0"], "docs_per_step"),
+    ("run", ["--docs-per-step", "0"], "docs_per_step"),
+])
+def test_cli_reports_bad_config_value(workspace, capsys, command, flags, name):
+    tmp_path, corpus_path, questions_path = workspace
+    argv = [command, "--corpus", str(corpus_path)] + flags
+    if command == "run":
+        argv += ["--question", "where is the secret"]
+    else:
+        argv += ["--questions", str(questions_path)]
+    if command == "traces":
+        argv += ["--out", str(tmp_path / "traces.jsonl")]
+    message = cli_error(argv, capsys)
+    assert message.startswith(f"iterqa {command}: {name} must be >= 1, got ")
+
+
+def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(questions_path)
+    records[3]["fixed_steps"] = 0
+    questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+    ], capsys)
+    assert message == (
+        "iterqa bench: line 4: fixed_steps must be null or an integer >= 1, got 0"
+    )

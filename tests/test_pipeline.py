@@ -8,6 +8,7 @@ from iterqa.models import GoldReader, LexicalReranker, ModelBundle, OracleRetrie
 from iterqa.pipeline import (
     ANSWERED,
     EXHAUSTED,
+    ConfigError,
     PipelineConfig,
     QuestionExample,
     TraceConfig,
@@ -444,3 +445,10 @@ def test_pipeline_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be "):
         PipelineConfig(**{field: value})
 
+
+@pytest.mark.parametrize("field, value", [
+    ("max_steps", 0), ("max_steps", -3), ("docs_per_step", 0), ("reranker_candidates", 0),
+])
+def test_trace_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got {value}$"):
+        TraceConfig(**{field: value})
