@@ -41,7 +41,6 @@ from .pipeline import (
     ReasoningPath,
     RunResult,
     StepOutcome,
-    TraceConfig,
     TrainingTrace,
     generate_training_traces,
     initial_path,

@@ -14,7 +14,6 @@ from .pipeline import (
     ConfigError,
     PipelineConfig,
     QuestionExample,
-    TraceConfig,
     generate_training_traces,
     run_question,
     step_log_record,
@@ -109,12 +108,10 @@ def cmd_traces(args) -> int:
     corpus = load_corpus(args.corpus)
     index = _index_for(args, corpus)
     examples = _examples_for(args.questions, corpus)
-    config = TraceConfig(
-        max_steps=args.max_steps,
-        augment_nongold=not args.no_augment,
-        docs_per_step=args.docs_per_step,
+    config = PipelineConfig(k_cap=args.k_cap, docs_per_step=args.docs_per_step)
+    generation = generate_training_traces(
+        corpus, index, examples, config, augment_nongold=not args.no_augment
     )
-    generation = generate_training_traces(corpus, index, examples, config)
     with open(args.out, "w", encoding="utf-8") as out:
         for trace in generation.traces:
             out.write(json.dumps(trace_record(trace)) + "\n")
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--questions", required=True)
     p.add_argument("--index", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-steps", type=int, default=3)
+    p.add_argument("--k-cap", type=int, default=3)
     p.add_argument("--docs-per-step", type=int, default=50)
     p.add_argument("--no-augment", action="store_true")
     p.set_defaults(func=cmd_traces)

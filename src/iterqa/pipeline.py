@@ -19,7 +19,7 @@ candidate evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .corpus import Corpus, Paragraph, tokenize
 from .models import (
@@ -37,14 +37,7 @@ EXHAUSTED = "exhausted"
 
 
 class ConfigError(ValueError):
-    """A pipeline or trace setting is out of range."""
-
-
-def _require_positive(config, names: Iterable[str]) -> None:
-    for name in names:
-        value = getattr(config, name)
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+    """A pipeline setting is out of range."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,10 @@ class PipelineConfig:
     fixed_steps: int | None = None
 
     def __post_init__(self) -> None:
-        _require_positive(self, ("k_cap", "docs_per_step", "reranker_candidates", "fixed_steps"))
+        for name in ("k_cap", "docs_per_step", "reranker_candidates", "fixed_steps"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -286,23 +282,6 @@ class QuestionExample:
 
 
 @dataclass(frozen=True)
-class TraceConfig:
-    max_steps: int = 3
-    max_steps_by_dataset: Mapping[str, int] | None = None
-    augment_nongold: bool = True
-    docs_per_step: int = 50
-    reranker_candidates: int = 5
-
-    def __post_init__(self) -> None:
-        _require_positive(self, ("max_steps", "docs_per_step", "reranker_candidates"))
-
-    def cap_for(self, dataset: str) -> int:
-        if self.max_steps_by_dataset and dataset in self.max_steps_by_dataset:
-            return self.max_steps_by_dataset[dataset]
-        return self.max_steps
-
-
-@dataclass(frozen=True)
 class TrainingTrace:
     """One supervision record for the retriever, reranker, and reader."""
 
@@ -359,7 +338,8 @@ def generate_training_traces(
     corpus: Corpus,
     index: InvertedIndex,
     gold_examples: Iterable[QuestionExample],
-    config: TraceConfig = TraceConfig(),
+    config: PipelineConfig = PipelineConfig(k_cap=3),
+    augment_nongold: bool = True,
 ) -> TraceGeneration:
     """Emit supervision traces along each example's gold path.
 
@@ -369,12 +349,15 @@ def generate_training_traces(
     appended instead and the oracle re-derives a query from that polluted
     path. Examples whose gold target shares no token with the path are
     skipped and counted.
+
+    From ``config``, ``k_cap`` caps the paragraphs on a traced path and
+    ``docs_per_step`` and ``reranker_candidates`` size each step's search
+    and candidate set; the stop settings do not apply.
     """
     result = TraceGeneration()
     for example in gold_examples:
-        cap = config.cap_for(example.dataset)
         try:
-            traces = list(_example_traces(corpus, index, example, config, cap))
+            traces = list(_example_traces(corpus, index, example, config, augment_nongold))
         except UntrainableExample:
             result.skipped.append(example.qid)
             continue
@@ -397,80 +380,61 @@ def walk_gold_path(
         path = path.extended(target)
 
 
+def _trace(
+    index: InvertedIndex,
+    example: QuestionExample,
+    config: PipelineConfig,
+    variant: str,
+    path: ReasoningPath,
+    target: Paragraph,
+    query: OracleQuery,
+) -> tuple[TrainingTrace, list[SearchHit]]:
+    """The trace for reaching ``target`` from ``path``, and the query's hits."""
+    hits = search_topk(index, list(query.terms), config.docs_per_step)
+    candidates = _trace_candidates(hits, set(path.step_ids()), index, config.reranker_candidates)
+    label, span = _reader_label(path.extended(target), example)
+    gold = set(example.gold_ids)
+    trace = TrainingTrace(
+        qid=example.qid,
+        variant=variant,
+        path_state=path,
+        oracle_query=query,
+        candidates=candidates,
+        gold_flags=tuple(c in gold for c in candidates),
+        reader_label=label,
+        span=span,
+    )
+    return trace, hits
+
+
 def _example_traces(
     corpus: Corpus,
     index: InvertedIndex,
     example: QuestionExample,
-    config: TraceConfig,
-    cap: int,
+    config: PipelineConfig,
+    augment_nongold: bool,
 ) -> Iterable[TrainingTrace]:
-    gold_path = walk_gold_path(corpus, index, example.question, example.gold_ids[:cap])
-    for path, target, oracle_query in gold_path:
-        hits = search_topk(index, list(oracle_query.terms), config.docs_per_step)
-        on_path = set(path.step_ids())
-        candidates = _trace_candidates(hits, on_path, index, config.reranker_candidates)
-        label, span = _reader_label(path.extended(target), example)
-        yield TrainingTrace(
-            qid=example.qid,
-            variant="gold",
-            path_state=path,
-            oracle_query=oracle_query,
-            candidates=candidates,
-            gold_flags=tuple(c in set(example.gold_ids) for c in candidates),
-            reader_label=label,
-            span=span,
+    gold_path = walk_gold_path(corpus, index, example.question, example.gold_ids[: config.k_cap])
+    for path, target, query in gold_path:
+        trace, hits = _trace(index, example, config, "gold", path, target, query)
+        yield trace
+
+        # A recovery step needs room for the wrong paragraph and the target.
+        if not augment_nongold or len(path.steps) + 2 > config.k_cap:
+            continue
+        excluded = set(path.step_ids()) | set(example.gold_ids)
+        nongold = next(
+            (h.paragraph_id for h in hits if h.score > 0.0 and h.paragraph_id not in excluded),
+            None,
         )
-
-        if config.augment_nongold:
-            trace = _recovery_trace(corpus, index, example, config, cap, path, target, hits)
-            if trace is not None:
-                yield trace
-
-
-def _recovery_trace(
-    corpus: Corpus,
-    index: InvertedIndex,
-    example: QuestionExample,
-    config: TraceConfig,
-    cap: int,
-    path: ReasoningPath,
-    target: Paragraph,
-    hits: list[SearchHit],
-) -> TrainingTrace | None:
-    gold_set = set(example.gold_ids)
-    on_path = set(path.step_ids())
-    nongold = next(
-        (
-            h.paragraph_id
-            for h in hits
-            if h.score > 0.0 and h.paragraph_id not in gold_set and h.paragraph_id not in on_path
-        ),
-        None,
-    )
-    if nongold is None:
-        return None
-    polluted = path.extended(corpus.paragraphs[nongold])
-    if len(polluted.steps) + 1 > cap:
-        return None
-    try:
-        recovery_query = build_oracle_query(index, polluted.path_tokens(), target)
-    except UntrainableExample:
-        return None
-    recovery_hits = search_topk(index, list(recovery_query.terms), config.docs_per_step)
-    candidates = _trace_candidates(
-        recovery_hits, set(polluted.step_ids()), index, config.reranker_candidates
-    )
-    label, span = _reader_label(polluted.extended(target), example)
-    return TrainingTrace(
-        qid=example.qid,
-        variant="recovery",
-        path_state=polluted,
-        oracle_query=recovery_query,
-        candidates=candidates,
-        gold_flags=tuple(c in gold_set for c in candidates),
-        reader_label=label,
-        span=span,
-    )
+        if nongold is None:
+            continue
+        polluted = path.extended(corpus.paragraphs[nongold])
+        try:
+            query = build_oracle_query(index, polluted.path_tokens(), target)
+        except UntrainableExample:
+            continue
+        yield _trace(index, example, config, "recovery", polluted, target, query)[0]
 
 
 def trace_record(trace: TrainingTrace) -> dict:

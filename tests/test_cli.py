@@ -268,7 +268,7 @@ def test_cli_reports_unknown_gold_id_before_running(workspace, capsys, command):
 
 @pytest.mark.parametrize("command, flags, name", [
     ("traces", ["--docs-per-step", "0"], "docs_per_step"),
-    ("traces", ["--max-steps", "0"], "max_steps"),
+    ("traces", ["--k-cap", "0"], "k_cap"),
     ("bench", ["--k-cap", "-1"], "k_cap"),
     ("bench", ["--fixed-k-grid", "2", "0"], "fixed_steps"),
     ("bench", ["--docs-grid", "0"], "docs_per_step"),

@@ -11,7 +11,6 @@ from iterqa.pipeline import (
     ConfigError,
     PipelineConfig,
     QuestionExample,
-    TraceConfig,
     generate_training_traces,
     initial_path,
     run_question,
@@ -340,7 +339,7 @@ def test_one_hop_trace_without_augmentation():
         answers=("silver chalice",), gold_ids=("hop2#0",),
     )
     generation = generate_training_traces(
-        corpus, index, [example], TraceConfig(augment_nongold=False)
+        corpus, index, [example], augment_nongold=False
     )
     assert len(generation.traces) == 1
     trace = generation.traces[0]
@@ -353,7 +352,7 @@ def test_one_hop_trace_without_augmentation():
 def test_two_hop_traces_with_augmentation():
     corpus = trace_corpus()
     index = build_index(corpus)
-    generation = generate_training_traces(corpus, index, [two_hop_example()], TraceConfig())
+    generation = generate_training_traces(corpus, index, [two_hop_example()])
     variants = [(t.variant, t.reader_label) for t in generation.traces]
     assert ("gold", "NOANSWER") in variants  # first hop, evidence incomplete
     assert ("gold", "SPAN") in variants      # final hop
@@ -371,7 +370,7 @@ def test_two_hop_traces_with_augmentation():
 def test_traces_always_have_five_candidates():
     corpus = trace_corpus()
     index = build_index(corpus)
-    generation = generate_training_traces(corpus, index, [two_hop_example()], TraceConfig())
+    generation = generate_training_traces(corpus, index, [two_hop_example()])
     for trace in generation.traces:
         assert len(trace.candidates) == 5
         for pid, flag in zip(trace.candidates, trace.gold_flags):
@@ -392,7 +391,7 @@ def test_trace_candidates_padded_when_hits_are_few():
         qid="t2", question="zarquon", answers=("word",), gold_ids=("hop1#0",),
     )
     generation = generate_training_traces(
-        corpus, index, [example], TraceConfig(augment_nongold=False, docs_per_step=2)
+        corpus, index, [example], PipelineConfig(k_cap=3, docs_per_step=2), augment_nongold=False
     )
     assert len(generation.traces[0].candidates) == 5
 
@@ -404,25 +403,21 @@ def test_untrainable_example_counted_and_skipped():
         qid="bad", question="zz yy xx", answers=("a",), gold_ids=("d5#0",),
     )
     generation = generate_training_traces(
-        corpus, index, [bad, two_hop_example()], TraceConfig(augment_nongold=False)
+        corpus, index, [bad, two_hop_example()], augment_nongold=False
     )
     assert generation.skipped == ["bad"]
     assert {t.qid for t in generation.traces} == {"t1"}
 
 
-def test_per_dataset_step_cap():
-    config = TraceConfig(max_steps=3, max_steps_by_dataset={"squad": 2})
-    assert config.cap_for("squad") == 2
-    assert config.cap_for("hotpot-like") == 3
+def test_trace_walk_truncated_at_k_cap():
     corpus = trace_corpus()
     index = build_index(corpus)
     example = QuestionExample(
         qid="t3", question="what is hidden beyond the quorind vale",
-        answers=("silver chalice",), gold_ids=("hop1#0", "hop2#0"), dataset="capped",
+        answers=("silver chalice",), gold_ids=("hop1#0", "hop2#0"),
     )
     generation = generate_training_traces(
-        corpus, index, [example],
-        TraceConfig(max_steps=3, max_steps_by_dataset={"capped": 1}, augment_nongold=False),
+        corpus, index, [example], PipelineConfig(k_cap=1), augment_nongold=False
     )
     assert len(generation.traces) == 1  # gold walk truncated at the cap
 
@@ -430,7 +425,7 @@ def test_per_dataset_step_cap():
 def test_trace_record_round_trips_json():
     corpus = trace_corpus()
     index = build_index(corpus)
-    generation = generate_training_traces(corpus, index, [two_hop_example()], TraceConfig())
+    generation = generate_training_traces(corpus, index, [two_hop_example()])
     for trace in generation.traces:
         parsed = json.loads(json.dumps(trace_record(trace)))
         assert parsed["qid"] == trace.qid
@@ -442,13 +437,5 @@ def test_trace_record_round_trips_json():
     ("fixed_steps", 0), ("fixed_steps", -2),
 ])
 def test_pipeline_config_rejects_out_of_range_values(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be "):
-        PipelineConfig(**{field: value})
-
-
-@pytest.mark.parametrize("field, value", [
-    ("max_steps", 0), ("max_steps", -3), ("docs_per_step", 0), ("reranker_candidates", 0),
-])
-def test_trace_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got {value}$"):
-        TraceConfig(**{field: value})
+        PipelineConfig(**{field: value})
