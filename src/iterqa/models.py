@@ -398,6 +398,15 @@ def _load_external(ref: str):
         raise ManifestError(f"cannot load external model {ref!r}: {exc}") from exc
 
 
+_DEFAULT_ROLES = {"retriever": "baseline", "reader": "gold", "reranker": "baseline"}
+# Built-in roles but the baseline retriever: constructors (example, index, corpus) -> callable.
+_BUILTIN_ROLES = {
+    ("retriever", "oracle"): lambda ex, index, corpus: OracleRetriever(index, corpus, ex.gold_ids),
+    ("reader", "gold"): lambda ex, index, corpus: GoldReader(ex.answers, ex.gold_ids, ex.answer_kind),
+    ("reranker", "baseline"): lambda ex, index, corpus: LexicalReranker(index),
+}
+
+
 def build_model_factory(
     manifest: dict, index: InvertedIndex, corpus: Corpus
 ) -> Callable[[object], ModelBundle]:
@@ -409,41 +418,32 @@ def build_model_factory(
     ``max_query_len`` for the baseline retriever. External attributes are
     called with (example, index, corpus) and must return the role callable.
     Gold-aware roles read ``gold_ids``, ``answers``, and ``answer_kind``
-    off the example passed to the factory.
+    off the example passed to the factory. Every role is resolved here, so
+    a bad manifest raises ManifestError before any question runs.
     """
-    retriever_kind = manifest.get("retriever", "baseline")
-    reader_kind = manifest.get("reader", "gold")
-    reranker_kind = manifest.get("reranker", "baseline")
+    constructors = {}
+    for role, default in _DEFAULT_ROLES.items():
+        name = manifest.get(role, default)
+        if not isinstance(name, str):
+            raise ManifestError(f"{role} must be a string, got {name!r}")
+        if name.startswith("external:"):
+            constructors[role] = _load_external(name[len("external:"):])
+        elif (role, name) == ("retriever", "baseline"):
+            # Pure and the same for every question, so built once, here.
+            try:
+                lexical = LexicalRetriever(
+                    index, manifest.get("keep_fraction", 0.4), manifest.get("max_query_len", 20)
+                )
+            except (TypeError, ValueError) as exc:
+                raise ManifestError(f"baseline retriever: {exc}") from None
+            constructors[role] = lambda ex, index, corpus: lexical
+        elif (role, name) in _BUILTIN_ROLES:
+            constructors[role] = _BUILTIN_ROLES[role, name]
+        else:
+            raise ManifestError(f"unknown {role} {name!r}")
 
     def factory(example) -> ModelBundle:
-        if retriever_kind == "baseline":
-            retriever = LexicalRetriever(
-                index,
-                keep_fraction=manifest.get("keep_fraction", 0.4),
-                max_query_len=manifest.get("max_query_len", 20),
-            )
-        elif retriever_kind == "oracle":
-            retriever = OracleRetriever(index, corpus, example.gold_ids)
-        elif retriever_kind.startswith("external:"):
-            retriever = _load_external(retriever_kind[len("external:"):])(example, index, corpus)
-        else:
-            raise ManifestError(f"unknown retriever {retriever_kind!r}")
-
-        if reader_kind == "gold":
-            reader = GoldReader(example.answers, example.gold_ids, example.answer_kind)
-        elif reader_kind.startswith("external:"):
-            reader = _load_external(reader_kind[len("external:"):])(example, index, corpus)
-        else:
-            raise ManifestError(f"unknown reader {reader_kind!r}")
-
-        if reranker_kind == "baseline":
-            reranker = LexicalReranker(index)
-        elif reranker_kind.startswith("external:"):
-            reranker = _load_external(reranker_kind[len("external:"):])(example, index, corpus)
-        else:
-            raise ManifestError(f"unknown reranker {reranker_kind!r}")
-
-        return ModelBundle(retriever=retriever, reader=reader, reranker=reranker)
+        return ModelBundle(**{role: make(example, index, corpus) for role, make in constructors.items()})
 
     return factory
 

@@ -248,6 +248,22 @@ def test_cli_reports_bad_manifest(workspace, capsys):
     assert message == "iterqa bench: unknown retriever 'psychic'"
 
 
+@pytest.mark.parametrize("manifest, expected", [
+    ({"retriever": ["x"]}, "retriever must be a string, got ['x']"),
+    ({"retriever": "baseline", "keep_fraction": 2},
+     "baseline retriever: keep_fraction must be in (0, 1]"),
+], ids=["role-not-a-string", "bad-keep-fraction"])
+def test_cli_reports_malformed_manifest(workspace, capsys, manifest, expected):
+    tmp_path, corpus_path, questions_path = workspace
+    manifest_path = tmp_path / "models.json"
+    manifest_path.write_text(json.dumps(manifest))
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+        "--models", str(manifest_path),
+    ], capsys)
+    assert message == f"iterqa bench: {expected}"
+
+
 @pytest.mark.parametrize("command", ["oracle", "traces", "bench"])
 def test_cli_reports_unknown_gold_id_before_running(workspace, capsys, command):
     tmp_path, corpus_path, questions_path = workspace
@@ -298,3 +314,4 @@ def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
     assert message == (
         "iterqa bench: line 4: fixed_steps must be null or an integer >= 1, got 0"
     )
+

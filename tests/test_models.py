@@ -457,9 +457,8 @@ def test_factory_default_roles(fixture_corpus, fixture_index):
 
 
 def test_factory_unknown_role_rejected(fixture_corpus, fixture_index):
-    factory = build_model_factory({"retriever": "quantum"}, fixture_index, fixture_corpus)
     with pytest.raises(ManifestError):
-        factory(example_for(fixture_corpus))
+        build_model_factory({"retriever": "quantum"}, fixture_index, fixture_corpus)
 
 
 def test_factory_external_loading(fixture_corpus, fixture_index):
@@ -470,8 +469,7 @@ def test_factory_external_loading(fixture_corpus, fixture_index):
 
 
 def test_factory_bad_external_spec(fixture_corpus, fixture_index):
-    factory = build_model_factory(
-        {"retriever": "external:no_such_module:attr"}, fixture_index, fixture_corpus
-    )
     with pytest.raises(ManifestError):
-        factory(example_for(fixture_corpus))
+        build_model_factory(
+            {"retriever": "external:no_such_module:attr"}, fixture_index, fixture_corpus
+        )
