@@ -56,9 +56,16 @@ def _factory(args, index, corpus):
 
 
 def _index_for(args, corpus):
-    if getattr(args, "index", None):
-        return load_index(args.index)
-    return build_index(corpus)
+    """The index at ``--index``, once its paragraphs match the corpus; else a new one."""
+    if not getattr(args, "index", None):
+        return build_index(corpus)
+    index = load_index(args.index)
+    for pid in sorted(index.doc_lengths.keys() | corpus.paragraphs.keys()):
+        para = corpus.paragraphs.get(pid)
+        indexed = (index.doc_lengths.get(pid), index.para_article.get(pid))
+        if para is None or indexed != (len(para.tokens), para.article_id):
+            raise IndexFormatError(f"index does not match the corpus at paragraph {pid!r}")
+    return index
 
 
 def _examples_for(path, corpus) -> list[QuestionExample]:
@@ -282,7 +289,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IngestError, IndexFormatError, QuestionsFormatError, ManifestError, ConfigError) as exc:
+    except (
+        OSError, IngestError, IndexFormatError, QuestionsFormatError, ManifestError, ConfigError
+    ) as exc:
         print(f"iterqa {args.command}: {exc}", file=sys.stderr)
         return 2
 

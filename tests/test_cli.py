@@ -315,3 +315,71 @@ def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
         "iterqa bench: line 4: fixed_steps must be null or an integer >= 1, got 0"
     )
 
+
+@pytest.mark.parametrize("flag", ["--corpus", "--questions", "--index", "--models"])
+def test_cli_reports_missing_input_file(workspace, capsys, flag):
+    tmp_path, corpus_path, questions_path = workspace
+    index_path = tmp_path / "index.jsonl"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
+    manifest_path = tmp_path / "models.json"
+    manifest_path.write_text(json.dumps({"retriever": "baseline"}))
+    capsys.readouterr()
+    paths = {"--corpus": corpus_path, "--questions": questions_path,
+             "--index": index_path, "--models": manifest_path}
+    missing = tmp_path / "missing.jsonl"
+    paths[flag] = missing
+    argv = ["bench"] + [part for name, path in paths.items() for part in (name, str(path))]
+    message = cli_error(argv, capsys)
+    assert message.startswith("iterqa bench: ") and str(missing) in message
+
+
+@pytest.fixture()
+def foreign_index(workspace):
+    """An index of the workspace's benchmark drawn with another seed."""
+    tmp_path = workspace[0]
+    other = tmp_path / "other"
+    other.mkdir()
+    assert main([
+        "synth", "--corpus-out", str(other / "corpus.jsonl"),
+        "--questions-out", str(other / "questions.jsonl"),
+        "--per-hop", "4", "4", "2", "--distractors", "10", "--seed", "13",
+    ]) == 0
+    index_path = other / "index.jsonl"
+    assert main(["index", "--corpus", str(other / "corpus.jsonl"), "--out", str(index_path)]) == 0
+    return index_path
+
+
+@pytest.mark.parametrize("command", ["oracle", "traces", "run", "bench"])
+def test_cli_refuses_index_of_another_corpus(workspace, foreign_index, capsys, command):
+    tmp_path, corpus_path, questions_path = workspace
+    capsys.readouterr()
+    argv = [command, "--corpus", str(corpus_path), "--index", str(foreign_index)]
+    if command == "run":
+        argv += ["--question-file", str(questions_path)]
+    else:
+        argv += ["--questions", str(questions_path)]
+    out = tmp_path / "out.jsonl"
+    if command in ("oracle", "traces"):
+        argv += ["--out", str(out)]
+    message = cli_error(argv, capsys)
+    assert message == (
+        f"iterqa {command}: index does not match the corpus at paragraph 'dist0001#0'"
+    )
+    assert not out.exists()
+
+
+def test_cli_refuses_index_with_other_token_counts(workspace, capsys):
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(corpus_path)
+    records[2]["text"] += " plus two"
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(json.dumps(r) + "\n" for r in records))
+    index_path = tmp_path / "index.jsonl"
+    assert main(["index", "--corpus", str(edited), "--out", str(index_path)]) == 0
+    capsys.readouterr()
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+        "--index", str(index_path),
+    ], capsys)
+    pid = f"{records[2]['article_id']}#{records[2]['order']}"
+    assert message == f"iterqa bench: index does not match the corpus at paragraph {pid!r}"
