@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +416,30 @@ def test_topk_equals_brute_force_on_generated_corpora(articles, query, k):
     hits = search_topk(build_index(corpus), query, k)
     expected = BruteForceScorer(corpus).topk(query, k)
     assert [(h.paragraph_id, h.score) for h in hits] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    articles=st.lists(
+        st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), min_size=1, max_size=3),
+        min_size=1,
+        max_size=6,
+    ),
+    query=st.lists(st.sampled_from("abcdefghz"), max_size=6),
+    k=st.integers(min_value=1, max_value=20),
+)
+def test_save_load_preserves_topk_on_generated_corpora(articles, query, k):
+    corpus = corpus_from(
+        {"article_id": f"a{a}", "title": "T", "order": order, "text": " ".join(tokens)}
+        for a, paras in enumerate(articles)
+        for order, tokens in enumerate(paras)
+    )
+    index = build_index(corpus)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.jsonl")
+        save_index(index, path)
+        loaded = load_index(path)
+    assert search_topk(loaded, query, k) == search_topk(index, query, k)
 
 
 @settings(max_examples=60, deadline=None)
