@@ -397,22 +397,30 @@ def test_rank_of_equals_brute_force_exactly_with_ties():
             assert rank_of(index, target, query) == brute.rank_of(target, query)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    articles=st.lists(
-        st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), min_size=1, max_size=3),
-        min_size=1,
-        max_size=6,
-    ),
-    query=st.lists(st.sampled_from("abcdefghz"), max_size=6),
-    k=st.integers(min_value=1, max_value=20),
+# Articles of 1-3 paragraphs over an 8-word vocabulary; paragraphs may be empty.
+GENERATED_ARTICLES = st.lists(
+    st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), min_size=1, max_size=3),
+    min_size=1,
+    max_size=6,
 )
-def test_topk_equals_brute_force_on_generated_corpora(articles, query, k):
-    corpus = corpus_from(
+
+
+def generated_corpus(articles):
+    return corpus_from(
         {"article_id": f"a{a}", "title": "T", "order": order, "text": " ".join(tokens)}
         for a, paras in enumerate(articles)
         for order, tokens in enumerate(paras)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    articles=GENERATED_ARTICLES,
+    query=st.lists(st.sampled_from("abcdefghz"), max_size=6),
+    k=st.integers(min_value=1, max_value=20),
+)
+def test_topk_equals_brute_force_on_generated_corpora(articles, query, k):
+    corpus = generated_corpus(articles)
     hits = search_topk(build_index(corpus), query, k)
     expected = BruteForceScorer(corpus).topk(query, k)
     assert [(h.paragraph_id, h.score) for h in hits] == expected
@@ -420,21 +428,12 @@ def test_topk_equals_brute_force_on_generated_corpora(articles, query, k):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    articles=st.lists(
-        st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), min_size=1, max_size=3),
-        min_size=1,
-        max_size=6,
-    ),
+    articles=GENERATED_ARTICLES,
     query=st.lists(st.sampled_from("abcdefghz"), max_size=6),
     k=st.integers(min_value=1, max_value=20),
 )
 def test_save_load_preserves_topk_on_generated_corpora(articles, query, k):
-    corpus = corpus_from(
-        {"article_id": f"a{a}", "title": "T", "order": order, "text": " ".join(tokens)}
-        for a, paras in enumerate(articles)
-        for order, tokens in enumerate(paras)
-    )
-    index = build_index(corpus)
+    index = build_index(generated_corpus(articles))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "index.jsonl")
         save_index(index, path)
@@ -444,20 +443,12 @@ def test_save_load_preserves_topk_on_generated_corpora(articles, query, k):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    articles=st.lists(
-        st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=8), min_size=1, max_size=3),
-        min_size=1,
-        max_size=6,
-    ),
+    articles=GENERATED_ARTICLES,
     queries=st.lists(st.lists(st.sampled_from("abcdefghz"), max_size=6), min_size=1, max_size=4),
     target=st.integers(min_value=0),
 )
 def test_rank_of_equals_brute_force_cold_and_warm(articles, queries, target):
-    corpus = corpus_from(
-        {"article_id": f"a{a}", "title": "T", "order": order, "text": " ".join(tokens)}
-        for a, paras in enumerate(articles)
-        for order, tokens in enumerate(paras)
-    )
+    corpus = generated_corpus(articles)
     index = build_index(corpus)
     brute = BruteForceScorer(corpus)
     pids = sorted(index.doc_lengths)
