@@ -16,6 +16,7 @@ import importlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress, count, repeat
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from .corpus import Corpus, Paragraph, tokenize
@@ -130,17 +131,29 @@ def find_best_span(
 
     Ties resolve to the earliest (start, end). Paths with no paragraph have
     no valid interval; the [CLS] marker position (0, 0) is returned.
+
+    Float addition rounds monotonically, so no interval scores above the
+    largest paragraph start logit plus the largest paragraph end logit; the
+    scan stops at the first interval that reaches that bound, which is the
+    earliest of the best. A bound of -inf or NaN is never reached.
     """
+    positions = list(compress(count(), map(str.startswith, segment_map, repeat("para:"))))
+    if not positions:
+        return (0, 0)
+    starts = map(start_logits.__getitem__, positions)
+    ends = map(end_logits.__getitem__, positions)
+    bound = max(starts) + max(ends)
     best: tuple[int, int] | None = None
     best_score = -math.inf
-    for i, seg in enumerate(segment_map):
-        if not seg.startswith("para:"):
-            continue
+    for i in positions:
+        seg = segment_map[i]
         for j in range(i, min(i + max_span_tokens, len(segment_map))):
             if segment_map[j] != seg:
                 break
             score = start_logits[i] + end_logits[j]
             if score > best_score:
+                if score == bound:
+                    return (i, j)
                 best_score = score
                 best = (i, j)
     return best if best is not None else (0, 0)
@@ -206,16 +219,16 @@ def find_answer_span(
     punctuation in the serialized text do not break it. Returns global
     (start, end) token positions, inclusive, or None.
     """
-    normalized = [_normalize_piece(tok) for tok in serialized.tokens]
     for label in segment_labels:
         lo, hi = serialized.segment_range(label)
+        normalized = [_normalize_piece(tok) for tok in serialized.tokens[lo:hi]]
         for answer in answers:
             want = tokenize(answer)
             if not want or len(want) > hi - lo:
                 continue
-            for start in range(lo, hi - len(want) + 1):
+            for start in range(hi - lo - len(want) + 1):
                 if normalized[start : start + len(want)] == want:
-                    return (start, start + len(want) - 1)
+                    return (lo + start, lo + start + len(want) - 1)
     return None
 
 
@@ -235,6 +248,8 @@ class LexicalRetriever:
     ):
         if not 0.0 < keep_fraction <= 1.0:
             raise ValueError("keep_fraction must be in (0, 1]")
+        if type(max_query_len) is not int or max_query_len < 1:
+            raise ValueError(f"max_query_len must be an integer >= 1, got {max_query_len!r}")
         self.index = index
         self.keep_fraction = keep_fraction
         self.max_query_len = max_query_len
@@ -450,7 +465,10 @@ def build_model_factory(
 
 def load_manifest(path) -> dict:
     with open(path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+        try:
+            manifest = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"manifest is not JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
     return manifest

@@ -19,6 +19,7 @@ candidate evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import filterfalse, islice
 from typing import Iterable, Iterator
 
 from .corpus import Corpus, Paragraph, tokenize
@@ -309,11 +310,8 @@ def _trace_candidates(
         # Pad from the remaining corpus so the reranker always sees a
         # fixed-size candidate set.
         used = set(candidates) | on_path
-        for pid in sorted(index.doc_lengths):
-            if len(candidates) == count:
-                break
-            if pid not in used:
-                candidates.append(pid)
+        fill = filterfalse(used.__contains__, index.para_order)
+        candidates += islice(fill, count - len(candidates))
     return tuple(candidates)
 
 

@@ -28,6 +28,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import filterfalse, islice
 from operator import countOf
 from typing import Sequence
 
@@ -70,6 +71,7 @@ class InvertedIndex:
     df_article: dict[str, int]
     para_article: dict[str, str]                 # paragraph_id -> parent article_id
     article_paragraphs: dict[str, tuple[str, ...]]
+    para_order: tuple[str, ...]                  # paragraph ids, ascending
     impacts: dict[str, tuple[array, array]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -106,6 +108,7 @@ def _make_index(
         df_article={term: len(entry) for term, entry in article_postings.items()},
         para_article=para_article,
         article_paragraphs=article_paragraphs,
+        para_order=tuple(sorted(doc_lengths)),
     )
 
 
@@ -272,8 +275,8 @@ def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
     top = scored[:k]
     if len(top) < k and len(top) < index.n_para:
         taken = {pid for _, pid in top}
-        fill = sorted(pid for pid in index.doc_lengths if pid not in taken)
-        top.extend((0.0, pid) for pid in fill[: k - len(top)])
+        fill = islice(filterfalse(taken.__contains__, index.para_order), k - len(top))
+        top.extend((0.0, pid) for pid in fill)
     return [SearchHit(pid, score, rank) for rank, (score, pid) in enumerate(top, start=1)]
 
 
@@ -314,7 +317,7 @@ def save_index(index: InvertedIndex, path) -> None:
             "avg_doc_length": index.avg_doc_length,
         }
         out.write(json.dumps(header) + "\n")
-        for pid in sorted(index.doc_lengths):
+        for pid in index.para_order:
             record = {"kind": "para", "id": pid, "len": index.doc_lengths[pid],
                       "article": index.para_article[pid]}
             out.write(json.dumps(record) + "\n")
@@ -391,9 +394,13 @@ def load_index(path) -> InvertedIndex:
                     term, para_entry, article_entry = record["t"], record["p"], record["a"]
                     try:
                         if para_entry:
-                            postings[term] = {para_ids[pid]: tf for pid, tf in para_entry}
+                            postings[term] = entry = {para_ids[pid]: tf for pid, tf in para_entry}
+                            _check_tf(line_no, term, entry)
                         if article_entry:
-                            article_postings[term] = {article_ids[aid]: tf for aid, tf in article_entry}
+                            article_postings[term] = entry = {
+                                article_ids[aid]: tf for aid, tf in article_entry
+                            }
+                            _check_tf(line_no, term, entry)
                     except KeyError as exc:
                         raise _unknown_id("term", term, exc) from None
                 else:
@@ -413,6 +420,14 @@ def load_index(path) -> InvertedIndex:
     return _make_index(
         postings, article_postings, doc_lengths, article_lengths, para_article, article_paragraphs
     )
+
+
+def _check_tf(line_no: int, term: str, entry: dict[str, int]) -> None:
+    lowest = min(entry.values())
+    if lowest < 1:
+        raise IndexFormatError(
+            f"line {line_no}: term {term!r} has a term frequency below 1 ({lowest})"
+        )
 
 
 def _unknown_id(kind: str, name: str, exc: KeyError) -> IndexFormatError:

@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 from iterqa.corpus import Corpus, ingest_corpus
-from iterqa.search import build_index
+from iterqa.search import build_index, rank_of
 from iterqa.synth import make_chain_benchmark
 
 
@@ -85,6 +85,15 @@ class BruteForceScorer:
             if score > target_score or (score == target_score and pid < target):
                 rank += 1
         return rank
+
+
+def exhaustive_best_rank(index, target, spans) -> int:
+    """Best target rank over all 2^N - 1 non-empty span subsets, spans in path order."""
+    best = index.sentinel_rank
+    for mask in range(1, 1 << len(spans)):
+        terms = [t for i, s in enumerate(spans) if (mask >> i) & 1 for t in s.tokens]
+        best = min(best, rank_of(index, target.id, terms))
+    return best
 
 
 # ---------------------------------------------------------------------------

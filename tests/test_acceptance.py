@@ -15,7 +15,13 @@ import time
 
 import pytest
 
-from conftest import BruteForceScorer, CountingRank, make_random_corpus, make_random_query
+from conftest import (
+    BruteForceScorer,
+    CountingRank,
+    exhaustive_best_rank,
+    make_random_corpus,
+    make_random_query,
+)
 from iterqa.bench import evaluate
 from iterqa.corpus import map_paragraph
 from iterqa.metrics import exact_match, unigram_f1
@@ -161,14 +167,6 @@ def _synthesize_span_instances(seed=113, n_instances=200, n_corpora=8):
     return instances
 
 
-def _exhaustive_best_rank(index, target, spans):
-    best = index.sentinel_rank
-    for mask in range(1, 1 << len(spans)):
-        terms = [t for i, s in enumerate(spans) if (mask >> i) & 1 for t in s.tokens]
-        best = min(best, rank_of(index, target.id, terms))
-    return best
-
-
 def test_criterion_3_oracle_optimality_gap():
     instances = _synthesize_span_instances()
     matches = 0
@@ -184,7 +182,7 @@ def test_criterion_3_oracle_optimality_gap():
             budget_violations += 1
         if query.achieved_rank > index.sentinel_rank:
             sentinel_violations += 1
-        optimum = _exhaustive_best_rank(index, target, spans)
+        optimum = exhaustive_best_rank(index, target, spans)
         if query.achieved_rank == optimum:
             matches += 1
         else:

@@ -252,11 +252,15 @@ def test_cli_reports_bad_manifest(workspace, capsys):
     ({"retriever": ["x"]}, "retriever must be a string, got ['x']"),
     ({"retriever": "baseline", "keep_fraction": 2},
      "baseline retriever: keep_fraction must be in (0, 1]"),
-], ids=["role-not-a-string", "bad-keep-fraction"])
+    ("{bad", "manifest is not JSON: Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)"),
+    ({"retriever": "baseline", "max_query_len": "x"},
+     "baseline retriever: max_query_len must be an integer >= 1, got 'x'"),
+], ids=["role-not-a-string", "bad-keep-fraction", "not-json", "bad-max-query-len"])
 def test_cli_reports_malformed_manifest(workspace, capsys, manifest, expected):
     tmp_path, corpus_path, questions_path = workspace
     manifest_path = tmp_path / "models.json"
-    manifest_path.write_text(json.dumps(manifest))
+    manifest_path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
     message = cli_error([
         "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
         "--models", str(manifest_path),

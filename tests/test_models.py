@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterqa.corpus import ingest_corpus, tokenize
 from iterqa.models import (
@@ -236,6 +238,69 @@ def test_find_best_span_respects_max_length():
     assert best[1] - best[0] + 1 <= 30
 
 
+def exhaustive_best_span(start_logits, end_logits, segment_map, max_span_tokens=30):
+    """Reference: every valid interval, scanned without any early exit."""
+    best = None
+    best_score = -math.inf
+    for i, seg in enumerate(segment_map):
+        if not seg.startswith("para:"):
+            continue
+        for j in range(i, min(i + max_span_tokens, len(segment_map))):
+            if segment_map[j] != seg:
+                break
+            score = start_logits[i] + end_logits[j]
+            if score > best_score:
+                best_score = score
+                best = (i, j)
+    return best if best is not None else (0, 0)
+
+
+# Blocks of a serialized path: paragraphs (each with its own label, so two can
+# be adjacent), separated or not by special, question and title tokens. Most
+# blocks are short, so intervals are dense; some outgrow max_span_tokens.
+SEGMENT_BLOCKS = st.lists(
+    st.tuples(st.sampled_from(["para", "para", "special", "question", "title"]),
+              st.integers(min_value=1, max_value=6) | st.integers(min_value=1, max_value=40)),
+    max_size=6,
+)
+# Mostly a few values one unit or one ulp apart, so exact ties and near misses
+# between intervals are common; constant rows cover flat, all -inf and all +inf
+# logits.
+NEAR_VALUES = st.sampled_from([-math.inf, -1.0, 0.0, 1.0, math.nextafter(1.0, 2.0), math.inf])
+LOGIT = NEAR_VALUES | NEAR_VALUES | st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def logit_rows(n):
+    return st.one_of(
+        st.lists(LOGIT, min_size=n, max_size=n),
+        LOGIT.map(lambda value: [value] * n),
+    ).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks=SEGMENT_BLOCKS, max_span_tokens=st.integers(min_value=1, max_value=35),
+       data=st.data())
+def test_find_best_span_equals_exhaustive_scan(blocks, max_span_tokens, data):
+    segment_map = ["special"]
+    for t, (kind, length) in enumerate(blocks, start=1):
+        label = kind if kind in ("special", "question") else f"{kind}:{t}"
+        segment_map += [label] * length
+    start = data.draw(logit_rows(len(segment_map)), label="start")
+    end = data.draw(logit_rows(len(segment_map)), label="end")
+    assert find_best_span(start, end, segment_map, max_span_tokens) == exhaustive_best_span(
+        start, end, segment_map, max_span_tokens
+    )
+
+
+def test_find_best_span_exits_only_at_the_exact_bound():
+    # (1, 1) scores 2.0, one ulp below the bound that only (2, 3) reaches.
+    up = math.nextafter(1.0, 2.0)
+    segs = ("special", "para:1", "para:1", "para:1")
+    start = (0.0, 1.0, up, 0.0)
+    end = (0.0, 1.0, 0.0, up)
+    assert find_best_span(start, end, segs) == (2, 3)
+
+
 def test_find_answer_span_normalized_match(fixture_corpus):
     path = path_with(fixture_corpus, "what blooms", ["beta#0"])
     sp = serialize_path(path)
@@ -299,6 +364,12 @@ def test_retriever_caps_query_length(fixture_index):
     long_question = " ".join(f"uniqword{i}" for i in range(40))
     query = LexicalRetriever(fixture_index, max_query_len=20)(initial_path(long_question))
     assert len(query) == 20
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.0, "20", True, None])
+def test_retriever_rejects_bad_max_query_len(fixture_index, bad):
+    with pytest.raises(ValueError, match="max_query_len must be an integer >= 1"):
+        LexicalRetriever(fixture_index, max_query_len=bad)
 
 
 def test_reranker_no_overlap_is_zero(fixture_corpus, fixture_index):

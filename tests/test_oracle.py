@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CountingRank, make_random_corpus
+from conftest import CountingRank, exhaustive_best_rank, make_random_corpus
 from iterqa.corpus import ingest_corpus
 from iterqa.oracle import (
     UntrainableExample,
@@ -13,6 +15,7 @@ from iterqa.oracle import (
     oracle_trace_record,
 )
 from iterqa.search import build_index, rank_of, search_topk
+from test_search import GENERATED_ARTICLES, generated_corpus
 
 
 def corpus_from(records):
@@ -313,3 +316,26 @@ def test_oracle_trace_record_shape():
     assert 0 < len(record["query"]) <= 2
     assert record["achieved_rank"] >= 1
     json.dumps(record)  # must be serializable as one line
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    articles=GENERATED_ARTICLES,
+    path_tokens=st.lists(st.sampled_from("abcdefghz"), min_size=1, max_size=8),
+    target=st.integers(min_value=0),
+)
+def test_oracle_rank_between_exhaustive_optimum_and_top_span(articles, path_tokens, target):
+    corpus = generated_corpus(articles)
+    index = build_index(corpus)
+    pids = sorted(corpus.paragraphs)
+    paragraph = corpus.paragraphs[pids[target % len(pids)]]
+    spans = extract_overlap_spans(path_tokens, paragraph)
+    if not spans:
+        with pytest.raises(UntrainableExample):
+            build_oracle_query(index, path_tokens, paragraph)
+        return
+    query = build_oracle_query(index, path_tokens, paragraph)
+    assert query.achieved_rank == rank_of(index, paragraph.id, list(query.terms))
+    assert query.achieved_rank >= exhaustive_best_rank(index, paragraph, spans)
+    top = min(query.spans, key=lambda span: (-span.importance, span.path_offset))
+    assert query.achieved_rank <= rank_of(index, paragraph.id, list(top.tokens))

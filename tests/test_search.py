@@ -441,6 +441,34 @@ def test_save_load_preserves_topk_on_generated_corpora(articles, query, k):
     assert search_topk(loaded, query, k) == search_topk(index, query, k)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    articles=st.lists(
+        st.lists(st.lists(st.sampled_from("abcdefghijklmnop"), max_size=6), min_size=1, max_size=3),
+        min_size=12,
+        max_size=16,
+    ),
+    query=st.lists(st.sampled_from("abcdefghijklmnopz"), max_size=4),
+    data=st.data(),
+)
+def test_topk_zero_score_fill_is_in_id_order(articles, query, data):
+    # From 12 articles on, ingest order (a0, ..., a9, a10, a11) is not id order.
+    corpus = generated_corpus(articles)
+    brute = BruteForceScorer(corpus)
+    n = len(corpus.paragraphs)
+    reached = sum(1 for pid in corpus.paragraphs if brute.combined(pid, query) > 0.0)
+    k = data.draw(st.integers(min_value=min(reached + 1, n), max_value=n), label="k")
+    expected = brute.topk(query, k)
+    index = build_index(corpus)
+    assert list(index.doc_lengths) != sorted(index.doc_lengths)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.jsonl")
+        save_index(index, path)
+        loaded = load_index(path)
+    for searched in (index, loaded):
+        assert [(h.paragraph_id, h.score) for h in search_topk(searched, query, k)] == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     articles=GENERATED_ARTICLES,
@@ -607,8 +635,17 @@ def without_len(record):
     return json.dumps(record)
 
 
+def with_tf(field, tf):
+    def change(record):
+        record[field][-1][1] = tf
+        return json.dumps(record)
+    return change
+
+
 @pytest.mark.parametrize("kind, change, message", [
     ("para", without_len, "line 2: para record has no field 'len'"),
+    ("term", with_tf("p", 0), "line \\d+: term '\\w+' has a term frequency below 1 \\(0\\)"),
+    ("term", with_tf("a", -1), "line \\d+: term '\\w+' has a term frequency below 1 \\(-1\\)"),
     ("term", lambda record: json.dumps(record)[:-5], "line \\d+: unreadable record"),
     ("article", lambda record: json.dumps([record]), "line \\d+: record is not an object"),
 ])
