@@ -32,7 +32,7 @@ from .oracle import (
     UntrainableExample,
     build_oracle_query,
     extract_overlap_spans,
-    oracle_recall_curve,
+    recall_curve,
 )
 from .pipeline import (
     AnswerRecord,

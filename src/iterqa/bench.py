@@ -38,6 +38,16 @@ def load_examples(path) -> list[QuestionExample]:
                 raise QuestionsFormatError(f"line {line_no}: record is not an object")
             if "id" not in record or "question" not in record:
                 raise QuestionsFormatError(f"line {line_no}: needs id and question fields")
+            if not isinstance(record["question"], str):
+                raise QuestionsFormatError(
+                    f"line {line_no}: question must be a string, got {record['question']!r}"
+                )
+            for name in ("answers", "gold_paragraph_ids"):
+                value = record.get(name, [])
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise QuestionsFormatError(
+                        f"line {line_no}: {name} must be a list of strings, got {value!r}"
+                    )
             fixed_steps = record.get("fixed_steps")
             if fixed_steps is not None and (type(fixed_steps) is not int or fixed_steps < 1):
                 raise QuestionsFormatError(
@@ -48,6 +58,10 @@ def load_examples(path) -> list[QuestionExample]:
             kind = record.get("answer_kind")
             if kind is None:
                 kind = answers[0] if tuple(answers) in (("yes",), ("no",)) else "span"
+            if kind not in ("span", "yes", "no"):
+                raise QuestionsFormatError(
+                    f"line {line_no}: answer_kind must be 'span', 'yes' or 'no', got {kind!r}"
+                )
             examples.append(
                 QuestionExample(
                     qid=str(record["id"]),
@@ -94,6 +108,19 @@ class BenchmarkReport:
     dynamic_vs_fixed: list[tuple[str, float, float]] = field(default_factory=list)
 
 
+def _score(example: QuestionExample, prediction: str) -> tuple[float | None, float | None]:
+    """(EM, F1) of a prediction; (None, None) when the question has no gold answers."""
+    if not example.answers:
+        return None, None
+    return float(exact_match(prediction, example.answers)), unigram_f1(prediction, example.answers)
+
+
+def _mean_scores(scores: Sequence[tuple[float | None, float | None]]) -> tuple[float, float]:
+    """Mean EM and F1 over the scored (em, f1) pairs; 0.0 each when none is scored."""
+    scored = [s for s in scores if s[0] is not None]
+    return tuple(sum(column) / len(scored) for column in zip(*scored)) or (0.0, 0.0)
+
+
 def _run_example(
     example: QuestionExample,
     corpus: Corpus,
@@ -105,11 +132,7 @@ def _run_example(
         config = replace(config, fixed_steps=example.fixed_steps)
     result = run_question(example.question, corpus, index, factory(example), config)
     prediction = result.prediction
-    if example.answers:
-        em: float | None = float(exact_match(prediction, example.answers))
-        f1: float | None = unigram_f1(prediction, example.answers)
-    else:
-        em = f1 = None
+    em, f1 = _score(example, prediction)
     row = PerQuestion(
         qid=example.qid,
         em=em,
@@ -122,6 +145,16 @@ def _run_example(
     return result, row
 
 
+def _prediction_at(result: RunResult, k: int) -> str:
+    """What a run forced to answer at step ``k`` predicts, read off ``result``,
+    a run forced to answer at step ``k`` or later: stop rules never change
+    the reranker's choice, so the first run is a prefix of the second.
+    """
+    if len(result.steps) >= k and result.steps[k - 1].best_candidate is not None:
+        return result.steps[k - 1].best_candidate.text
+    return result.prediction
+
+
 def evaluate(
     examples: Sequence[QuestionExample],
     corpus: Corpus,
@@ -131,13 +164,10 @@ def evaluate(
 ) -> EvalResult:
     """Run every question once and aggregate EM/F1 over the scored ones."""
     rows = [_run_example(ex, corpus, index, factory, config)[1] for ex in examples]
-    scored = [r for r in rows if r.em is not None]
+    em, f1 = _mean_scores([(r.em, r.f1) for r in rows])
+    n_scored = sum(r.em is not None for r in rows)
     return EvalResult(
-        em=sum(r.em for r in scored) / len(scored) if scored else 0.0,
-        f1=sum(r.f1 for r in scored) / len(scored) if scored else 0.0,
-        per_question=tuple(rows),
-        n_scored=len(scored),
-        n_unscored=len(rows) - len(scored),
+        em=em, f1=f1, per_question=tuple(rows), n_scored=n_scored, n_unscored=len(rows) - n_scored
     )
 
 
@@ -152,9 +182,10 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Evaluate plus the retrieval-behavior reports.
 
-    ``fixed_k_grid`` adds a dynamic-vs-fixed-steps comparison table;
-    ``docs_grid`` adds a retrieval-budget-vs-F1 table across docs-per-step
-    settings. Both rerun the full question set per setting.
+    ``fixed_k_grid`` adds a dynamic-vs-fixed-steps comparison table, read
+    off one extra pass forced to answer at the largest K (a question's own
+    ``fixed_steps`` still overrides K); ``docs_grid`` adds a
+    retrieval-budget-vs-F1 table, rerunning the question set per setting.
     """
     if not examples:
         raise ValueError("no questions to run")
@@ -176,9 +207,14 @@ def run_benchmark(
 
     if fixed_k_grid:
         report.dynamic_vs_fixed.append(("dynamic", result.em, result.f1))
-    for k, fixed_config in zip(fixed_k_grid, fixed_configs):
-        fixed_result = evaluate(examples, corpus, index, factory, fixed_config)
-        report.dynamic_vs_fixed.append((f"fixed-{k}", fixed_result.em, fixed_result.f1))
+        forced = max(fixed_configs, key=lambda c: c.fixed_steps)
+        runs = [_run_example(ex, corpus, index, factory, forced)[0] for ex in examples]
+        for k in fixed_k_grid:
+            em, f1 = _mean_scores([
+                _score(ex, _prediction_at(run, ex.fixed_steps or k))
+                for ex, run in zip(examples, runs)
+            ])
+            report.dynamic_vs_fixed.append((f"fixed-{k}", em, f1))
     return report
 
 

@@ -9,7 +9,7 @@ import sys
 from .bench import QuestionsFormatError, format_summary, load_examples, run_benchmark, write_reports
 from .corpus import IngestError, load_corpus, map_paragraph
 from .models import ManifestError, build_model_factory, load_manifest
-from .oracle import UntrainableExample, oracle_trace_record
+from .oracle import UntrainableExample, oracle_trace_record, recall_curve
 from .pipeline import (
     ConfigError,
     PipelineConfig,
@@ -94,20 +94,30 @@ def cmd_oracle(args) -> int:
     examples = _examples_for(args.questions, corpus)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     skipped = 0
+    ranks: dict[int, list[int | None]] = {}  # gold step position -> achieved ranks
     try:
         for example in examples:
             gold_path = walk_gold_path(corpus, index, example.question, example.gold_ids)
+            achieved: list[int | None] = []
             try:
                 for path, target, query in gold_path:
                     record = oracle_trace_record(path.path_tokens(), target, query)
                     record["qid"] = example.qid
                     out.write(json.dumps(record) + "\n")
+                    achieved.append(query.achieved_rank)
             except UntrainableExample:
                 skipped += 1
+                achieved.append(None)  # the walk stops here, so later steps have no rank
+            for position, rank in enumerate(achieved, start=1):
+                ranks.setdefault(position, []).append(rank)
     finally:
         if out is not sys.stdout:
             out.close()
     print(f"oracle queries for {len(examples)} questions ({skipped} skipped)", file=sys.stderr)
+    for position, step_ranks in sorted(ranks.items()):
+        recall = recall_curve(step_ranks, (1, 5, 10))
+        shares = ", ".join(f"@{k} {share:.4f}" for k, share in recall.items())
+        print(f"gold step {position} recall {shares} ({len(step_ranks)} steps)", file=sys.stderr)
     return 0
 
 

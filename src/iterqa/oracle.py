@@ -144,49 +144,17 @@ def build_oracle_query(
     )
 
 
-@dataclass(frozen=True)
-class RecallCurve:
-    """Fraction of examples whose target lands in the top k, per k."""
+def recall_curve(ranks: Sequence[int | None], ks: Sequence[int]) -> dict[int, float]:
+    """Share of ``ranks`` at or below each cutoff in ``ks``, keyed by cutoff.
 
-    ks: tuple[int, ...]
-    recall: tuple[float, ...]
-    n_examples: int
-    n_untrainable: int
-
-    def at(self, k: int) -> float:
-        return self.recall[self.ks.index(k)]
-
-
-def oracle_recall_curve(
-    index: InvertedIndex,
-    examples: Sequence[tuple[Sequence[str], Paragraph]],
-    ks: Sequence[int],
-) -> RecallCurve:
-    """Recall of the oracle queries' targets at each cutoff in ``ks``.
-
-    Examples whose path shares no token with the target cannot produce a
-    query; they stay in the denominator and count as misses at every k.
+    A rank of None marks a step the oracle cannot build a query for; it
+    stays in the denominator and counts as a miss at every k.
     """
-    if not examples:
-        raise ValueError("examples must be non-empty")
+    if not ranks:
+        raise ValueError("ranks must be non-empty")
     if not ks or list(ks) != sorted(ks):
         raise ValueError("ks must be non-empty and sorted ascending")
-
-    ranks: list[int | None] = []
-    for path_tokens, target in examples:
-        try:
-            ranks.append(build_oracle_query(index, path_tokens, target).achieved_rank)
-        except UntrainableExample:
-            ranks.append(None)
-    recall = tuple(
-        sum(1 for r in ranks if r is not None and r <= k) / len(ranks) for k in ks
-    )
-    return RecallCurve(
-        ks=tuple(ks),
-        recall=recall,
-        n_examples=len(ranks),
-        n_untrainable=sum(1 for r in ranks if r is None),
-    )
+    return {k: sum(1 for r in ranks if r is not None and r <= k) / len(ranks) for k in ks}
 
 
 def oracle_trace_record(

@@ -18,6 +18,7 @@ candidate evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import filterfalse, islice
 from typing import Iterable, Iterator
@@ -56,6 +57,9 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if math.isnan(self.stop_threshold):
+            # Every comparison with NaN is false, so no answer would ever clear it.
+            raise ConfigError(f"stop_threshold must be a number, got {self.stop_threshold}")
 
 
 @dataclass(frozen=True)

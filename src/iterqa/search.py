@@ -380,11 +380,11 @@ def load_index(path) -> InvertedIndex:
             try:
                 if kind == "para":
                     pid = para_ids[record["id"]] = record["id"]
-                    doc_lengths[pid] = record["len"]
+                    doc_lengths[pid] = _checked_len(line_no, kind, record["len"])
                     para_article[pid] = record["article"]
                 elif kind == "article":
                     aid = article_ids[record["id"]] = record["id"]
-                    article_lengths[aid] = record["len"]
+                    article_lengths[aid] = _checked_len(line_no, kind, record["len"])
                     paragraphs = record["paragraphs"]
                     try:
                         article_paragraphs[aid] = tuple(para_ids[pid] for pid in paragraphs)
@@ -423,11 +423,24 @@ def load_index(path) -> InvertedIndex:
 
 
 def _check_tf(line_no: int, term: str, entry: dict[str, int]) -> None:
+    if set(map(type, entry.values())) != {int}:
+        value = next(tf for tf in entry.values() if type(tf) is not int)
+        raise IndexFormatError(
+            f"line {line_no}: term {term!r} has a term frequency that is not an integer ({value!r})"
+        )
     lowest = min(entry.values())
     if lowest < 1:
         raise IndexFormatError(
             f"line {line_no}: term {term!r} has a term frequency below 1 ({lowest})"
         )
+
+
+def _checked_len(line_no: int, kind: str, value) -> int:
+    if type(value) is not int:
+        raise IndexFormatError(
+            f"line {line_no}: {kind} record has a len that is not an integer ({value!r})"
+        )
+    return value
 
 
 def _unknown_id(kind: str, name: str, exc: KeyError) -> IndexFormatError:

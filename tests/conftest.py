@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from iterqa.corpus import Corpus, ingest_corpus
+from iterqa.oracle import UntrainableExample, build_oracle_query
 from iterqa.search import build_index, rank_of
 from iterqa.synth import make_chain_benchmark
 
@@ -85,6 +86,17 @@ class BruteForceScorer:
             if score > target_score or (score == target_score and pid < target):
                 rank += 1
         return rank
+
+
+def oracle_ranks(index, examples) -> list:
+    """The oracle's achieved rank per (path tokens, target) pair; None where untrainable."""
+    ranks = []
+    for path_tokens, target in examples:
+        try:
+            ranks.append(build_oracle_query(index, path_tokens, target).achieved_rank)
+        except UntrainableExample:
+            ranks.append(None)
+    return ranks
 
 
 def exhaustive_best_rank(index, target, spans) -> int:

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+The benchmark-grid test after criterion 6 shares its per-K runs.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Empirically frozen values (criterion 3) were recorded from the
 first run at seed 113 and must not drift.
@@ -21,8 +23,9 @@ from conftest import (
     exhaustive_best_rank,
     make_random_corpus,
     make_random_query,
+    oracle_ranks,
 )
-from iterqa.bench import evaluate
+from iterqa.bench import evaluate, run_benchmark
 from iterqa.corpus import map_paragraph
 from iterqa.metrics import exact_match, unigram_f1
 from iterqa.models import (
@@ -35,7 +38,7 @@ from iterqa.models import (
     build_model_factory,
     pick_answer,
 )
-from iterqa.oracle import build_oracle_query, extract_overlap_spans, oracle_recall_curve
+from iterqa.oracle import build_oracle_query, extract_overlap_spans, recall_curve
 from iterqa.pipeline import PipelineConfig, initial_path
 from iterqa.search import build_index, rank_of, score_article, score_paragraph, search_topk
 
@@ -227,11 +230,11 @@ def test_criterion_4_oracle_recall(chain_benchmark, chain_index):
         doc2.append((start.extended(first).path_tokens(), second))
 
     ks = [1, 2, 5, 10]
-    curves = [oracle_recall_curve(chain_index, ex, ks) for ex in (doc1, doc2)]
+    curves = [recall_curve(oracle_ranks(chain_index, ex), ks) for ex in (doc1, doc2)]
     monotone = all(
         later >= earlier
         for curve in curves
-        for earlier, later in zip(curve.recall, curve.recall[1:])
+        for earlier, later in itertools.pairwise(curve.values())
     )
     # Random-corpus curves must be monotone too.
     rng = random.Random(402)
@@ -242,13 +245,13 @@ def test_criterion_4_oracle_recall(chain_benchmark, chain_index):
         para = rnd_corpus.paragraphs[pid]
         if len(para.tokens) >= 3:
             rnd_examples.append((list(para.tokens[:2]) + ["pad"], para))
-    rnd_curve = oracle_recall_curve(rnd_index, rnd_examples, ks)
+    rnd_curve = recall_curve(oracle_ranks(rnd_index, rnd_examples), ks)
     monotone = monotone and all(
-        later >= earlier for earlier, later in zip(rnd_curve.recall, rnd_curve.recall[1:])
+        later >= earlier for earlier, later in itertools.pairwise(rnd_curve.values())
     )
 
-    recall10_doc1 = curves[0].at(10)
-    recall10_doc2 = curves[1].at(10)
+    recall10_doc1 = curves[0][10]
+    recall10_doc2 = curves[1][10]
     ok = monotone and recall10_doc1 >= 0.95 and recall10_doc2 >= 0.95
     _report(
         4, "oracle recall curves", ok,
@@ -286,15 +289,21 @@ def test_criterion_5_end_to_end_multi_hop(chain_benchmark, dynamic_run):
 # criterion 6: dynamic stopping dominates fixed-step policies
 # ---------------------------------------------------------------------------
 
-def test_criterion_6_dynamic_stopping(chain_benchmark, chain_index, model_factory, dynamic_run):
-    dynamic_result, _ = dynamic_run
-    fixed_f1 = {}
-    for k in (1, 2, 3, 4, 5):
-        fixed = evaluate(
+@pytest.fixture(scope="module")
+def fixed_runs(chain_benchmark, chain_index, model_factory):
+    """An independent evaluate() run per fixed-step policy K = 1..5."""
+    return {
+        k: evaluate(
             chain_benchmark.examples, chain_benchmark.corpus, chain_index, model_factory,
             PipelineConfig(k_cap=5, docs_per_step=50, fixed_steps=k),
         )
-        fixed_f1[k] = fixed.f1
+        for k in (1, 2, 3, 4, 5)
+    }
+
+
+def test_criterion_6_dynamic_stopping(chain_benchmark, dynamic_run, fixed_runs):
+    dynamic_result, _ = dynamic_run
+    fixed_f1 = {k: fixed.f1 for k, fixed in fixed_runs.items()}
     dominates = all(dynamic_result.f1 >= f1 - 1e-9 for f1 in fixed_f1.values())
 
     concentration = {}
@@ -315,6 +324,22 @@ def test_criterion_6_dynamic_stopping(chain_benchmark, chain_index, model_factor
         f"step mass at true hop count: "
         + ", ".join(f"{h}-hop {concentration[h]:.1%}" for h in (1, 2, 3)),
     )
+
+
+def test_run_benchmark_fixed_rows_equal_per_k_runs(
+    chain_benchmark, chain_index, model_factory, dynamic_run, fixed_runs
+):
+    # run_benchmark reads every fixed-K row off one run forced at the largest
+    # K; the rows must equal the independent per-K runs of criterion 6 exactly.
+    report = run_benchmark(
+        chain_benchmark.examples, chain_benchmark.corpus, chain_index, model_factory,
+        PipelineConfig(k_cap=5, docs_per_step=50), fixed_k_grid=(1, 2, 3, 4, 5),
+    )
+    dynamic_result, _ = dynamic_run
+    assert report.result == dynamic_result
+    assert report.dynamic_vs_fixed == [("dynamic", dynamic_result.em, dynamic_result.f1)] + [
+        (f"fixed-{k}", fixed.em, fixed.f1) for k, fixed in fixed_runs.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -115,6 +116,32 @@ def test_run_benchmark_reports(bench_setup, tmp_path):
     summary = (tmp_path / "reports" / "summary.txt").read_text()
     assert "exact match" in summary and "stopping policy" in summary
     assert format_summary(report).startswith("questions scored")
+
+
+def test_run_benchmark_fixed_rows_equal_fixed_step_runs(bench_setup):
+    corpus, index, factory = bench_setup
+    stray = QuestionExample(
+        qid="stray", question="which mill stands by the stream", answers=("quorind vale",)
+    )
+    # At k_cap 3 no path reaches step 4; ONE_HOP and "stray" run out of new
+    # candidates at step 2, so K = 2 and K = 3 fall back to their best attempt.
+    # "two-at-1" keeps its own fixed_steps whatever the K.
+    examples = [ONE_HOP, TWO_HOP, replace(TWO_HOP, qid="two-at-1", fixed_steps=1), stray]
+    config = PipelineConfig(k_cap=3)
+    calls = []
+
+    def counting_factory(example):
+        calls.append(example.qid)
+        return factory(example)
+
+    grid = (2, 4, 1, 3)
+    report = run_benchmark(examples, corpus, index, counting_factory, config, fixed_k_grid=grid)
+    assert len(calls) == 2 * len(examples)  # the dynamic pass and one forced pass
+    expected = [("dynamic", report.result.em, report.result.f1)]
+    for k in grid:
+        fixed = evaluate(examples, corpus, index, factory, replace(config, fixed_steps=k))
+        expected.append((f"fixed-{k}", fixed.em, fixed.f1))
+    assert report.dynamic_vs_fixed == expected
 
 
 def test_run_benchmark_empty_rejected(bench_setup):

@@ -112,6 +112,19 @@ def test_cli_oracle_writes_steps_before_an_untrainable_one(broken_chain, capsys)
     assert "oracle queries for 2 questions (1 skipped)" in capsys.readouterr().err
 
 
+def test_cli_oracle_reports_recall_per_gold_step(broken_chain, capsys):
+    tmp_path, corpus_path, questions_path = broken_chain
+    assert main([
+        "oracle", "--corpus", str(corpus_path),
+        "--questions", str(questions_path), "--out", str(tmp_path / "oracle.jsonl"),
+    ]) == 0
+    # Both questions reach hall#0 at rank 1; the untrainable far#0 is a miss.
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        "gold step 1 recall @1 1.0000, @5 1.0000, @10 1.0000 (2 steps)",
+        "gold step 2 recall @1 0.0000, @5 0.0000, @10 0.0000 (1 steps)",
+    ]
+
+
 def test_cli_traces_skip_an_example_with_an_untrainable_step(broken_chain, capsys):
     tmp_path, corpus_path, questions_path = broken_chain
     out = tmp_path / "traces.jsonl"
@@ -293,6 +306,7 @@ def test_cli_reports_unknown_gold_id_before_running(workspace, capsys, command):
     ("bench", ["--fixed-k-grid", "2", "0"], "fixed_steps"),
     ("bench", ["--docs-grid", "0"], "docs_per_step"),
     ("run", ["--docs-per-step", "0"], "docs_per_step"),
+    ("run", ["--stop-threshold", "nan"], "stop_threshold"),
 ])
 def test_cli_reports_bad_config_value(workspace, capsys, command, flags, name):
     tmp_path, corpus_path, questions_path = workspace
@@ -304,7 +318,8 @@ def test_cli_reports_bad_config_value(workspace, capsys, command, flags, name):
     if command == "traces":
         argv += ["--out", str(tmp_path / "traces.jsonl")]
     message = cli_error(argv, capsys)
-    assert message.startswith(f"iterqa {command}: {name} must be >= 1, got ")
+    rule = "a number" if name == "stop_threshold" else ">= 1"
+    assert message.startswith(f"iterqa {command}: {name} must be {rule}, got ")
 
 
 def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
@@ -318,6 +333,24 @@ def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
     assert message == (
         "iterqa bench: line 4: fixed_steps must be null or an integer >= 1, got 0"
     )
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("answers", "junhol", "answers must be a list of strings, got 'junhol'"),
+    ("answer_kind", "maybe", "answer_kind must be 'span', 'yes' or 'no', got 'maybe'"),
+    ("question", 17, "question must be a string, got 17"),
+    ("gold_paragraph_ids", "q0001-hop1#0",
+     "gold_paragraph_ids must be a list of strings, got 'q0001-hop1#0'"),
+])
+def test_cli_reports_bad_question_field(workspace, capsys, field, value, expected):
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(questions_path)
+    records[2][field] = value
+    questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+    ], capsys)
+    assert message == f"iterqa bench: line 3: {expected}"
 
 
 @pytest.mark.parametrize("flag", ["--corpus", "--questions", "--index", "--models"])

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingRank, exhaustive_best_rank, make_random_corpus
+from conftest import CountingRank, exhaustive_best_rank, make_random_corpus, oracle_ranks
 from iterqa.corpus import ingest_corpus
 from iterqa.oracle import (
     UntrainableExample,
     build_oracle_query,
     extract_overlap_spans,
-    oracle_recall_curve,
     oracle_trace_record,
+    recall_curve,
 )
 from iterqa.search import build_index, rank_of, search_topk
 from test_search import GENERATED_ARTICLES, generated_corpus
@@ -252,15 +253,14 @@ def test_oracle_query_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# oracle_recall_curve
+# recall_curve
 # ---------------------------------------------------------------------------
 
 def test_recall_perfect_ranks():
     corpus, index = chain_case()
     target = corpus.paragraphs["t#0"]
     examples = [(["veldrin", "river"], target)] * 3
-    curve = oracle_recall_curve(index, examples, [1])
-    assert curve.at(1) == 1.0
+    assert recall_curve(oracle_ranks(index, examples), [1]) == {1: 1.0}
 
 
 def test_recall_nondecreasing_in_k():
@@ -274,8 +274,8 @@ def test_recall_nondecreasing_in_k():
         if len(target.tokens) < 3:
             continue
         examples.append((list(target.tokens[:2]) + ["pad"], target))
-    curve = oracle_recall_curve(index, examples, [1, 2, 5, 10, 20])
-    for lo, hi in zip(curve.recall, curve.recall[1:]):
+    curve = recall_curve(oracle_ranks(index, examples), [1, 2, 5, 10, 20])
+    for lo, hi in itertools.pairwise(curve.values()):
         assert hi >= lo
 
 
@@ -283,17 +283,19 @@ def test_recall_counts_untrainable_as_miss():
     corpus, index = chain_case()
     target = corpus.paragraphs["t#0"]
     examples = [(["veldrin"], target), (["foreign", "words"], target)]
-    curve = oracle_recall_curve(index, examples, [1, 4])
-    assert curve.n_untrainable == 1
-    assert curve.at(4) == 0.5
+    ranks = oracle_ranks(index, examples)
+    assert ranks.count(None) == 1
+    assert recall_curve(ranks, [1, 4])[4] == 0.5
+    assert recall_curve([1, 3, None, 12], [1, 5, 10]) == {1: 0.25, 5: 0.5, 10: 0.5}
 
 
 def test_recall_empty_examples_rejected():
-    corpus, index = chain_case()
     with pytest.raises(ValueError):
-        oracle_recall_curve(index, [], [1])
+        recall_curve([], [1])
     with pytest.raises(ValueError):
-        oracle_recall_curve(index, [(["x"], corpus.paragraphs["t#0"])], [5, 1])
+        recall_curve([2], [5, 1])
+    with pytest.raises(ValueError):
+        recall_curve([2], [])
 
 
 def test_recall_rank_cutoff_matches_topk_membership():

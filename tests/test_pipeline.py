@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -434,8 +435,9 @@ def test_trace_record_round_trips_json():
 
 @pytest.mark.parametrize("field, value", [
     ("k_cap", -1), ("k_cap", 0), ("docs_per_step", 0), ("reranker_candidates", 0),
-    ("fixed_steps", 0), ("fixed_steps", -2),
+    ("fixed_steps", 0), ("fixed_steps", -2), ("stop_threshold", math.nan),
 ])
 def test_pipeline_config_rejects_out_of_range_values(field, value):
-    with pytest.raises(ConfigError, match=f"^{field} must be >= 1, got {value}$"):
+    rule = "a number" if field == "stop_threshold" else ">= 1"
+    with pytest.raises(ConfigError, match=f"^{field} must be {rule}, got {value}$"):
         PipelineConfig(**{field: value})

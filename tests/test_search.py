@@ -635,6 +635,13 @@ def without_len(record):
     return json.dumps(record)
 
 
+def with_len(value):
+    def change(record):
+        record["len"] = value
+        return json.dumps(record)
+    return change
+
+
 def with_tf(field, tf):
     def change(record):
         record[field][-1][1] = tf
@@ -646,6 +653,13 @@ def with_tf(field, tf):
     ("para", without_len, "line 2: para record has no field 'len'"),
     ("term", with_tf("p", 0), "line \\d+: term '\\w+' has a term frequency below 1 \\(0\\)"),
     ("term", with_tf("a", -1), "line \\d+: term '\\w+' has a term frequency below 1 \\(-1\\)"),
+    ("term", with_tf("p", "x"),
+     "line \\d+: term '\\w+' has a term frequency that is not an integer \\('x'\\)"),
+    ("term", with_tf("a", 2.5),
+     "line \\d+: term '\\w+' has a term frequency that is not an integer \\(2.5\\)"),
+    ("para", with_len("7"), "line 2: para record has a len that is not an integer \\('7'\\)"),
+    ("article", with_len(3.0),
+     "line \\d+: article record has a len that is not an integer \\(3.0\\)"),
     ("term", lambda record: json.dumps(record)[:-5], "line \\d+: unreadable record"),
     ("article", lambda record: json.dumps([record]), "line \\d+: record is not an object"),
 ])
