@@ -26,6 +26,7 @@ def load_examples(path) -> list[QuestionExample]:
     gold_paragraph_ids, answer_kind, fixed_steps, and dataset are optional.
     """
     examples = []
+    id_lines: dict[str, int] = {}  # question id -> line it is first used on
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -38,6 +39,13 @@ def load_examples(path) -> list[QuestionExample]:
                 raise QuestionsFormatError(f"line {line_no}: record is not an object")
             if "id" not in record or "question" not in record:
                 raise QuestionsFormatError(f"line {line_no}: needs id and question fields")
+            qid = record["id"]
+            if not isinstance(qid, str):
+                raise QuestionsFormatError(f"line {line_no}: id must be a string, got {qid!r}")
+            if id_lines.setdefault(qid, line_no) != line_no:
+                raise QuestionsFormatError(
+                    f"line {line_no}: id {qid!r} is already used on line {id_lines[qid]}"
+                )
             if not isinstance(record["question"], str):
                 raise QuestionsFormatError(
                     f"line {line_no}: question must be a string, got {record['question']!r}"
@@ -64,7 +72,7 @@ def load_examples(path) -> list[QuestionExample]:
                 )
             examples.append(
                 QuestionExample(
-                    qid=str(record["id"]),
+                    qid=qid,
                     question=record["question"],
                     answers=answers,
                     gold_ids=tuple(record.get("gold_paragraph_ids", ())),

@@ -19,6 +19,15 @@ paragraph at a time and are the reference: the cache holds their per-term
 expressions, and the accumulators add them in the same query-term order, so
 every accumulated score equals ``combined_score`` bit for bit. (Merged
 per-span sums would reassociate the additions and break that equality.)
+
+An article's text is its paragraphs' tokens in order, so its length and
+postings are sums over its paragraphs: build_index and load_index both feed
+(paragraph id, article id, term counts) records into ``_make_index``, which
+derives the article level. An index file is a JSON header (magic, format
+version, the four constants, ``n_para``), then one line per paragraph in id
+order, ``["<paragraph id>", "<article id>", {"<term>": tf, ...}]`` with
+sorted terms. No line refers to another, and a file with other than
+``n_para`` paragraph lines is refused.
 """
 
 from __future__ import annotations
@@ -26,11 +35,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import filterfalse, islice
 from operator import countOf
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .corpus import Corpus
 
@@ -42,7 +53,8 @@ ARTICLE_K1 = 1.2
 ARTICLE_B = 0.0
 
 INDEX_MAGIC = "iterqa-index"
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
+_CONSTANTS = {"k1": K1, "b": B, "article_k1": ARTICLE_K1, "article_b": ARTICLE_B}
 
 # A query is an ordered multiset of normalized tokens (tokenize() output).
 Query = Sequence[str]
@@ -86,64 +98,53 @@ class IndexFormatError(ValueError):
     """A persisted index file is unreadable or was built with other constants."""
 
 
-def _make_index(
-    postings: dict[str, dict[str, int]],
-    article_postings: dict[str, dict[str, int]],
-    doc_lengths: dict[str, int],
-    article_lengths: dict[str, int],
-    para_article: dict[str, str],
-    article_paragraphs: dict[str, tuple[str, ...]],
-) -> InvertedIndex:
-    """Derive the collection statistics shared by build_index and load_index."""
-    avg = sum(doc_lengths.values()) / len(doc_lengths)
+def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedIndex:
+    """Invert (paragraph id, article id, term counts) records and derive the rest.
+
+    Article lengths and term frequencies are sums over the article's
+    paragraphs. Each article id is interned, so the index holds one string
+    per article.
+    """
+    postings: dict[str, dict[str, int]] = {}
+    article_postings: dict[str, dict[str, int]] = {}
+    doc_lengths: dict[str, int] = {}
+    article_lengths: dict[str, int] = {}
+    para_article: dict[str, str] = {}
+    for pid, aid, counts in records:
+        aid = sys.intern(aid)
+        para_article[pid] = aid
+        doc_lengths[pid] = length = sum(counts.values())
+        article_lengths[aid] = article_lengths.get(aid, 0) + length
+        for term, tf in counts.items():
+            postings.setdefault(term, {})[pid] = tf
+            entry = article_postings.setdefault(term, {})
+            entry[aid] = entry.get(aid, 0) + tf
+    para_order = tuple(sorted(doc_lengths))
+    article_paragraphs: dict[str, list[str]] = {}
+    for pid in para_order:
+        article_paragraphs.setdefault(para_article[pid], []).append(pid)
     return InvertedIndex(
         postings=postings,
         article_postings=article_postings,
         doc_lengths=doc_lengths,
         article_lengths=article_lengths,
-        avg_doc_length=avg,
+        avg_doc_length=sum(doc_lengths.values()) / len(doc_lengths),
         n_para=len(doc_lengths),
         n_article=len(article_lengths),
         df_para={term: len(entry) for term, entry in postings.items()},
         df_article={term: len(entry) for term, entry in article_postings.items()},
         para_article=para_article,
-        article_paragraphs=article_paragraphs,
-        para_order=tuple(sorted(doc_lengths)),
+        article_paragraphs={aid: tuple(pids) for aid, pids in article_paragraphs.items()},
+        para_order=para_order,
     )
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
     if not corpus.paragraphs:
         raise ValueError("cannot index an empty corpus")
-
-    postings: dict[str, dict[str, int]] = {}
-    article_postings: dict[str, dict[str, int]] = {}
-    doc_lengths: dict[str, int] = {}
-    article_lengths: dict[str, int] = {}
-    para_article: dict[str, str] = {}
-    article_paragraphs: dict[str, tuple[str, ...]] = {}
-
-    for para in corpus.paragraphs.values():
-        doc_lengths[para.id] = len(para.tokens)
-        para_article[para.id] = para.article_id
-        for term, tf in _term_counts(para.tokens).items():
-            postings.setdefault(term, {})[para.id] = tf
-    for article in corpus.articles.values():
-        article_lengths[article.article_id] = len(article.full_text_tokens)
-        article_paragraphs[article.article_id] = tuple(p.id for p in article.paragraphs)
-        for term, tf in _term_counts(article.full_text_tokens).items():
-            article_postings.setdefault(term, {})[article.article_id] = tf
-
     return _make_index(
-        postings, article_postings, doc_lengths, article_lengths, para_article, article_paragraphs
+        (para.id, para.article_id, Counter(para.tokens)) for para in corpus.paragraphs.values()
     )
-
-
-def _term_counts(tokens: Sequence[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for token in tokens:
-        counts[token] = counts.get(token, 0) + 1
-    return counts
 
 
 def idf_paragraph(index: InvertedIndex, term: str) -> float:
@@ -303,145 +304,71 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
 
 
 def save_index(index: InvertedIndex, path) -> None:
-    """Write the index as line-delimited JSON with a versioned header."""
+    """Write the index as line-delimited JSON: a header, then one line per paragraph."""
+    # Flat [term, tf, ...] lists in sorted term order, not a dict per
+    # paragraph, keep a save's peak memory low; a line's dict lives only
+    # while the line is written.
+    flat: dict[str, list] = {pid: [] for pid in index.para_order}
+    for term in sorted(index.postings):
+        for pid, tf in index.postings[term].items():
+            flat[pid] += (term, tf)
+    header = {"magic": INDEX_MAGIC, "format_version": INDEX_FORMAT_VERSION, **_CONSTANTS,
+              "n_para": index.n_para}
     with open(path, "w", encoding="utf-8") as out:
-        header = {
-            "magic": INDEX_MAGIC,
-            "format_version": INDEX_FORMAT_VERSION,
-            "k1": K1,
-            "b": B,
-            "article_k1": ARTICLE_K1,
-            "article_b": ARTICLE_B,
-            "n_para": index.n_para,
-            "n_article": index.n_article,
-            "avg_doc_length": index.avg_doc_length,
-        }
         out.write(json.dumps(header) + "\n")
         for pid in index.para_order:
-            record = {"kind": "para", "id": pid, "len": index.doc_lengths[pid],
-                      "article": index.para_article[pid]}
-            out.write(json.dumps(record) + "\n")
-        for aid in sorted(index.article_lengths):
-            record = {"kind": "article", "id": aid, "len": index.article_lengths[aid],
-                      "paragraphs": list(index.article_paragraphs[aid])}
-            out.write(json.dumps(record) + "\n")
-        terms = sorted(set(index.postings) | set(index.article_postings))
-        for term in terms:
-            record = {
-                "kind": "term",
-                "t": term,
-                "p": sorted(index.postings.get(term, {}).items()),
-                "a": sorted(index.article_postings.get(term, {}).items()),
-            }
+            items = flat.pop(pid)
+            record = [pid, index.para_article[pid], dict(zip(items[::2], items[1::2]))]
             out.write(json.dumps(record) + "\n")
 
 
 def load_index(path) -> InvertedIndex:
     """Load a persisted index, refusing headers with mismatched constants."""
     with open(path, encoding="utf-8") as handle:
-        header_line = handle.readline()
         try:
-            header = json.loads(header_line)
+            header = json.loads(handle.readline())
         except json.JSONDecodeError as exc:
             raise IndexFormatError(f"unreadable index header: {exc.msg}") from exc
         if not isinstance(header, dict) or header.get("magic") != INDEX_MAGIC:
             raise IndexFormatError("not an index file (bad magic)")
         if header.get("format_version") != INDEX_FORMAT_VERSION:
             raise IndexFormatError(f"unsupported index format version {header.get('format_version')!r}")
-        expected = {"k1": K1, "b": B, "article_k1": ARTICLE_K1, "article_b": ARTICLE_B}
-        for name, value in expected.items():
+        for name, value in _CONSTANTS.items():
             if header.get(name) != value:
                 raise IndexFormatError(
                     f"index was built with {name}={header.get(name)!r}, this build uses {value!r}"
                 )
-
-        postings: dict[str, dict[str, int]] = {}
-        article_postings: dict[str, dict[str, int]] = {}
-        doc_lengths: dict[str, int] = {}
-        article_lengths: dict[str, int] = {}
-        para_article: dict[str, str] = {}
-        article_paragraphs: dict[str, tuple[str, ...]] = {}
-        # Every id is mapped to the string object of its own record, so the
-        # postings share their keys instead of holding one copy per posting.
-        # save_index writes para and article records before term records.
-        para_ids: dict[str, str] = {}
-        article_ids: dict[str, str] = {}
-        for line_no, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IndexFormatError(f"line {line_no}: unreadable record ({exc.msg})") from None
-            if not isinstance(record, dict):
-                raise IndexFormatError(f"line {line_no}: record is not an object")
-            kind = record.get("kind")
-            # A KeyError here is a missing field: unknown ids are caught inside.
-            try:
-                if kind == "para":
-                    pid = para_ids[record["id"]] = record["id"]
-                    doc_lengths[pid] = _checked_len(line_no, kind, record["len"])
-                    para_article[pid] = record["article"]
-                elif kind == "article":
-                    aid = article_ids[record["id"]] = record["id"]
-                    article_lengths[aid] = _checked_len(line_no, kind, record["len"])
-                    paragraphs = record["paragraphs"]
-                    try:
-                        article_paragraphs[aid] = tuple(para_ids[pid] for pid in paragraphs)
-                    except KeyError as exc:
-                        raise _unknown_id("article", aid, exc) from None
-                elif kind == "term":
-                    term, para_entry, article_entry = record["t"], record["p"], record["a"]
-                    try:
-                        if para_entry:
-                            postings[term] = entry = {para_ids[pid]: tf for pid, tf in para_entry}
-                            _check_tf(line_no, term, entry)
-                        if article_entry:
-                            article_postings[term] = entry = {
-                                article_ids[aid]: tf for aid, tf in article_entry
-                            }
-                            _check_tf(line_no, term, entry)
-                    except KeyError as exc:
-                        raise _unknown_id("term", term, exc) from None
-                else:
-                    raise IndexFormatError(f"unknown record kind {kind!r}")
-            except KeyError as exc:
-                raise IndexFormatError(
-                    f"line {line_no}: {kind} record has no field {exc.args[0]!r}"
-                ) from None
-        for pid, aid in para_article.items():
-            try:
-                para_article[pid] = article_ids[aid]
-            except KeyError as exc:
-                raise _unknown_id("para", pid, exc) from None
-
-    if len(doc_lengths) != header.get("n_para") or len(article_lengths) != header.get("n_article"):
-        raise IndexFormatError("index file is truncated")
-    return _make_index(
-        postings, article_postings, doc_lengths, article_lengths, para_article, article_paragraphs
-    )
+        n_para = header.get("n_para")
+        if type(n_para) is not int or n_para < 1:
+            raise IndexFormatError(f"index header has n_para={n_para!r}, not an integer >= 1")
+        return _make_index(_records(handle, n_para))
 
 
-def _check_tf(line_no: int, term: str, entry: dict[str, int]) -> None:
-    if set(map(type, entry.values())) != {int}:
-        value = next(tf for tf in entry.values() if type(tf) is not int)
+def _records(handle, n_para: int):
+    """The paragraph lines of an index file as (id, article id, term counts), checked."""
+    seen: set[str] = set()
+    for line_no, line in enumerate(handle, start=2):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise IndexFormatError(f"line {line_no}: unreadable record ({exc.msg})") from None
+        if type(record) is not list or list(map(type, record)) != [str, str, dict]:
+            raise IndexFormatError(
+                f"line {line_no}: record is not [paragraph id, article id, {{term: tf}}]"
+            )
+        pid, aid, counts = record
+        if pid in seen:
+            raise IndexFormatError(f"line {line_no}: paragraph {pid!r} appears twice")
+        seen.add(pid)
+        tfs = counts.values()
+        if tfs and (set(map(type, tfs)) != {int} or min(tfs) < 1):
+            term, tf = next((t, f) for t, f in counts.items() if type(f) is not int or f < 1)
+            raise IndexFormatError(
+                f"line {line_no}: term {term!r} has a term frequency that is not "
+                f"an integer >= 1 ({tf!r})"
+            )
+        yield pid, aid, counts
+    if len(seen) != n_para:
         raise IndexFormatError(
-            f"line {line_no}: term {term!r} has a term frequency that is not an integer ({value!r})"
+            f"index file has {len(seen)} paragraph records, not the {n_para} its header names"
         )
-    lowest = min(entry.values())
-    if lowest < 1:
-        raise IndexFormatError(
-            f"line {line_no}: term {term!r} has a term frequency below 1 ({lowest})"
-        )
-
-
-def _checked_len(line_no: int, kind: str, value) -> int:
-    if type(value) is not int:
-        raise IndexFormatError(
-            f"line {line_no}: {kind} record has a len that is not an integer ({value!r})"
-        )
-    return value
-
-
-def _unknown_id(kind: str, name: str, exc: KeyError) -> IndexFormatError:
-    return IndexFormatError(f"{kind} record {name!r} names unknown id {exc.args[0]!r}")

@@ -73,6 +73,13 @@ def test_cli_traces_output_is_pinned(workspace):
     assert sha256(out) == "215e36a842e44b42ade1b8884b692190f68fea8c6fd3025bbd859c99cf65d290"
 
 
+def test_cli_index_output_is_pinned(workspace):
+    tmp_path, corpus_path, _ = workspace
+    out = tmp_path / "index.jsonl"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(out)]) == 0
+    assert sha256(out) == "474d16f47576fa0c8573379359f637c99aad56b566f5a4a33de9f6020d1902a7"
+
+
 @pytest.fixture()
 def broken_chain(tmp_path):
     """Question "broken" has a second gold paragraph sharing no token with its path."""
@@ -240,6 +247,38 @@ def test_cli_reports_bad_index(workspace, capsys):
     assert message.startswith("iterqa bench: ") and "magic" in message
 
 
+def test_cli_refuses_an_index_cut_short(workspace, capsys):
+    tmp_path, corpus_path, questions_path = workspace
+    index_path = tmp_path / "index.jsonl"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
+    capsys.readouterr()
+    lines = index_path.read_text().splitlines(keepends=True)
+    index_path.write_text("".join(lines[:-3]))
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+        "--index", str(index_path),
+    ], capsys)
+    n = len(lines) - 1
+    assert message == (
+        f"iterqa bench: index file has {n - 3} paragraph records, not the {n} its header names"
+    )
+
+
+def test_cli_reports_format_1_index(workspace, capsys):
+    tmp_path, corpus_path, _ = workspace
+    index_path = tmp_path / "index.jsonl"
+    index_path.write_text(
+        '{"magic": "iterqa-index", "format_version": 1, "k1": 1.2, "b": 0.75, "article_k1": 1.2, '
+        '"article_b": 0.0, "n_para": 1, "n_article": 1, "avg_doc_length": 2.0}\n'
+        '{"kind": "para", "id": "a#0", "len": 2, "article": "a"}\n'
+    )
+    message = cli_error([
+        "run", "--corpus", str(corpus_path), "--index", str(index_path),
+        "--question", "which secret is kept somewhere",
+    ], capsys)
+    assert message == "iterqa run: unsupported index format version 1"
+
+
 def test_cli_reports_bad_question_record(workspace, capsys):
     tmp_path, corpus_path, _ = workspace
     questions_path = tmp_path / "bad.jsonl"
@@ -341,6 +380,8 @@ def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
     ("question", 17, "question must be a string, got 17"),
     ("gold_paragraph_ids", "q0001-hop1#0",
      "gold_paragraph_ids must be a list of strings, got 'q0001-hop1#0'"),
+    ("id", None, "id must be a string, got None"),
+    ("id", [1], "id must be a string, got [1]"),
 ])
 def test_cli_reports_bad_question_field(workspace, capsys, field, value, expected):
     tmp_path, corpus_path, questions_path = workspace
@@ -351,6 +392,17 @@ def test_cli_reports_bad_question_field(workspace, capsys, field, value, expecte
         "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
     ], capsys)
     assert message == f"iterqa bench: line 3: {expected}"
+
+
+def test_cli_reports_duplicate_question_id(workspace, capsys):
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(questions_path)
+    records[4]["id"] = records[1]["id"]
+    questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+    ], capsys)
+    assert message == f"iterqa bench: line 5: id {records[1]['id']!r} is already used on line 2"
 
 
 @pytest.mark.parametrize("flag", ["--corpus", "--questions", "--index", "--models"])

@@ -438,6 +438,10 @@ def test_save_load_preserves_topk_on_generated_corpora(articles, query, k):
         path = os.path.join(tmp, "index.jsonl")
         save_index(index, path)
         loaded = load_index(path)
+        resaved = os.path.join(tmp, "resaved.jsonl")
+        save_index(loaded, resaved)
+        with open(path, "rb") as first, open(resaved, "rb") as second:
+            assert first.read() == second.read()
     assert search_topk(loaded, query, k) == search_topk(index, query, k)
 
 
@@ -597,76 +601,45 @@ def test_load_shares_id_strings(tmp_path):
         assert all(pid is para_ids[pid] for pid in members)
 
 
-@pytest.mark.parametrize("kind, field", [("term", "p"), ("term", "a"), ("article", "paragraphs"),
-                                         ("para", "article")])
-def test_load_rejects_unknown_ids(tmp_path, kind, field):
-    path = tmp_path / "index.jsonl"
-    save_index(build_index(make_random_corpus(random.Random(22), n_articles=5)), path)
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines[1:], start=1):
-        record = json.loads(line)
-        if record["kind"] == kind and record[field]:
-            if kind == "term":
-                record[field][0][0] = "ghost"
-            elif kind == "article":
-                record[field][0] = "ghost"
-            else:
-                record[field] = "ghost"
-            lines[i] = json.dumps(record)
-            break
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IndexFormatError, match="unknown id 'ghost'"):
-        load_index(path)
-
-
-def rewrite_first(path, kind, change):
-    """Replace the first record of the given kind with change(record), a line."""
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines[1:], start=1):
-        record = json.loads(line)
-        if record["kind"] == kind:
-            lines[i] = change(record)
-            break
-    path.write_text("\n".join(lines) + "\n")
-
-
-def without_len(record):
-    del record["len"]
-    return json.dumps(record)
-
-
-def with_len(value):
-    def change(record):
-        record["len"] = value
-        return json.dumps(record)
-    return change
-
-
-def with_tf(field, tf):
-    def change(record):
-        record[field][-1][1] = tf
-        return json.dumps(record)
-    return change
-
-
-@pytest.mark.parametrize("kind, change, message", [
-    ("para", without_len, "line 2: para record has no field 'len'"),
-    ("term", with_tf("p", 0), "line \\d+: term '\\w+' has a term frequency below 1 \\(0\\)"),
-    ("term", with_tf("a", -1), "line \\d+: term '\\w+' has a term frequency below 1 \\(-1\\)"),
-    ("term", with_tf("p", "x"),
-     "line \\d+: term '\\w+' has a term frequency that is not an integer \\('x'\\)"),
-    ("term", with_tf("a", 2.5),
-     "line \\d+: term '\\w+' has a term frequency that is not an integer \\(2.5\\)"),
-    ("para", with_len("7"), "line 2: para record has a len that is not an integer \\('7'\\)"),
-    ("article", with_len(3.0),
-     "line \\d+: article record has a len that is not an integer \\(3.0\\)"),
-    ("term", lambda record: json.dumps(record)[:-5], "line \\d+: unreadable record"),
-    ("article", lambda record: json.dumps([record]), "line \\d+: record is not an object"),
-])
-def test_load_rejects_malformed_records(tmp_path, kind, change, message):
-    path = tmp_path / "index.jsonl"
+def saved_lines(path):
     save_index(build_index(make_random_corpus(random.Random(23), n_articles=5)), path)
-    rewrite_first(path, kind, change)
+    return path.read_text().splitlines(keepends=True)
+
+
+def with_record(change):
+    """Replace the first paragraph line by change(record)."""
+    def rewrite(lines):
+        lines[1] = change(json.loads(lines[1])) + "\n"
+        return lines
+    return rewrite
+
+
+def with_tf(tf):
+    def change(record):
+        record[2][max(record[2])] = tf
+        return json.dumps(record)
+    return with_record(change)
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (with_record(lambda record: json.dumps(record)[:-5]), "line 2: unreadable record"),
+    (with_record(lambda record: json.dumps(dict(enumerate(record)))),
+     "line 2: record is not \\[paragraph id, article id, {term: tf}\\]"),
+    (with_record(lambda record: json.dumps(record[:2])), "line 2: record is not \\["),
+    (with_record(lambda record: json.dumps([7] + record[1:])), "line 2: record is not \\["),
+    (with_tf(0), "line 2: term '\\w+' has a term frequency that is not an integer >= 1 \\(0\\)"),
+    (with_tf(-1), "line 2: term '\\w+' has a term frequency that is not an integer >= 1 \\(-1\\)"),
+    (with_tf("x"), "line 2: term '\\w+' has a term frequency that is not an integer >= 1 \\('x'\\)"),
+    (with_tf(2.5), "line 2: term '\\w+' has a term frequency that is not an integer >= 1 \\(2.5\\)"),
+    (with_tf(True), "line 2: term '\\w+' has a term frequency that is not an integer >= 1 \\(True\\)"),
+    (lambda lines: lines[:2] + lines[1:], "line 3: paragraph '[^']+' appears twice"),
+    (lambda lines: lines[:-1], "index file has \\d+ paragraph records, not the \\d+ its header names"),
+    (lambda lines: lines[:-1] + [lines[-1][:9]], "line \\d+: unreadable record"),
+], ids=["unreadable", "object", "two-items", "id-not-a-string", "tf-0", "tf-negative", "tf-string",
+        "tf-float", "tf-bool", "duplicate-id", "truncated", "cut-mid-line"])
+def test_load_rejects_malformed_records(tmp_path, rewrite, message):
+    path = tmp_path / "index.jsonl"
+    path.write_text("".join(rewrite(saved_lines(path))))
     with pytest.raises(IndexFormatError, match=message) as info:
         load_index(path)
     assert "\n" not in str(info.value)
