@@ -126,7 +126,13 @@ def _score(example: QuestionExample, prediction: str) -> tuple[float | None, flo
 def _mean_scores(scores: Sequence[tuple[float | None, float | None]]) -> tuple[float, float]:
     """Mean EM and F1 over the scored (em, f1) pairs; 0.0 each when none is scored."""
     scored = [s for s in scores if s[0] is not None]
-    return tuple(sum(column) / len(scored) for column in zip(*scored)) or (0.0, 0.0)
+    if not scored:
+        return 0.0, 0.0
+    em = f1 = 0.0
+    for em_i, f1_i in scored:  # left to right: sum() compensates from Python 3.12 on
+        em += em_i
+        f1 += f1_i
+    return em / len(scored), f1 / len(scored)
 
 
 def _run_example(

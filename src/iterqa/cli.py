@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from .bench import QuestionsFormatError, format_summary, load_examples, run_benchmark, write_reports
 from .corpus import IngestError, load_corpus, map_paragraph
@@ -56,7 +57,12 @@ def _factory(args, index, corpus):
 
 
 def _index_for(args, corpus):
-    """The index at ``--index``, once its paragraphs match the corpus; else a new one."""
+    """The index at ``--index``, once its paragraphs match the corpus; else a new one.
+
+    A paragraph matches when its article, its token count and the count of
+    each of its indexed terms are the corpus's. Equal counts of the indexed
+    terms at an equal token count leave no room for another term.
+    """
     if not getattr(args, "index", None):
         return build_index(corpus)
     index = load_index(args.index)
@@ -65,6 +71,15 @@ def _index_for(args, corpus):
         indexed = (index.doc_lengths.get(pid), index.para_article.get(pid))
         if para is None or indexed != (len(para.tokens), para.article_id):
             raise IndexFormatError(f"index does not match the corpus at paragraph {pid!r}")
+    counts = {pid: Counter(para.tokens) for pid, para in corpus.paragraphs.items()}
+    other_words = [
+        pid for term, entry in index.postings.items() for pid, tf in entry.items()
+        if counts[pid][term] != tf
+    ]
+    if other_words:
+        raise IndexFormatError(
+            f"index does not match the corpus at paragraph {min(other_words)!r}"
+        )
     return index
 
 

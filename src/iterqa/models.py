@@ -284,8 +284,12 @@ class LexicalReranker:
         if path.steps:
             reference |= set(path.steps[-1].tokens)
         shared = reference & set(candidate.tokens)
-        # Sorted: a set's order, and so the float sum, varies with the hash seed.
-        total = sum(idf_paragraph(self.index, t) for t in sorted(shared))
+        # Sorted: a set's order, and so the float sum, varies with the hash
+        # seed. Added left to right: sum() compensates float sums from
+        # Python 3.12 on, so its result would vary with the interpreter.
+        total = 0.0
+        for term in sorted(shared):
+            total += idf_paragraph(self.index, term)
         return total / math.sqrt(len(candidate.tokens))
 
 

@@ -9,16 +9,22 @@ length normalization:
 A paragraph's relevance to a query is the sum of both parts. Natural log
 throughout; queries are multisets, so repeated terms contribute repeatedly.
 
-``search_topk`` and ``rank_of`` score a whole query term at a time, adding
-each term's contributions into one accumulator per paragraph and one per
-article, then each article's total into its paragraphs. A term's
+``search_topk`` and ``rank_of`` score a whole query term at a time. A
+paragraph's ordinal is its position in ``para_order``, so ascending ordinal
+is ascending id; an article's ordinal is its position in ``article_order``.
+Each query gets one dense float list indexed by paragraph ordinal and one by
+article ordinal. Each term's contributions are added into them, then each
+reached article's total into its paragraphs. A term's ordinals and
 contributions are computed on its first use and cached on the index
 (``InvertedIndex.impacts``), so build and load pay nothing for terms no query
 uses. ``score_paragraph``, ``score_article`` and ``combined_score`` score one
 paragraph at a time and are the reference: the cache holds their per-term
-expressions, and the accumulators add them in the same query-term order, so
-every accumulated score equals ``combined_score`` bit for bit. (Merged
-per-span sums would reassociate the additions and break that equality.)
+expressions, and the lists add them in the same query-term order from 0.0.
+Since 0.0 + c == c and p + 0.0 == p, every accumulated score equals
+``combined_score`` bit for bit. (Merged per-span sums would reassociate the
+additions and break that equality.) Contributions are positive, so a
+paragraph the query reaches scores above 0.0 and any other scores exactly
+0.0; the reached ordinals are read off the list with ``compress``.
 
 An article's text is its paragraphs' tokens in order, so its length and
 postings are sums over its paragraphs: build_index and load_index both feed
@@ -32,14 +38,14 @@ sorted terms. No line refers to another, and a file with other than
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import filterfalse, islice
+from itertools import compress, filterfalse, islice
 from operator import countOf
 from typing import Iterable, Sequence
 
@@ -59,17 +65,22 @@ _CONSTANTS = {"k1": K1, "b": B, "article_k1": ARTICLE_K1, "article_b": ARTICLE_B
 # A query is an ordered multiset of normalized tokens (tokenize() output).
 Query = Sequence[str]
 
+# One level of a term's cached contributions: the ordinals of the postings
+# and their contributions, both in the key order of the posting dict.
+_Level = tuple[tuple[int, ...], array]
+
 
 @dataclass
 class InvertedIndex:
     """Paragraph- and article-level postings over an ingested corpus.
 
     Immutable after build_index or load_index except ``impacts``, the
-    scorer's lazily filled cache: term -> (paragraph, article) contribution
-    arrays in the key order of ``postings[term]`` and ``article_postings[term]``,
-    left out of ``==`` and ``repr``. Concurrent reads stay safe: each entry is
-    an idempotent value, derived from the immutable postings and set with one
-    dict assignment under the GIL, so a reader never sees a partial entry.
+    scorer's lazily filled cache: term -> (paragraph level, article level),
+    each level the ordinals and contributions of ``postings[term]`` or
+    ``article_postings[term]`` in key order, left out of ``==`` and ``repr``.
+    Concurrent reads stay safe: each entry is an idempotent value, derived
+    from the immutable postings and set with one dict assignment under the
+    GIL, so a reader never sees a partial entry.
     """
 
     postings: dict[str, dict[str, int]]          # term -> {paragraph_id: tf}
@@ -82,9 +93,11 @@ class InvertedIndex:
     df_para: dict[str, int]
     df_article: dict[str, int]
     para_article: dict[str, str]                 # paragraph_id -> parent article_id
-    article_paragraphs: dict[str, tuple[str, ...]]
     para_order: tuple[str, ...]                  # paragraph ids, ascending
-    impacts: dict[str, tuple[array, array]] = field(
+    article_order: tuple[str, ...]               # article ids, ascending
+    article_members: tuple[tuple[int, ...], ...]  # article ordinal -> paragraph ordinals
+    ordinals: tuple[int, ...]                    # tuple(range(n_para)), shared ints
+    impacts: dict[str, tuple[_Level, _Level]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -103,7 +116,8 @@ def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedI
 
     Article lengths and term frequencies are sums over the article's
     paragraphs. Each article id is interned, so the index holds one string
-    per article.
+    per article. Ordinals are positions in the sorted ``para_order`` and
+    ``article_order``.
     """
     postings: dict[str, dict[str, int]] = {}
     article_postings: dict[str, dict[str, int]] = {}
@@ -120,9 +134,11 @@ def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedI
             entry = article_postings.setdefault(term, {})
             entry[aid] = entry.get(aid, 0) + tf
     para_order = tuple(sorted(doc_lengths))
-    article_paragraphs: dict[str, list[str]] = {}
-    for pid in para_order:
-        article_paragraphs.setdefault(para_article[pid], []).append(pid)
+    article_order = tuple(sorted(article_lengths))
+    ordinals = tuple(range(len(para_order)))
+    members: dict[str, list[int]] = {aid: [] for aid in article_order}
+    for i, pid in zip(ordinals, para_order):
+        members[para_article[pid]].append(i)
     return InvertedIndex(
         postings=postings,
         article_postings=article_postings,
@@ -134,8 +150,10 @@ def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedI
         df_para={term: len(entry) for term, entry in postings.items()},
         df_article={term: len(entry) for term, entry in article_postings.items()},
         para_article=para_article,
-        article_paragraphs={aid: tuple(pids) for aid, pids in article_paragraphs.items()},
         para_order=para_order,
+        article_order=article_order,
+        article_members=tuple(map(tuple, members.values())),
+        ordinals=ordinals,
     )
 
 
@@ -201,11 +219,17 @@ class SearchHit:
     rank: int
 
 
-def _impacts(index: InvertedIndex, term: str) -> tuple[array, array]:
+def _ordinals(index: InvertedIndex, order: tuple[str, ...], ids) -> tuple[int, ...]:
+    """The positions of ``ids`` in the sorted ``order``, as ints of ``index.ordinals``."""
+    ordinals = index.ordinals
+    return tuple([ordinals[bisect_left(order, key)] for key in ids])
+
+
+def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
     """The term's contribution to each paragraph and article it occurs in.
 
     Written exactly as in score_paragraph and score_article. A clamped article
-    idf of 0.0 adds nothing, so its article array is empty. Terms the index
+    idf of 0.0 adds nothing, so its article level is empty. Terms the index
     lacks are not stored, so the cache stays within the vocabulary.
     """
     entry = index.postings.get(term, {})
@@ -215,46 +239,45 @@ def _impacts(index: InvertedIndex, term: str) -> tuple[array, array]:
         idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * lengths[pid] / avg))
         for pid, tf in entry.items()
     ])
-    article_entry = index.article_postings.get(term, {})
     idf = idf_article_clamped(index, term)
+    article_entry = index.article_postings.get(term, {}) if idf else {}
     article = array("d", [
         idf * idf * tf * (ARTICLE_K1 + 1.0) / (tf + ARTICLE_K1) for tf in article_entry.values()
-    ] if idf else ())
-    if entry or article_entry:
-        index.impacts[term] = (para, article)
-    return para, article
+    ])
+    levels = (
+        (_ordinals(index, index.para_order, entry), para),
+        (_ordinals(index, index.article_order, article_entry), article),
+    )
+    if entry:
+        index.impacts[term] = levels
+    return levels
 
 
-def _add(acc: dict[str, float], keys, contributions: array) -> None:
-    if acc:
-        get = acc.get
-        for key, c in zip(keys, contributions):
-            acc[key] = get(key, 0.0) + c
-    else:
-        acc.update(zip(keys, contributions))  # 0.0 + c == c
-
-
-def _accumulate(index: InvertedIndex, query: Query) -> dict[str, float]:
-    """Combined score of every paragraph the query reaches, a term at a time.
+def _accumulate(index: InvertedIndex, query: Query) -> list[float]:
+    """Combined score of every paragraph, by ordinal, a term at a time.
 
     Each term's cached contributions are added in query-term order, and
     0.0 + c == c and p + 0.0 == p, so every value equals combined_score bit
     for bit. The tie-breaks of search_topk and rank_of rely on that exact
-    equality.
+    equality. Paragraphs the query does not reach score exactly 0.0.
     """
-    scores: dict[str, float] = {}
-    article_scores: dict[str, float] = {}
+    scores = [0.0] * index.n_para
+    article_scores = [0.0] * index.n_article
     cache = index.impacts
     for term in query:
-        para, article = cache.get(term) or _impacts(index, term)
-        if para:
-            _add(scores, index.postings[term], para)
-        if article:
-            _add(article_scores, index.article_postings[term], article)
-    for aid, total in article_scores.items():
-        if total > 0.0:
-            for pid in index.article_paragraphs[aid]:
-                scores[pid] = scores.get(pid, 0.0) + total
+        (para_ordinals, para), (article_ordinals, article) = (
+            cache.get(term) or _impacts(index, term)
+        )
+        for i, c in zip(para_ordinals, para):
+            scores[i] += c
+        for a, c in zip(article_ordinals, article):
+            article_scores[a] += c
+    members = index.article_members
+    # An article has at least one paragraph, so the ordinals cover every article.
+    for a in compress(index.ordinals, article_scores):
+        total = article_scores[a]
+        for i in members[a]:
+            scores[i] += total
     return scores
 
 
@@ -268,17 +291,16 @@ def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = _accumulate(index, query)
-    # Only paragraphs scoring at least the k-th best score can make the top
-    # k, so the tuple sort below sees about k entries, not every one reached.
-    cutoff = heapq.nlargest(k, scores.values())[-1] if len(scores) > k else 0.0
-    scored = [(score, pid) for pid, score in scores.items() if score > 0.0 and score >= cutoff]
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    top = scored[:k]
+    ordinals = index.ordinals
+    top = list(compress(ordinals, scores))
+    # Stable, so tied ordinals stay ascending, which is ascending id.
+    top.sort(key=scores.__getitem__, reverse=True)
+    del top[k:]
     if len(top) < k and len(top) < index.n_para:
-        taken = {pid for _, pid in top}
-        fill = islice(filterfalse(taken.__contains__, index.para_order), k - len(top))
-        top.extend((0.0, pid) for pid in fill)
-    return [SearchHit(pid, score, rank) for rank, (score, pid) in enumerate(top, start=1)]
+        taken = set(top)
+        top += islice(filterfalse(taken.__contains__, ordinals), k - len(top))
+    order = index.para_order
+    return [SearchHit(order[i], scores[i], rank) for rank, i in enumerate(top, start=1)]
 
 
 def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int:
@@ -289,18 +311,16 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     """
     if target_paragraph_id not in index.doc_lengths:
         raise KeyError(f"unknown paragraph id {target_paragraph_id!r}")
+    target = bisect_left(index.para_order, target_paragraph_id)
     scores = _accumulate(index, query)
-    target_score = scores.get(target_paragraph_id, 0.0)
+    target_score = scores[target]
     if target_score <= 0.0:
         return index.sentinel_rank
-    values = scores.values()
-    rank = 1 + sum(map(target_score.__lt__, values))
-    if countOf(values, target_score) > 1:
-        rank += sum(
-            1 for pid, score in scores.items()
-            if score == target_score and pid < target_paragraph_id
-        )
-    return rank
+    # Ties count when their ordinal, and so their id, is below the target's.
+    return (
+        1 + sum(map(target_score.__lt__, scores))
+        + countOf(islice(scores, target), target_score)
+    )
 
 
 def save_index(index: InvertedIndex, path) -> None:

@@ -472,3 +472,20 @@ def test_cli_refuses_index_with_other_token_counts(workspace, capsys):
     ], capsys)
     pid = f"{records[2]['article_id']}#{records[2]['order']}"
     assert message == f"iterqa bench: index does not match the corpus at paragraph {pid!r}"
+
+
+def test_cli_refuses_index_with_other_words_at_equal_token_counts(workspace, capsys):
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(corpus_path)
+    records[2]["text"] = " ".join(["zzzword"] + records[2]["text"].split()[1:])
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(json.dumps(r) + "\n" for r in records))
+    index_path = tmp_path / "index.jsonl"
+    assert main(["index", "--corpus", str(edited), "--out", str(index_path)]) == 0
+    capsys.readouterr()
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+        "--index", str(index_path),
+    ], capsys)
+    pid = f"{records[2]['article_id']}#{records[2]['order']}"
+    assert message == f"iterqa bench: index does not match the corpus at paragraph {pid!r}"

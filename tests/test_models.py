@@ -35,6 +35,7 @@ from iterqa.models import (
 )
 from iterqa.pipeline import QuestionExample, initial_path
 from iterqa.search import build_index, idf_paragraph
+from iterqa.synth import make_chain_benchmark
 
 
 def corpus_from(records):
@@ -387,6 +388,23 @@ def test_reranker_matches_brute_force(fixture_corpus, fixture_index):
             idf_paragraph(fixture_index, t) for t in set(para.tokens) & reference
         ) / math.sqrt(len(para.tokens))
         assert reranker(path, para) == pytest.approx(expected, abs=1e-12)
+
+
+def test_reranker_adds_idfs_left_to_right_in_sorted_term_order():
+    # sum() compensates float sums from Python 3.12 on, so on those
+    # interpreters it differs from left-to-right addition on many lists.
+    bench = make_chain_benchmark(n_per_hop=(20, 20, 20), n_distractors=20, seed=13)
+    index = build_index(bench.corpus)
+    reranker = LexicalReranker(index)
+    for example in bench.examples[:12]:
+        gold = bench.corpus.paragraphs[example.gold_ids[0]]
+        path = initial_path(example.question).extended(gold)
+        reference = set(tokenize(example.question)) | set(gold.tokens)
+        for para in bench.corpus.paragraphs.values():
+            total = 0.0
+            for term in sorted(reference & set(para.tokens)):
+                total += idf_paragraph(index, term)
+            assert reranker(path, para) == total / math.sqrt(len(para.tokens))
 
 
 RERANKER_SCORES_SNIPPET = """

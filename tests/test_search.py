@@ -493,6 +493,89 @@ def test_rank_of_equals_brute_force_cold_and_warm(articles, queries, target):
 
 
 # ---------------------------------------------------------------------------
+# the dense score lists: edge cases on a built and on a saved-then-loaded index
+# ---------------------------------------------------------------------------
+
+def built_and_loaded(corpus, tmp_path):
+    index = build_index(corpus)
+    path = tmp_path / "index.jsonl"
+    save_index(index, path)
+    return index, load_index(path)
+
+
+def records_of(*texts_by_id):
+    """Records from (article id, order, text) triples, in the given order."""
+    return corpus_from(
+        {"article_id": aid, "title": "T", "order": order, "text": text}
+        for aid, order, text in texts_by_id
+    )
+
+
+def test_paragraph_reached_only_through_its_article(tmp_path):
+    corpus = records_of(
+        ("d", 0, "stone wall"), ("a", 0, "rare bird sings"), ("a", 1, "quiet morning"),
+        ("b", 0, "quiet evening"), ("c", 0, "stone bridge"),
+    )
+    brute = BruteForceScorer(corpus)
+    assert brute.combined("a#1", ["rare"]) > 0.0
+    for index in built_and_loaded(corpus, tmp_path):
+        assert score_paragraph(index, "a#1", ["rare"]) == 0.0
+        for query in (["rare"], ["quiet", "rare"], ["rare", "stone", "rare"]):
+            hits = search_topk(index, query, 5)
+            assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, 5)
+            for pid in corpus.paragraphs:
+                assert rank_of(index, pid, query) == brute.rank_of(pid, query)
+
+
+def test_rank_of_counts_only_the_twins_below_the_target(tmp_path):
+    # Three identical articles; "m" has a twin id on each side, and ingest
+    # order (x, m, c) is not id order.
+    twin = "twin pine lake"
+    corpus = records_of(
+        ("x", 0, twin), ("b", 0, "twin twin pine"), ("m", 0, twin), ("c", 0, twin),
+        ("k", 0, "pine cone"), ("q", 0, "lake shore"),
+    )
+    brute = BruteForceScorer(corpus)
+    for index in built_and_loaded(corpus, tmp_path):
+        for query in (["twin"], ["lake", "pine"], ["pine", "twin", "twin"]):
+            ranks = [rank_of(index, pid, query) for pid in ("c#0", "m#0", "x#0")]
+            assert ranks == [brute.rank_of(pid, query) for pid in ("c#0", "m#0", "x#0")]
+            assert ranks[1] == ranks[0] + 1 and ranks[2] == ranks[0] + 2
+
+
+def test_articles_whose_paragraphs_are_apart_in_id_order(tmp_path):
+    # Ids sort a#0 < a#1#0 < a#10 < a#2 < z#0, so article "a" sits at
+    # ordinals 0, 2 and 3; ingest order is z#0, a#0, a#2, a#10, a#1#0.
+    corpus = records_of(
+        ("z", 0, "river delta mud"), ("a", 10, "heron river"), ("a#1", 0, "delta heron"),
+        ("a", 2, "mud flats"), ("a", 0, "tidal river"), ("y", 0, "mud hut"),
+    )
+    brute = BruteForceScorer(corpus)
+    for index in built_and_loaded(corpus, tmp_path):
+        assert index.article_members[index.article_order.index("a")] == (0, 2, 3)
+        for query in (["tidal"], ["heron", "mud"], ["flats", "delta", "river", "flats"]):
+            hits = search_topk(index, query, index.n_para)
+            assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, index.n_para)
+            for pid in corpus.paragraphs:
+                assert rank_of(index, pid, query) == brute.rank_of(pid, query)
+    assert list(build_index(corpus).doc_lengths) != sorted(corpus.paragraphs)
+
+
+def test_topk_with_k_above_the_reached_paragraphs(tmp_path):
+    corpus = records_of(
+        ("g", 0, "owl night"), ("e", 0, "fern moss"), ("g", 1, "barn roof"),
+        ("c", 0, "moss stone"), ("f", 0, "brook"), ("b", 0, "pebble"), ("a", 0, "sand"),
+    )
+    brute = BruteForceScorer(corpus)
+    for index in built_and_loaded(corpus, tmp_path):
+        for query, k in ((["owl"], 4), (["fern", "owl"], 6), (["absentword"], 3)):
+            reached = [pid for pid in corpus.paragraphs if brute.combined(pid, query) > 0.0]
+            assert len(reached) < k
+            hits = search_topk(index, query, k)
+            assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, k)
+
+
+# ---------------------------------------------------------------------------
 # the per-term contribution cache
 # ---------------------------------------------------------------------------
 
@@ -501,18 +584,26 @@ def test_cached_contributions_equal_reference_and_stay_unchanged():
     index = build_index(corpus)
     term = next(t for t in sorted(index.postings) if idf_article_clamped(index, t) > 0.0)
     search_topk(index, [term], 5)
-    para, article = index.impacts[term]
-    assert list(para) == [score_paragraph(index, pid, [term]) for pid in index.postings[term]]
+    entry = index.impacts[term]
+    (para_ordinals, para), (article_ordinals, article) = entry
+    assert [index.para_order[i] for i in para_ordinals] == list(index.postings[term])
+    assert [index.article_order[a] for a in article_ordinals] == list(
+        index.article_postings[term]
+    )
+    assert list(para) == [score_paragraph(index, index.para_order[i], [term]) for i in para_ordinals]
     assert list(article) == [
-        score_article(index, aid, [term]) for aid in index.article_postings[term]
+        score_article(index, index.article_order[a], [term]) for a in article_ordinals
     ]
-    snapshot = (list(para), list(article))
+    assert all(index.ordinals[i] is i for i in para_ordinals + article_ordinals)
+    snapshot = (para_ordinals, list(para), article_ordinals, list(article))
     target = next(iter(index.postings[term]))
     for query in ([term, "w001"], [term, term], [term, "w002", "w001", term]):
         search_topk(index, query, 5)
         rank_of(index, target, query)
-    assert index.impacts[term][0] is para and index.impacts[term][1] is article
-    assert (list(para), list(article)) == snapshot
+    assert index.impacts[term] is entry
+    assert entry[0][0] is para_ordinals and entry[0][1] is para
+    assert entry[1][0] is article_ordinals and entry[1][1] is article
+    assert (para_ordinals, list(para), article_ordinals, list(article)) == snapshot
 
 
 def test_absent_terms_are_not_cached():
@@ -597,8 +688,9 @@ def test_load_shares_id_strings(tmp_path):
         assert all(aid is article_ids[aid] for aid in entry)
     for pid, aid in index.para_article.items():
         assert aid is article_ids[aid]
-    for members in index.article_paragraphs.values():
-        assert all(pid is para_ids[pid] for pid in members)
+    assert all(aid is article_ids[aid] for aid in index.article_order)
+    for members in index.article_members:
+        assert all(i is index.ordinals[i] for i in members)
 
 
 def saved_lines(path):
