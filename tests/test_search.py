@@ -503,16 +503,16 @@ def built_and_loaded(corpus, tmp_path):
     return index, load_index(path)
 
 
-def records_of(*texts_by_id):
-    """Records from (article id, order, text) triples, in the given order."""
+def corpus_of(*triples):
+    """A corpus of (article id, order, text) triples, ingested in the given order."""
     return corpus_from(
         {"article_id": aid, "title": "T", "order": order, "text": text}
-        for aid, order, text in texts_by_id
+        for aid, order, text in triples
     )
 
 
 def test_paragraph_reached_only_through_its_article(tmp_path):
-    corpus = records_of(
+    corpus = corpus_of(
         ("d", 0, "stone wall"), ("a", 0, "rare bird sings"), ("a", 1, "quiet morning"),
         ("b", 0, "quiet evening"), ("c", 0, "stone bridge"),
     )
@@ -528,10 +528,10 @@ def test_paragraph_reached_only_through_its_article(tmp_path):
 
 
 def test_rank_of_counts_only_the_twins_below_the_target(tmp_path):
-    # Three identical articles; "m" has a twin id on each side, and ingest
-    # order (x, m, c) is not id order.
+    # Three identical articles; "m" has a twin id on each side, and they are
+    # ingested x, m, c, not in id order.
     twin = "twin pine lake"
-    corpus = records_of(
+    corpus = corpus_of(
         ("x", 0, twin), ("b", 0, "twin twin pine"), ("m", 0, twin), ("c", 0, twin),
         ("k", 0, "pine cone"), ("q", 0, "lake shore"),
     )
@@ -546,10 +546,11 @@ def test_rank_of_counts_only_the_twins_below_the_target(tmp_path):
 def test_articles_whose_paragraphs_are_apart_in_id_order(tmp_path):
     # Ids sort a#0 < a#1#0 < a#10 < a#2 < z#0, so article "a" sits at
     # ordinals 0, 2 and 3; ingest order is z#0, a#0, a#2, a#10, a#1#0.
-    corpus = records_of(
+    corpus = corpus_of(
         ("z", 0, "river delta mud"), ("a", 10, "heron river"), ("a#1", 0, "delta heron"),
         ("a", 2, "mud flats"), ("a", 0, "tidal river"), ("y", 0, "mud hut"),
     )
+    assert list(build_index(corpus).doc_lengths) != sorted(corpus.paragraphs)
     brute = BruteForceScorer(corpus)
     for index in built_and_loaded(corpus, tmp_path):
         assert index.article_members[index.article_order.index("a")] == (0, 2, 3)
@@ -558,11 +559,10 @@ def test_articles_whose_paragraphs_are_apart_in_id_order(tmp_path):
             assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, index.n_para)
             for pid in corpus.paragraphs:
                 assert rank_of(index, pid, query) == brute.rank_of(pid, query)
-    assert list(build_index(corpus).doc_lengths) != sorted(corpus.paragraphs)
 
 
 def test_topk_with_k_above_the_reached_paragraphs(tmp_path):
-    corpus = records_of(
+    corpus = corpus_of(
         ("g", 0, "owl night"), ("e", 0, "fern moss"), ("g", 1, "barn roof"),
         ("c", 0, "moss stone"), ("f", 0, "brook"), ("b", 0, "pebble"), ("a", 0, "sand"),
     )
