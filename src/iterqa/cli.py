@@ -59,10 +59,13 @@ def _factory(args, index, corpus):
 def _index_for(args, corpus):
     """The index at ``--index``, once its paragraphs match the corpus; else a new one.
 
-    A paragraph matches when its article, its token count and the count of
-    each of its indexed terms are the corpus's. Equal counts of the indexed
-    terms at an equal token count leave no room for another term.
+    A corpus without paragraphs is refused. A paragraph matches when its
+    article, its token count and the count of each of its indexed terms are
+    the corpus's. Equal counts of the indexed terms at an equal token count
+    leave no room for another term.
     """
+    if not corpus.paragraphs:
+        raise IngestError(None, f"corpus {args.corpus!r} holds no paragraphs")
     if not getattr(args, "index", None):
         return build_index(corpus)
     index = load_index(args.index)
@@ -84,8 +87,10 @@ def _index_for(args, corpus):
 
 
 def _examples_for(path, corpus) -> list[QuestionExample]:
-    """The questions in ``path``, once every gold id is known to be in the corpus."""
+    """The questions in ``path``, once it holds one and every gold id is in the corpus."""
     examples = load_examples(path)
+    if not examples:
+        raise QuestionsFormatError(f"questions file {path!r} holds no questions")
     for example in examples:
         for gold_id in example.gold_ids:
             if gold_id not in corpus.paragraphs:
@@ -96,8 +101,7 @@ def _examples_for(path, corpus) -> list[QuestionExample]:
 
 
 def cmd_index(args) -> int:
-    corpus = load_corpus(args.corpus)
-    index = build_index(corpus)
+    index = _index_for(args, load_corpus(args.corpus))
     save_index(index, args.out)
     print(f"indexed {index.n_para} paragraphs / {index.n_article} articles -> {args.out}")
     return 0

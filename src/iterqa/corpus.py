@@ -61,12 +61,11 @@ class Paragraph:
 
 @dataclass(frozen=True)
 class Article:
-    """A document-ordered group of paragraphs plus their concatenated tokens."""
+    """A document-ordered group of paragraphs; its text is theirs, in order."""
 
     article_id: str
     title: str
     paragraphs: tuple[Paragraph, ...]
-    full_text_tokens: tuple[str, ...]
 
 
 @dataclass
@@ -78,10 +77,10 @@ class Corpus:
 
 
 class IngestError(ValueError):
-    """A corpus input line could not be ingested; carries the line number."""
+    """A corpus input could not be ingested; carries the line at fault, if one is."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -148,8 +147,7 @@ def ingest_corpus(source: Iterable[str]) -> Corpus:
             )
             members.append(para)
             paragraphs[para.id] = para
-        full_tokens = tuple(t for p in members for t in p.tokens)
-        articles[article_id] = Article(article_id, title, tuple(members), full_tokens)
+        articles[article_id] = Article(article_id, title, tuple(members))
     return Corpus(paragraphs=paragraphs, articles=articles)
 
 

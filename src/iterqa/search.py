@@ -26,13 +26,15 @@ additions and break that equality.) Contributions are positive, so a
 paragraph the query reaches scores above 0.0 and any other scores exactly
 0.0; the reached ordinals are read off the list with ``compress``.
 
-An article's text is its paragraphs' tokens in order, so its length and
-postings are sums over its paragraphs: build_index and load_index both feed
-(paragraph id, article id, term counts) records into ``_make_index``, which
-derives the article level. An index file is a JSON header (magic, format
-version, the four constants, ``n_para``), then one line per paragraph in id
-order, ``["<paragraph id>", "<article id>", {"<term>": tf, ...}]`` with
-sorted terms. No line refers to another, and a file with other than
+The index holds the paragraph level only. An article's text is its
+paragraphs' tokens in order, so a term's article tfs (sums over the
+article's paragraphs) and article df are derived from its paragraph
+postings on the term's first use, and cached with its contributions.
+build_index and load_index both feed (paragraph id, article id, term
+counts) records into ``_make_index``. An index file is a JSON header
+(magic, format version, the four constants, ``n_para``), then one line per
+paragraph in id order, ``["<paragraph id>", "<article id>", {"<term>": tf, ...}]``
+with sorted terms. No line refers to another, and a file with other than
 ``n_para`` paragraph lines is refused.
 """
 
@@ -72,26 +74,26 @@ _Level = tuple[tuple[int, ...], array]
 
 @dataclass
 class InvertedIndex:
-    """Paragraph- and article-level postings over an ingested corpus.
+    """Paragraph-level postings over an ingested corpus.
+
+    The article level is not stored: an article's text is its paragraphs'
+    tokens, so the scorer derives a term's article tfs and df from the
+    term's paragraph postings on its first use.
 
     Immutable after build_index or load_index except ``impacts``, the
     scorer's lazily filled cache: term -> (paragraph level, article level),
-    each level the ordinals and contributions of ``postings[term]`` or
-    ``article_postings[term]`` in key order, left out of ``==`` and ``repr``.
-    Concurrent reads stay safe: each entry is an idempotent value, derived
-    from the immutable postings and set with one dict assignment under the
-    GIL, so a reader never sees a partial entry.
+    each level the ordinals and contributions of the paragraphs or articles
+    the term occurs in, left out of ``==`` and ``repr``. Concurrent reads
+    stay safe: each entry is an idempotent value, derived from the immutable
+    postings and set with one dict assignment under the GIL, so a reader
+    never sees a partial entry.
     """
 
     postings: dict[str, dict[str, int]]          # term -> {paragraph_id: tf}
-    article_postings: dict[str, dict[str, int]]  # term -> {article_id: tf}
     doc_lengths: dict[str, int]                  # paragraph_id -> token count
-    article_lengths: dict[str, int]              # article_id -> token count
     avg_doc_length: float
     n_para: int
     n_article: int
-    df_para: dict[str, int]
-    df_article: dict[str, int]
     para_article: dict[str, str]                 # paragraph_id -> parent article_id
     para_order: tuple[str, ...]                  # paragraph ids, ascending
     article_order: tuple[str, ...]               # article ids, ascending
@@ -114,41 +116,29 @@ class IndexFormatError(ValueError):
 def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedIndex:
     """Invert (paragraph id, article id, term counts) records and derive the rest.
 
-    Article lengths and term frequencies are sums over the article's
-    paragraphs. Each article id is interned, so the index holds one string
-    per article. Ordinals are positions in the sorted ``para_order`` and
-    ``article_order``.
+    Each article id is interned, so the index holds one string per article.
+    Ordinals are positions in the sorted ``para_order`` and ``article_order``.
     """
     postings: dict[str, dict[str, int]] = {}
-    article_postings: dict[str, dict[str, int]] = {}
     doc_lengths: dict[str, int] = {}
-    article_lengths: dict[str, int] = {}
     para_article: dict[str, str] = {}
     for pid, aid, counts in records:
-        aid = sys.intern(aid)
-        para_article[pid] = aid
-        doc_lengths[pid] = length = sum(counts.values())
-        article_lengths[aid] = article_lengths.get(aid, 0) + length
+        para_article[pid] = sys.intern(aid)
+        doc_lengths[pid] = sum(counts.values())
         for term, tf in counts.items():
             postings.setdefault(term, {})[pid] = tf
-            entry = article_postings.setdefault(term, {})
-            entry[aid] = entry.get(aid, 0) + tf
     para_order = tuple(sorted(doc_lengths))
-    article_order = tuple(sorted(article_lengths))
+    article_order = tuple(sorted(set(para_article.values())))
     ordinals = tuple(range(len(para_order)))
     members: dict[str, list[int]] = {aid: [] for aid in article_order}
     for i, pid in zip(ordinals, para_order):
         members[para_article[pid]].append(i)
     return InvertedIndex(
         postings=postings,
-        article_postings=article_postings,
         doc_lengths=doc_lengths,
-        article_lengths=article_lengths,
         avg_doc_length=sum(doc_lengths.values()) / len(doc_lengths),
         n_para=len(doc_lengths),
-        n_article=len(article_lengths),
-        df_para={term: len(entry) for term, entry in postings.items()},
-        df_article={term: len(entry) for term, entry in article_postings.items()},
+        n_article=len(article_order),
         para_article=para_article,
         para_order=para_order,
         article_order=article_order,
@@ -167,13 +157,13 @@ def build_index(corpus: Corpus) -> InvertedIndex:
 
 def idf_paragraph(index: InvertedIndex, term: str) -> float:
     """Paragraph-level idf, ln(1 + (N-n+0.5)/(n+0.5)); always positive."""
-    n = index.df_para.get(term, 0)
+    n = len(index.postings.get(term, ()))
     return math.log(1.0 + (index.n_para - n + 0.5) / (n + 0.5))
 
 
 def idf_article_clamped(index: InvertedIndex, term: str) -> float:
-    """Article-level idf, max(0, ln((N-n+0.5)/(n+0.5)))."""
-    n = index.df_article.get(term, 0)
+    """Article-level idf, max(0, ln((N-n+0.5)/(n+0.5))), n the articles the term reaches."""
+    n = len({index.para_article[pid] for pid in index.postings.get(term, ())})
     return max(0.0, math.log((index.n_article - n + 0.5) / (n + 0.5)))
 
 
@@ -193,12 +183,14 @@ def score_paragraph(index: InvertedIndex, paragraph_id: str, query: Query) -> fl
 
 
 def score_article(index: InvertedIndex, article_id: str, query: Query) -> float:
-    """Squared-idf, length-unnormalized score of an article's full text."""
-    if article_id not in index.article_lengths:
+    """Squared-idf, length-unnormalized score of an article's text, its paragraphs' tokens."""
+    members = [pid for pid, aid in index.para_article.items() if aid == article_id]
+    if not members:
         raise KeyError(f"unknown article id {article_id!r}")
     score = 0.0
     for term in query:
-        tf = index.article_postings.get(term, {}).get(article_id, 0)
+        entry = index.postings.get(term, {})
+        tf = sum(entry.get(pid, 0) for pid in members)
         if tf == 0:
             continue
         idf = idf_article_clamped(index, term)
@@ -240,7 +232,11 @@ def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
         for pid, tf in entry.items()
     ])
     idf = idf_article_clamped(index, term)
-    article_entry = index.article_postings.get(term, {}) if idf else {}
+    article_entry: dict[str, int] = {}
+    if idf:
+        for pid, tf in entry.items():
+            aid = index.para_article[pid]
+            article_entry[aid] = article_entry.get(aid, 0) + tf
     article = array("d", [
         idf * idf * tf * (ARTICLE_K1 + 1.0) / (tf + ARTICLE_K1) for tf in article_entry.values()
     ])

@@ -30,7 +30,8 @@ class BruteForceScorer:
     def __init__(self, corpus: Corpus):
         self.para_tf = {p.id: Counter(p.tokens) for p in corpus.paragraphs.values()}
         self.art_tf = {
-            a.article_id: Counter(a.full_text_tokens) for a in corpus.articles.values()
+            a.article_id: Counter(t for p in a.paragraphs for t in p.tokens)
+            for a in corpus.articles.values()
         }
         self.para_article = {p.id: p.article_id for p in corpus.paragraphs.values()}
         self.para_len = {p.id: len(p.tokens) for p in corpus.paragraphs.values()}

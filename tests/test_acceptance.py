@@ -1,6 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-The benchmark-grid test after criterion 6 shares its per-K runs.
+Criteria 5 and 6 read one run_benchmark pass with the fixed-K grid 1-5; the
+benchmark-grid test after criterion 6 checks its rows against criterion 6's
+independent per-K runs.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Empirically frozen values (criterion 3) were recorded from the
@@ -62,13 +64,14 @@ def model_factory(chain_benchmark, chain_index):
 
 
 @pytest.fixture(scope="module")
-def dynamic_run(chain_benchmark, chain_index, model_factory):
+def benchmark_run(chain_benchmark, chain_index, model_factory):
+    """The dynamic run and its fixed-K rows for K = 1..5, with the seconds taken."""
     started = time.time()
-    result = evaluate(
+    report = run_benchmark(
         chain_benchmark.examples, chain_benchmark.corpus, chain_index, model_factory,
-        PipelineConfig(k_cap=5, docs_per_step=50),
+        PipelineConfig(k_cap=5, docs_per_step=50), fixed_k_grid=(1, 2, 3, 4, 5),
     )
-    return result, time.time() - started
+    return report, time.time() - started
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +267,9 @@ def test_criterion_4_oracle_recall(chain_benchmark, chain_index):
 # criterion 5: end-to-end multi-hop recovery
 # ---------------------------------------------------------------------------
 
-def test_criterion_5_end_to_end_multi_hop(chain_benchmark, dynamic_run):
-    result, elapsed = dynamic_run
+def test_criterion_5_end_to_end_multi_hop(chain_benchmark, benchmark_run):
+    report, elapsed = benchmark_run
+    result = report.result
     correct_by_hop: dict[int, list[float]] = {1: [], 2: [], 3: []}
     for ex, row in zip(chain_benchmark.examples, result.per_question):
         hops = len(ex.gold_ids)
@@ -301,8 +305,8 @@ def fixed_runs(chain_benchmark, chain_index, model_factory):
     }
 
 
-def test_criterion_6_dynamic_stopping(chain_benchmark, dynamic_run, fixed_runs):
-    dynamic_result, _ = dynamic_run
+def test_criterion_6_dynamic_stopping(chain_benchmark, benchmark_run, fixed_runs):
+    dynamic_result = benchmark_run[0].result
     fixed_f1 = {k: fixed.f1 for k, fixed in fixed_runs.items()}
     dominates = all(dynamic_result.f1 >= f1 - 1e-9 for f1 in fixed_f1.values())
 
@@ -326,18 +330,11 @@ def test_criterion_6_dynamic_stopping(chain_benchmark, dynamic_run, fixed_runs):
     )
 
 
-def test_run_benchmark_fixed_rows_equal_per_k_runs(
-    chain_benchmark, chain_index, model_factory, dynamic_run, fixed_runs
-):
+def test_run_benchmark_fixed_rows_equal_per_k_runs(benchmark_run, fixed_runs):
     # run_benchmark reads every fixed-K row off one run forced at the largest
     # K; the rows must equal the independent per-K runs of criterion 6 exactly.
-    report = run_benchmark(
-        chain_benchmark.examples, chain_benchmark.corpus, chain_index, model_factory,
-        PipelineConfig(k_cap=5, docs_per_step=50), fixed_k_grid=(1, 2, 3, 4, 5),
-    )
-    dynamic_result, _ = dynamic_run
-    assert report.result == dynamic_result
-    assert report.dynamic_vs_fixed == [("dynamic", dynamic_result.em, dynamic_result.f1)] + [
+    report = benchmark_run[0]
+    assert report.dynamic_vs_fixed == [("dynamic", report.result.em, report.result.f1)] + [
         (f"fixed-{k}", fixed.em, fixed.f1) for k, fixed in fixed_runs.items()
     ]
 

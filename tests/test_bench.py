@@ -137,6 +137,7 @@ def test_run_benchmark_fixed_rows_equal_fixed_step_runs(bench_setup):
     grid = (2, 4, 1, 3)
     report = run_benchmark(examples, corpus, index, counting_factory, config, fixed_k_grid=grid)
     assert len(calls) == 2 * len(examples)  # the dynamic pass and one forced pass
+    assert report.result == evaluate(examples, corpus, index, factory, config)
     expected = [("dynamic", report.result.em, report.result.f1)]
     for k in grid:
         fixed = evaluate(examples, corpus, index, factory, replace(config, fixed_steps=k))

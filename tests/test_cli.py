@@ -489,3 +489,34 @@ def test_cli_refuses_index_with_other_words_at_equal_token_counts(workspace, cap
     ], capsys)
     pid = f"{records[2]['article_id']}#{records[2]['order']}"
     assert message == f"iterqa bench: index does not match the corpus at paragraph {pid!r}"
+
+
+def empty_input_argv(command, tmp_path, corpus_path, questions_path):
+    argv = [command, "--corpus", str(corpus_path)]
+    if command == "run":
+        argv += ["--question-file", str(questions_path)]
+    elif command != "index":
+        argv += ["--questions", str(questions_path)]
+    if command in ("index", "oracle", "traces"):
+        argv += ["--out", str(tmp_path / "out.jsonl")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["index", "oracle", "traces", "run", "bench"])
+def test_cli_refuses_an_empty_corpus(workspace, capsys, command):
+    tmp_path, _, questions_path = workspace
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    message = cli_error(empty_input_argv(command, tmp_path, empty, questions_path), capsys)
+    assert message == f"iterqa {command}: corpus {str(empty)!r} holds no paragraphs"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "traces", "run", "bench"])
+def test_cli_refuses_a_questions_file_without_questions(workspace, capsys, command):
+    tmp_path, corpus_path, _ = workspace
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    message = cli_error(empty_input_argv(command, tmp_path, corpus_path, empty), capsys)
+    assert message == f"iterqa {command}: questions file {str(empty)!r} holds no questions"
+    assert not (tmp_path / "out.jsonl").exists()

@@ -101,10 +101,10 @@ def test_article_tokens_concatenate_members():
         {"article_id": "b", "title": "B", "order": 0, "text": "five"},
     ]))
     article = corpus.articles["a"]
-    expected = tuple(tokenize("One two") + tokenize("Three four."))
-    assert article.full_text_tokens == expected
     assert [p.id for p in article.paragraphs] == ["a#0", "a#1"]
-    assert corpus.articles["b"].full_text_tokens == ("five",)
+    expected = tokenize("One two") + tokenize("Three four.")
+    assert [t for p in article.paragraphs for t in p.tokens] == expected
+    assert [p.tokens for p in corpus.articles["b"].paragraphs] == [("five",)]
 
 
 def test_paragraph_tokens_match_retokenization():

@@ -15,6 +15,7 @@ from iterqa.search import (
     build_index,
     combined_score,
     idf_article_clamped,
+    idf_paragraph,
     load_index,
     rank_of,
     save_index,
@@ -38,10 +39,12 @@ def single_para_corpus(text="a b a"):
 
 def test_index_single_paragraph_counts():
     index = build_index(single_para_corpus("a b a"))
-    assert index.df_para["a"] == 1
     assert index.postings["a"] == {"art#0": 2}
     assert index.doc_lengths["art#0"] == 3
     assert index.n_para == 1 and index.n_article == 1
+    # "a" is in 1 of 1 paragraphs and 1 of 1 articles.
+    assert idf_paragraph(index, "a") == math.log(1.0 + (1 - 1 + 0.5) / (1 + 0.5))
+    assert idf_article_clamped(index, "a") == 0.0
 
 
 def test_index_same_article_df_levels():
@@ -49,17 +52,22 @@ def test_index_same_article_df_levels():
         {"article_id": "a", "title": "A", "order": 0, "text": "toad pond"},
         {"article_id": "a", "title": "A", "order": 1, "text": "toad garden"},
         {"article_id": "b", "title": "B", "order": 0, "text": "river"},
+        {"article_id": "c", "title": "C", "order": 0, "text": "lake"},
+        {"article_id": "d", "title": "D", "order": 0, "text": "hill"},
     ])
     index = build_index(corpus)
-    assert index.df_para["toad"] == 2
-    assert index.df_article["toad"] == 1
-    assert index.article_postings["toad"] == {"a": 2}
+    # "toad" is in 2 of 5 paragraphs but 1 of 4 articles, with tf 2 in "a".
+    assert idf_paragraph(index, "toad") == math.log(1.0 + (5 - 2 + 0.5) / (2 + 0.5))
+    idf = math.log((4 - 1 + 0.5) / (1 + 0.5))
+    assert idf_article_clamped(index, "toad") == idf
+    assert score_article(index, "a", ["toad"]) == idf * idf * 2 * (1.2 + 1.0) / (2 + 1.2)
+    assert score_article(index, "b", ["toad"]) == 0.0
 
 
 def test_index_absent_term_df_zero():
     index = build_index(single_para_corpus())
-    assert index.df_para.get("missing", 0) == 0
-    assert index.df_article.get("missing", 0) == 0
+    assert idf_paragraph(index, "missing") == math.log(1.0 + (1 - 0 + 0.5) / (0 + 0.5))
+    assert idf_article_clamped(index, "missing") == math.log((1 - 0 + 0.5) / (0 + 0.5))
 
 
 def test_index_empty_corpus_rejected():
@@ -72,10 +80,16 @@ def test_index_empty_corpus_rejected():
 def test_index_invariants_on_random_corpus():
     corpus = make_random_corpus(random.Random(3), n_articles=30)
     index = build_index(corpus)
-    for term, entry in index.postings.items():
-        assert index.df_para[term] == len(entry)
-    for term, entry in index.article_postings.items():
-        assert index.df_article[term] == len(entry)
+    brute = BruteForceScorer(corpus)
+    assert (index.n_para, index.n_article) == (brute.n_para, brute.n_article)
+    assert set(index.postings) == set(brute.df_para)
+    for term in brute.df_para:
+        n = brute.df_para[term]
+        assert idf_paragraph(index, term) == math.log(1.0 + (brute.n_para - n + 0.5) / (n + 0.5))
+        n = brute.df_article[term]
+        assert idf_article_clamped(index, term) == max(
+            0.0, math.log((brute.n_article - n + 0.5) / (n + 0.5))
+        )
     mean = sum(index.doc_lengths.values()) / len(index.doc_lengths)
     assert abs(index.avg_doc_length - mean) < 1e-9
 
@@ -587,9 +601,8 @@ def test_cached_contributions_equal_reference_and_stay_unchanged():
     entry = index.impacts[term]
     (para_ordinals, para), (article_ordinals, article) = entry
     assert [index.para_order[i] for i in para_ordinals] == list(index.postings[term])
-    assert [index.article_order[a] for a in article_ordinals] == list(
-        index.article_postings[term]
-    )
+    reached = {index.para_article[pid] for pid in index.postings[term]}
+    assert sorted(index.article_order[a] for a in article_ordinals) == sorted(reached)
     assert list(para) == [score_paragraph(index, index.para_order[i], [term]) for i in para_ordinals]
     assert list(article) == [
         score_article(index, index.article_order[a], [term]) for a in article_ordinals
@@ -604,6 +617,48 @@ def test_cached_contributions_equal_reference_and_stay_unchanged():
     assert entry[0][0] is para_ordinals and entry[0][1] is para
     assert entry[1][0] is article_ordinals and entry[1][1] is article
     assert (para_ordinals, list(para), article_ordinals, list(article)) == snapshot
+
+
+def cached_article_level(index, term):
+    """The cache's article level of ``term`` as {article id: contribution}."""
+    search_topk(index, [term], 1)
+    article_ordinals, article = index.impacts[term][1]
+    level = {index.article_order[a]: c for a, c in zip(article_ordinals, article)}
+    assert len(level) == len(article_ordinals)
+    return level
+
+
+def test_cached_article_level_equals_score_article(tmp_path):
+    corpus = make_random_corpus(random.Random(28), n_articles=20)
+    for index in built_and_loaded(corpus, tmp_path):
+        clamped = 0
+        for term in sorted(index.postings):
+            level = cached_article_level(index, term)
+            if idf_article_clamped(index, term) == 0.0:
+                clamped += 1
+                assert level == {}
+                continue
+            reached = {index.para_article[pid] for pid in index.postings[term]}
+            assert level == {aid: score_article(index, aid, [term]) for aid in reached}
+        assert 0 < clamped < len(index.postings)
+
+
+def test_cached_article_level_sums_paragraphs_apart_in_id_order(tmp_path):
+    # Ids sort a#0 < a#1#0 < a#10 < a#2, so "egret" is at ordinals 0 and 2 of
+    # article "a", with a paragraph of article "a#1" between them.
+    corpus = corpus_of(
+        ("a", 10, "egret egret heron"), ("a#1", 0, "heron reed"), ("a", 0, "egret mud"),
+        ("a", 2, "mud flats"), ("x", 0, "reed bed"), ("y", 0, "tide pool"),
+        ("z", 0, "sand bar"),
+    )
+    for index in built_and_loaded(corpus, tmp_path):
+        assert [index.para_order[i] for i in index.article_members[0]] == ["a#0", "a#10", "a#2"]
+        # tf 1 + 2 = 3 in article "a"; df 1 of 5 articles.
+        idf = math.log((5 - 1 + 0.5) / (1 + 0.5))
+        assert idf_article_clamped(index, "egret") == idf
+        expected = idf * idf * 3 * (1.2 + 1.0) / (3 + 1.2)
+        assert score_article(index, "a", ["egret"]) == expected
+        assert cached_article_level(index, "egret") == {"a": expected}
 
 
 def test_absent_terms_are_not_cached():
@@ -681,14 +736,13 @@ def test_load_shares_id_strings(tmp_path):
     save_index(build_index(make_random_corpus(random.Random(21), n_articles=15)), path)
     index = load_index(path)
     para_ids = {pid: pid for pid in index.doc_lengths}
-    article_ids = {aid: aid for aid in index.article_lengths}
+    article_ids = {aid: aid for aid in index.article_order}
+    assert len(article_ids) == len(index.article_order) == index.n_article
     for entry in index.postings.values():
         assert all(pid is para_ids[pid] for pid in entry)
-    for entry in index.article_postings.values():
-        assert all(aid is article_ids[aid] for aid in entry)
+    assert all(pid is para_ids[pid] for pid in index.para_order)
     for pid, aid in index.para_article.items():
-        assert aid is article_ids[aid]
-    assert all(aid is article_ids[aid] for aid in index.article_order)
+        assert pid is para_ids[pid] and aid is article_ids[aid]
     for members in index.article_members:
         assert all(i is index.ordinals[i] for i in members)
 
