@@ -51,12 +51,9 @@ from .search import (
     InvertedIndex,
     SearchHit,
     build_index,
-    combined_score,
     load_index,
     rank_of,
     save_index,
-    score_article,
-    score_paragraph,
     search_topk,
 )
 

@@ -56,16 +56,21 @@ def _factory(args, index, corpus):
     return build_model_factory(manifest, index, corpus)
 
 
+def _load_corpus(path):
+    """The corpus at ``path``, once it holds a paragraph."""
+    corpus = load_corpus(path)
+    if not corpus.paragraphs:
+        raise IngestError(None, f"corpus {path!r} holds no paragraphs")
+    return corpus
+
+
 def _index_for(args, corpus):
     """The index at ``--index``, once its paragraphs match the corpus; else a new one.
 
-    A corpus without paragraphs is refused. A paragraph matches when its
-    article, its token count and the count of each of its indexed terms are
-    the corpus's. Equal counts of the indexed terms at an equal token count
-    leave no room for another term.
+    A paragraph matches when its article, its token count and the count of
+    each of its indexed terms are the corpus's. Equal counts of the indexed
+    terms at an equal token count leave no room for another term.
     """
-    if not corpus.paragraphs:
-        raise IngestError(None, f"corpus {args.corpus!r} holds no paragraphs")
     if not getattr(args, "index", None):
         return build_index(corpus)
     index = load_index(args.index)
@@ -101,14 +106,14 @@ def _examples_for(path, corpus) -> list[QuestionExample]:
 
 
 def cmd_index(args) -> int:
-    index = _index_for(args, load_corpus(args.corpus))
+    index = _index_for(args, _load_corpus(args.corpus))
     save_index(index, args.out)
     print(f"indexed {index.n_para} paragraphs / {index.n_article} articles -> {args.out}")
     return 0
 
 
 def cmd_oracle(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     index = _index_for(args, corpus)
     examples = _examples_for(args.questions, corpus)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
@@ -141,7 +146,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_traces(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     index = _index_for(args, corpus)
     examples = _examples_for(args.questions, corpus)
     config = PipelineConfig(k_cap=args.k_cap, docs_per_step=args.docs_per_step)
@@ -159,7 +164,7 @@ def cmd_traces(args) -> int:
 
 
 def cmd_run(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     index = _index_for(args, corpus)
     if args.question_file:
         example = _examples_for(args.question_file, corpus)[0]
@@ -184,7 +189,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     index = _index_for(args, corpus)
     examples = _examples_for(args.questions, corpus)
     factory = _factory(args, index, corpus)
@@ -205,8 +210,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_map(args) -> int:
-    original = load_corpus(args.original)
-    candidate = load_corpus(args.candidate)
+    original = _load_corpus(args.original)
+    candidate = _load_corpus(args.candidate)
     by_title = {a.title: a for a in candidate.articles.values()}
     matched = 0
     total = 0

@@ -34,7 +34,6 @@ SPAN = "SPAN"
 YES = "YES"
 NO = "NO"
 NOANSWER = "NOANSWER"
-READER_CLASSES = (SPAN, YES, NO, NOANSWER)
 
 # Answer spans must sit inside a single paragraph and not exceed this length.
 MAX_SPAN_TOKENS = 30
@@ -352,33 +351,18 @@ class GoldReader:
 
     def __call__(self, path: ReasoningPath) -> ReaderOutput:
         serialized = serialize_path(path)
-        n = len(serialized.tokens)
         complete = bool(path.steps) and self.gold_ids <= set(path.step_ids())
-
-        if complete and self.kind in ("yes", "no"):
-            positive = YES if self.kind == "yes" else NO
-            class_logits = {c: -self.MARGIN for c in READER_CLASSES}
-            class_logits[positive] = self.MARGIN
-            class_logits[NOANSWER] = 0.0
-            start = self._marker_logits(n, None)
-            end = self._marker_logits(n, None)
-            best = find_best_span(start, end, serialized.segment_map)
-            return ReaderOutput(class_logits, start, end, best)
-
+        class_logits = {SPAN: -self.MARGIN, YES: -self.MARGIN, NO: -self.MARGIN, NOANSWER: 0.0}
         span = None
         if complete and self.kind == "span":
-            last = f"para:{len(path.steps)}"
-            span = find_answer_span(serialized, self.answers, [last])
-        if span is not None:
-            class_logits = {SPAN: self.MARGIN, YES: -self.MARGIN, NO: -self.MARGIN, NOANSWER: 0.0}
-            start = self._marker_logits(n, span[0])
-            end = self._marker_logits(n, span[1])
-            return ReaderOutput(class_logits, start, end, span)
-
-        class_logits = {SPAN: -self.MARGIN, YES: -self.MARGIN, NO: -self.MARGIN, NOANSWER: 0.0}
-        start = self._marker_logits(n, None)
-        end = self._marker_logits(n, None)
-        best = find_best_span(start, end, serialized.segment_map)
+            span = find_answer_span(serialized, self.answers, [f"para:{len(path.steps)}"])
+            if span is not None:
+                class_logits[SPAN] = self.MARGIN
+        elif complete:
+            class_logits[YES if self.kind == "yes" else NO] = self.MARGIN
+        n = len(serialized.tokens)
+        start, end = (self._marker_logits(n, hot) for hot in span or (None, None))
+        best = span or find_best_span(start, end, serialized.segment_map)
         return ReaderOutput(class_logits, start, end, best)
 
     @staticmethod

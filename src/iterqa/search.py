@@ -17,11 +17,13 @@ article ordinal. Each term's contributions are added into them, then each
 reached article's total into its paragraphs. A term's ordinals and
 contributions are computed on its first use and cached on the index
 (``InvertedIndex.impacts``), so build and load pay nothing for terms no query
-uses. ``score_paragraph``, ``score_article`` and ``combined_score`` score one
-paragraph at a time and are the reference: the cache holds their per-term
-expressions, and the lists add them in the same query-term order from 0.0.
-Since 0.0 + c == c and p + 0.0 == p, every accumulated score equals
-``combined_score`` bit for bit. (Merged per-span sums would reassociate the
+uses. ``_impacts`` is the one place where both formulas are written. The
+lists add a paragraph's contributions in query-term order from 0.0, and then
+its article's total, summed the same way. Since 0.0 + c == c and
+p + 0.0 == p, every score equals the paragraph part plus the article part,
+each summed left to right over the query, bit for bit; the brute-force
+scorer in ``tests/conftest.py`` computes exactly that from its own
+statistics and is the reference. (Merged per-span sums would reassociate the
 additions and break that equality.) Contributions are positive, so a
 paragraph the query reaches scores above 0.0 and any other scores exactly
 0.0; the reached ordinals are read off the list with ``compress``.
@@ -161,49 +163,6 @@ def idf_paragraph(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.n_para - n + 0.5) / (n + 0.5))
 
 
-def idf_article_clamped(index: InvertedIndex, term: str) -> float:
-    """Article-level idf, max(0, ln((N-n+0.5)/(n+0.5))), n the articles the term reaches."""
-    n = len({index.para_article[pid] for pid in index.postings.get(term, ())})
-    return max(0.0, math.log((index.n_article - n + 0.5) / (n + 0.5)))
-
-
-def score_paragraph(index: InvertedIndex, paragraph_id: str, query: Query) -> float:
-    """BM25 score of the paragraph's own text against the query."""
-    length = index.doc_lengths.get(paragraph_id)
-    if length is None:
-        raise KeyError(f"unknown paragraph id {paragraph_id!r}")
-    score = 0.0
-    for term in query:
-        tf = index.postings.get(term, {}).get(paragraph_id, 0)
-        if tf == 0:
-            continue
-        norm = K1 * (1.0 - B + B * length / index.avg_doc_length)
-        score += idf_paragraph(index, term) * tf * (K1 + 1.0) / (tf + norm)
-    return score
-
-
-def score_article(index: InvertedIndex, article_id: str, query: Query) -> float:
-    """Squared-idf, length-unnormalized score of an article's text, its paragraphs' tokens."""
-    members = [pid for pid, aid in index.para_article.items() if aid == article_id]
-    if not members:
-        raise KeyError(f"unknown article id {article_id!r}")
-    score = 0.0
-    for term in query:
-        entry = index.postings.get(term, {})
-        tf = sum(entry.get(pid, 0) for pid in members)
-        if tf == 0:
-            continue
-        idf = idf_article_clamped(index, term)
-        score += idf * idf * tf * (ARTICLE_K1 + 1.0) / (tf + ARTICLE_K1)
-    return score
-
-
-def combined_score(index: InvertedIndex, paragraph_id: str, query: Query) -> float:
-    """Paragraph BM25 plus the parent article's squared-idf score."""
-    para_part = score_paragraph(index, paragraph_id, query)
-    return para_part + score_article(index, index.para_article[paragraph_id], query)
-
-
 @dataclass(frozen=True)
 class SearchHit:
     paragraph_id: str
@@ -220,9 +179,11 @@ def _ordinals(index: InvertedIndex, order: tuple[str, ...], ids) -> tuple[int, .
 def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
     """The term's contribution to each paragraph and article it occurs in.
 
-    Written exactly as in score_paragraph and score_article. A clamped article
-    idf of 0.0 adds nothing, so its article level is empty. Terms the index
-    lacks are not stored, so the cache stays within the vocabulary.
+    The one place where the two formulas are written. A term's article tfs
+    are sums over its paragraph postings, and its article df is the number
+    of articles they reach. A clamped article idf of 0.0 adds nothing, so
+    its article level is empty. Terms the index lacks are not stored, so the
+    cache stays within the vocabulary.
     """
     entry = index.postings.get(term, {})
     idf = idf_paragraph(index, term)
@@ -231,12 +192,14 @@ def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
         idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * lengths[pid] / avg))
         for pid, tf in entry.items()
     ])
-    idf = idf_article_clamped(index, term)
     article_entry: dict[str, int] = {}
-    if idf:
-        for pid, tf in entry.items():
-            aid = index.para_article[pid]
-            article_entry[aid] = article_entry.get(aid, 0) + tf
+    for pid, tf in entry.items():
+        aid = index.para_article[pid]
+        article_entry[aid] = article_entry.get(aid, 0) + tf
+    n = len(article_entry)
+    idf = max(0.0, math.log((index.n_article - n + 0.5) / (n + 0.5)))
+    if not idf:
+        article_entry = {}
     article = array("d", [
         idf * idf * tf * (ARTICLE_K1 + 1.0) / (tf + ARTICLE_K1) for tf in article_entry.values()
     ])
@@ -253,9 +216,10 @@ def _accumulate(index: InvertedIndex, query: Query) -> list[float]:
     """Combined score of every paragraph, by ordinal, a term at a time.
 
     Each term's cached contributions are added in query-term order, and
-    0.0 + c == c and p + 0.0 == p, so every value equals combined_score bit
-    for bit. The tie-breaks of search_topk and rank_of rely on that exact
-    equality. Paragraphs the query does not reach score exactly 0.0.
+    0.0 + c == c and p + 0.0 == p, so every value is the paragraph part plus
+    the article part, each summed left to right, bit for bit. The tie-breaks
+    of search_topk and rank_of rely on that exact equality. Paragraphs the
+    query does not reach score exactly 0.0.
     """
     scores = [0.0] * index.n_para
     article_scores = [0.0] * index.n_article

@@ -1,8 +1,10 @@
 """Shared fixtures and independent test oracles.
 
-The brute-force scorer here recomputes document statistics straight from
-the corpus and evaluates every paragraph, so it is an independent check on
-the inverted index's candidate generation and top-k selection.
+The brute-force scorer here is the reference for the package's scoring. It
+recomputes document statistics straight from the corpus and evaluates every
+paragraph, so it is an independent check on the index, on the per-term
+contributions of ``iterqa.search._impacts`` (the one place the package
+writes the formulas) and on candidate generation and top-k selection.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 
 from iterqa.corpus import Corpus, ingest_corpus
 from iterqa.oracle import UntrainableExample, build_oracle_query
-from iterqa.search import build_index, rank_of
+from iterqa.search import _impacts, build_index, rank_of
 from iterqa.synth import make_chain_benchmark
 
 
@@ -45,26 +47,33 @@ class BruteForceScorer:
         for tf in self.art_tf.values():
             self.df_article.update(tf.keys())
 
-    def combined(self, pid: str, query) -> float:
+    def paragraph(self, pid: str, query) -> float:
+        """BM25 score of the paragraph's own text."""
         length = self.para_len[pid]
-        para_part = 0.0
+        score = 0.0
         for term in query:
             tf = self.para_tf[pid][term]
             if tf == 0:
                 continue
             n = self.df_para[term]
             idf = math.log(1.0 + (self.n_para - n + 0.5) / (n + 0.5))
-            para_part += idf * tf * (1.2 + 1.0) / (tf + 1.2 * (1.0 - 0.75 + 0.75 * length / self.avg_len))
-        aid = self.para_article[pid]
-        art_part = 0.0
+            score += idf * tf * (1.2 + 1.0) / (tf + 1.2 * (1.0 - 0.75 + 0.75 * length / self.avg_len))
+        return score
+
+    def article(self, aid: str, query) -> float:
+        """Squared clamped-idf score of the article's full text, no length normalization."""
+        score = 0.0
         for term in query:
             tf = self.art_tf[aid][term]
             if tf == 0:
                 continue
             n = self.df_article[term]
             idf = max(0.0, math.log((self.n_article - n + 0.5) / (n + 0.5)))
-            art_part += idf * idf * tf * (1.2 + 1.0) / (tf + 1.2)
-        return para_part + art_part
+            score += idf * idf * tf * (1.2 + 1.0) / (tf + 1.2)
+        return score
+
+    def combined(self, pid: str, query) -> float:
+        return self.paragraph(pid, query) + self.article(self.para_article[pid], query)
 
     def topk(self, query, k: int) -> list[tuple[str, float]]:
         scored = sorted(
@@ -87,6 +96,14 @@ class BruteForceScorer:
             if score > target_score or (score == target_score and pid < target):
                 rank += 1
         return rank
+
+
+def article_level(index, term) -> dict[str, float]:
+    """The package's article-level contributions of ``term``, as {article id: contribution}."""
+    ordinals, contributions = _impacts(index, term)[1]
+    level = {index.article_order[a]: c for a, c in zip(ordinals, contributions)}
+    assert len(level) == len(ordinals)
+    return level
 
 
 def oracle_ranks(index, examples) -> list:

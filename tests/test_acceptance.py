@@ -22,6 +22,7 @@ import pytest
 from conftest import (
     BruteForceScorer,
     CountingRank,
+    article_level,
     exhaustive_best_rank,
     make_random_corpus,
     make_random_query,
@@ -42,7 +43,7 @@ from iterqa.models import (
 )
 from iterqa.oracle import build_oracle_query, extract_overlap_spans, recall_curve
 from iterqa.pipeline import PipelineConfig, initial_path
-from iterqa.search import build_index, rank_of, score_article, score_paragraph, search_topk
+from iterqa.search import build_index, rank_of, search_topk
 
 from test_corpus import corpus_of
 
@@ -121,10 +122,13 @@ def test_criterion_2_article_scoring_values():
         {"a0": ["zebra grazing zebra plains"]}
         | {f"a{i}": [f"filler{i} words here"] for i in range(1, 10)}
     )
-    zero_case = score_article(build_index(two), "a", ["shared"])
-    got = score_article(build_index(ten), "a0", ["zebra"])
+    # The article values are the search engine's per-term contributions; the
+    # paragraph value is a search score on a one-article corpus, whose
+    # clamped article idf is 0.0.
+    zero_case = article_level(build_index(two), "shared").get("a", 0.0)
+    got = article_level(build_index(ten), "zebra")["a0"]
     expected = math.log(9.5 / 1.5) ** 2 * (2 * 2.2 / 3.2)  # 4.6847297...
-    para = score_paragraph(build_index(corpus_of({"art": ["a b a"]})), "art#0", ["a"])
+    para = search_topk(build_index(corpus_of({"art": ["a b a"]})), ["a"], 1)[0].score
     para_expected = math.log(4.0 / 3.0) * (2 * 2.2 / 3.2)  # 0.39556...
     ok = (
         zero_case == 0.0

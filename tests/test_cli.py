@@ -512,6 +512,21 @@ def test_cli_refuses_an_empty_corpus(workspace, capsys, command):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("role", ["original", "candidate"])
+def test_cli_map_refuses_an_empty_corpus(workspace, capsys, role):
+    tmp_path, corpus_path, _ = workspace
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    inputs = {"original": corpus_path, "candidate": corpus_path, role: empty}
+    out = tmp_path / "mapping.jsonl"
+    message = cli_error([
+        "map", "--original", str(inputs["original"]), "--candidate", str(inputs["candidate"]),
+        "--out", str(out),
+    ], capsys)
+    assert message == f"iterqa map: corpus {str(empty)!r} holds no paragraphs"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["oracle", "traces", "run", "bench"])
 def test_cli_refuses_a_questions_file_without_questions(workspace, capsys, command):
     tmp_path, corpus_path, _ = workspace

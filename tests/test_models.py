@@ -505,6 +505,32 @@ def test_gold_reader_yes_no(fixture_corpus):
         assert (kind, score) == (kind_out, 10.0)
 
 
+@pytest.mark.parametrize("answers, gold, kind, steps, raised, answer", [
+    (["orchid bloom"], {"beta#0"}, "span", ["beta#0"], SPAN, ("orchid", "bloom")),
+    (["orchid bloom"], {"alpha#0", "beta#0"}, "span", ["beta#0", "alpha#0"], None, None),
+    (["yes"], {"alpha#0"}, "yes", ["alpha#0"], YES, None),
+    (["no"], {"alpha#0"}, "no", ["alpha#0"], NO, None),
+    (["orchid bloom"], {"alpha#0", "beta#0"}, "span", ["beta#0"], None, None),
+], ids=["span-found", "span-not-in-last", "yes", "no", "incomplete"])
+def test_gold_reader_output_is_pinned(fixture_corpus, answers, gold, kind, steps, raised, answer):
+    path = path_with(fixture_corpus, "q", steps)
+    sp = serialize_path(path)
+    class_logits = {SPAN: -10.0, YES: -10.0, NO: -10.0, NOANSWER: 0.0}
+    if raised is not None:
+        class_logits[raised] = 10.0
+    if answer is None:
+        # Flat paragraph logits: the first paragraph position is the best span.
+        first = next(i for i, seg in enumerate(sp.segment_map) if seg.startswith("para:"))
+        best = (first, first)
+        hot = (0, 0)
+    else:
+        best = hot = (sp.tokens.index(answer[0]), sp.tokens.index(answer[1]))
+    start, end = ([1.0 if i in (0, h) else 0.0 for i in range(len(sp.tokens))] for h in hot)
+    output = GoldReader(answers, gold, kind=kind)(path)
+    assert list(output.class_logits.items()) == list(class_logits.items())
+    assert output == ReaderOutput(class_logits, tuple(start), tuple(end), best)
+
+
 def test_gold_reader_rejects_bad_kind():
     with pytest.raises(ValueError):
         GoldReader([], set(), kind="maybe")

@@ -8,19 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BruteForceScorer, make_random_corpus, make_random_query
+from conftest import BruteForceScorer, article_level, make_random_corpus, make_random_query
 from iterqa.corpus import ingest_corpus
 from iterqa.search import (
     IndexFormatError,
     build_index,
-    combined_score,
-    idf_article_clamped,
     idf_paragraph,
     load_index,
     rank_of,
     save_index,
-    score_article,
-    score_paragraph,
     search_topk,
 )
 
@@ -31,6 +27,11 @@ def corpus_from(records):
 
 def single_para_corpus(text="a b a"):
     return corpus_from([{"article_id": "art", "title": "T", "order": 0, "text": text}])
+
+
+def search_scores(index, query):
+    """Every paragraph's search score, by id."""
+    return {h.paragraph_id: h.score for h in search_topk(index, query, index.n_para)}
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +45,7 @@ def test_index_single_paragraph_counts():
     assert index.n_para == 1 and index.n_article == 1
     # "a" is in 1 of 1 paragraphs and 1 of 1 articles.
     assert idf_paragraph(index, "a") == math.log(1.0 + (1 - 1 + 0.5) / (1 + 0.5))
-    assert idf_article_clamped(index, "a") == 0.0
+    assert article_level(index, "a") == {}
 
 
 def test_index_same_article_df_levels():
@@ -59,15 +60,13 @@ def test_index_same_article_df_levels():
     # "toad" is in 2 of 5 paragraphs but 1 of 4 articles, with tf 2 in "a".
     assert idf_paragraph(index, "toad") == math.log(1.0 + (5 - 2 + 0.5) / (2 + 0.5))
     idf = math.log((4 - 1 + 0.5) / (1 + 0.5))
-    assert idf_article_clamped(index, "toad") == idf
-    assert score_article(index, "a", ["toad"]) == idf * idf * 2 * (1.2 + 1.0) / (2 + 1.2)
-    assert score_article(index, "b", ["toad"]) == 0.0
+    assert article_level(index, "toad") == {"a": idf * idf * 2 * (1.2 + 1.0) / (2 + 1.2)}
 
 
 def test_index_absent_term_df_zero():
     index = build_index(single_para_corpus())
     assert idf_paragraph(index, "missing") == math.log(1.0 + (1 - 0 + 0.5) / (0 + 0.5))
-    assert idf_article_clamped(index, "missing") == math.log((1 - 0 + 0.5) / (0 + 0.5))
+    assert article_level(index, "missing") == {}
 
 
 def test_index_empty_corpus_rejected():
@@ -86,10 +85,9 @@ def test_index_invariants_on_random_corpus():
     for term in brute.df_para:
         n = brute.df_para[term]
         assert idf_paragraph(index, term) == math.log(1.0 + (brute.n_para - n + 0.5) / (n + 0.5))
-        n = brute.df_article[term]
-        assert idf_article_clamped(index, term) == max(
-            0.0, math.log((brute.n_article - n + 0.5) / (n + 0.5))
-        )
+        assert article_level(index, term) == {
+            aid: score for aid in brute.art_tf if (score := brute.article(aid, [term])) > 0.0
+        }
     mean = sum(index.doc_lengths.values()) / len(index.doc_lengths)
     assert abs(index.avg_doc_length - mean) < 1e-9
 
@@ -98,37 +96,35 @@ def test_index_invariants_on_random_corpus():
 # scoring
 # ---------------------------------------------------------------------------
 
+# On a one-article corpus every clamped article idf is 0.0, so a paragraph's
+# search score is its paragraph part alone.
+
 def test_score_paragraph_empty_query():
     index = build_index(single_para_corpus())
-    assert score_paragraph(index, "art#0", []) == 0.0
+    assert search_scores(index, [])["art#0"] == 0.0
 
 
 def test_score_paragraph_absent_term_contributes_nothing():
     index = build_index(single_para_corpus("a b a"))
-    assert score_paragraph(index, "art#0", ["zzz"]) == 0.0
-    assert score_paragraph(index, "art#0", ["a", "zzz"]) == score_paragraph(index, "art#0", ["a"])
+    assert search_scores(index, ["zzz"])["art#0"] == 0.0
+    assert search_scores(index, ["a", "zzz"]) == search_scores(index, ["a"])
 
 
 def test_score_paragraph_hand_derived_value():
     # Corpus of one paragraph "a b a": idf = ln(4/3), tf part = 2*2.2/3.2.
     index = build_index(single_para_corpus("a b a"))
+    assert article_level(index, "a") == {}
     expected = math.log(4.0 / 3.0) * (2 * 2.2 / 3.2)
-    got = score_paragraph(index, "art#0", ["a"])
+    got = search_scores(index, ["a"])["art#0"]
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(0.3956, abs=1e-4)
 
 
 def test_score_paragraph_duplicate_terms_count_multiply():
     index = build_index(single_para_corpus("a b a"))
-    single = score_paragraph(index, "art#0", ["a"])
-    double = score_paragraph(index, "art#0", ["a", "a"])
+    single = search_scores(index, ["a"])["art#0"]
+    double = search_scores(index, ["a", "a"])["art#0"]
     assert double == pytest.approx(2 * single, rel=1e-12)
-
-
-def test_score_paragraph_unknown_id():
-    index = build_index(single_para_corpus())
-    with pytest.raises(KeyError):
-        score_paragraph(index, "nope#0", ["a"])
 
 
 def ten_article_corpus():
@@ -150,14 +146,16 @@ def test_score_article_idf_zero_when_half_ratio_is_one():
     ])
     index = build_index(corpus)
     # N=2, n=1: ln(1.5/1.5) = 0, so the term contributes nothing.
-    assert score_article(index, "a", ["shared"]) == 0.0
+    assert article_level(index, "shared") == {}
 
 
 def test_score_article_hand_derived_value():
     index = build_index(ten_article_corpus())
     idf = math.log(9.5 / 1.5)
     expected = idf * idf * (2 * 2.2 / 3.2)
-    got = score_article(index, "a0", ["zebra"])
+    level = article_level(index, "zebra")
+    assert list(level) == ["a0"]
+    got = level["a0"]
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(4.6847, abs=1e-3)
 
@@ -169,26 +167,19 @@ def test_score_article_common_term_clamps_to_zero():
     ] + [{"article_id": "a8", "title": "T", "order": 0, "text": "rare thing"}]
     index = build_index(corpus_from(records))
     # n=8 of N=9 -> ratio (1.5/8.5) < 1 -> clamped.
-    assert score_article(index, "a0", ["common"]) == 0.0
-
-
-def test_score_article_unknown_id():
-    index = build_index(single_para_corpus())
-    with pytest.raises(KeyError):
-        score_article(index, "nope", ["a"])
+    assert article_level(index, "common") == {}
 
 
 def test_combined_score_is_sum_of_parts():
     corpus = make_random_corpus(random.Random(5), n_articles=20)
     index = build_index(corpus)
+    brute = BruteForceScorer(corpus)
     rng = random.Random(6)
     for _ in range(50):
         pid = rng.choice(sorted(index.doc_lengths))
         query = make_random_query(rng)
-        expected = score_paragraph(index, pid, query) + score_article(
-            index, index.para_article[pid], query
-        )
-        assert combined_score(index, pid, query) == pytest.approx(expected, abs=1e-12)
+        expected = brute.paragraph(pid, query) + brute.article(brute.para_article[pid], query)
+        assert search_scores(index, query)[pid] == expected
 
 
 def test_combined_score_single_article_corpus_equals_paragraph_score():
@@ -198,9 +189,11 @@ def test_combined_score_single_article_corpus_equals_paragraph_score():
         {"article_id": "a", "title": "A", "order": 1, "text": "beta gamma"},
     ])
     index = build_index(corpus)
+    brute = BruteForceScorer(corpus)
+    assert all(article_level(index, term) == {} for term in index.postings)
     for pid in index.doc_lengths:
         for query in (["alpha"], ["beta", "gamma"], ["alpha", "alpha", "beta"]):
-            assert combined_score(index, pid, query) == score_paragraph(index, pid, query)
+            assert search_scores(index, query)[pid] == brute.paragraph(pid, query)
 
 
 def test_scores_finite_and_nonnegative():
@@ -209,7 +202,7 @@ def test_scores_finite_and_nonnegative():
     rng = random.Random(9)
     for _ in range(100):
         pid = rng.choice(sorted(index.doc_lengths))
-        score = combined_score(index, pid, make_random_query(rng))
+        score = search_scores(index, make_random_query(rng))[pid]
         assert math.isfinite(score)
         assert score >= 0.0
 
@@ -225,8 +218,8 @@ def test_monotone_in_added_matching_term():
         if not present:
             continue
         query = make_random_query(rng)
-        base = combined_score(index, pid, query)
-        assert combined_score(index, pid, query + [rng.choice(present)]) >= base
+        base = search_scores(index, query)[pid]
+        assert search_scores(index, query + [rng.choice(present)])[pid] >= base
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +288,7 @@ def test_topk_matches_brute_force_small():
             query = make_random_query(rng)
             k = rng.randint(1, 25)
             hits = search_topk(index, query, k)
-            expected = brute.topk(query, k)
-            assert [h.paragraph_id for h in hits] == [pid for pid, _ in expected]
-            for hit, (_, score) in zip(hits, expected):
-                assert hit.score == pytest.approx(score, abs=1e-9)
+            assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, k)
 
 
 def test_rank_of_unique_match():
@@ -355,7 +345,7 @@ def test_rank_of_agrees_with_topk_membership():
         rank = rank_of(index, target, query)
         if rank <= k:
             assert in_topk
-        elif combined_score(index, target, query) > 0:
+        elif rank != index.sentinel_rank:  # reached, below the top k
             assert not in_topk
 
 
@@ -393,8 +383,6 @@ def test_topk_scores_equal_combined_score_exactly():
             query = duplicated_query(rng, words)
             k = rng.randint(1, 30)
             hits = search_topk(index, query, k)
-            for hit in hits:
-                assert hit.score == combined_score(index, hit.paragraph_id, query)
             assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, k)
 
 
@@ -531,9 +519,8 @@ def test_paragraph_reached_only_through_its_article(tmp_path):
         ("b", 0, "quiet evening"), ("c", 0, "stone bridge"),
     )
     brute = BruteForceScorer(corpus)
-    assert brute.combined("a#1", ["rare"]) > 0.0
+    assert brute.paragraph("a#1", ["rare"]) == 0.0 < brute.combined("a#1", ["rare"])
     for index in built_and_loaded(corpus, tmp_path):
-        assert score_paragraph(index, "a#1", ["rare"]) == 0.0
         for query in (["rare"], ["quiet", "rare"], ["rare", "stone", "rare"]):
             hits = search_topk(index, query, 5)
             assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, 5)
@@ -596,16 +583,18 @@ def test_topk_with_k_above_the_reached_paragraphs(tmp_path):
 def test_cached_contributions_equal_reference_and_stay_unchanged():
     corpus = make_random_corpus(random.Random(26), n_articles=20)
     index = build_index(corpus)
-    term = next(t for t in sorted(index.postings) if idf_article_clamped(index, t) > 0.0)
+    brute = BruteForceScorer(corpus)
+    probe = build_index(corpus)
+    term = next(t for t in sorted(probe.postings) if article_level(probe, t))
     search_topk(index, [term], 5)
     entry = index.impacts[term]
     (para_ordinals, para), (article_ordinals, article) = entry
     assert [index.para_order[i] for i in para_ordinals] == list(index.postings[term])
     reached = {index.para_article[pid] for pid in index.postings[term]}
     assert sorted(index.article_order[a] for a in article_ordinals) == sorted(reached)
-    assert list(para) == [score_paragraph(index, index.para_order[i], [term]) for i in para_ordinals]
+    assert list(para) == [brute.paragraph(index.para_order[i], [term]) for i in para_ordinals]
     assert list(article) == [
-        score_article(index, index.article_order[a], [term]) for a in article_ordinals
+        brute.article(index.article_order[a], [term]) for a in article_ordinals
     ]
     assert all(index.ordinals[i] is i for i in para_ordinals + article_ordinals)
     snapshot = (para_ordinals, list(para), article_ordinals, list(article))
@@ -619,27 +608,19 @@ def test_cached_contributions_equal_reference_and_stay_unchanged():
     assert (para_ordinals, list(para), article_ordinals, list(article)) == snapshot
 
 
-def cached_article_level(index, term):
-    """The cache's article level of ``term`` as {article id: contribution}."""
-    search_topk(index, [term], 1)
-    article_ordinals, article = index.impacts[term][1]
-    level = {index.article_order[a]: c for a, c in zip(article_ordinals, article)}
-    assert len(level) == len(article_ordinals)
-    return level
-
-
 def test_cached_article_level_equals_score_article(tmp_path):
     corpus = make_random_corpus(random.Random(28), n_articles=20)
+    brute = BruteForceScorer(corpus)
     for index in built_and_loaded(corpus, tmp_path):
         clamped = 0
         for term in sorted(index.postings):
-            level = cached_article_level(index, term)
-            if idf_article_clamped(index, term) == 0.0:
+            reached = {
+                aid: brute.article(aid, [term]) for aid, tf in brute.art_tf.items() if tf[term]
+            }
+            if 0.0 in reached.values():  # a clamped idf of 0.0 zeroes every reached article
                 clamped += 1
-                assert level == {}
-                continue
-            reached = {index.para_article[pid] for pid in index.postings[term]}
-            assert level == {aid: score_article(index, aid, [term]) for aid in reached}
+                reached = {}
+            assert article_level(index, term) == reached
         assert 0 < clamped < len(index.postings)
 
 
@@ -655,10 +636,8 @@ def test_cached_article_level_sums_paragraphs_apart_in_id_order(tmp_path):
         assert [index.para_order[i] for i in index.article_members[0]] == ["a#0", "a#10", "a#2"]
         # tf 1 + 2 = 3 in article "a"; df 1 of 5 articles.
         idf = math.log((5 - 1 + 0.5) / (1 + 0.5))
-        assert idf_article_clamped(index, "egret") == idf
         expected = idf * idf * 3 * (1.2 + 1.0) / (3 + 1.2)
-        assert score_article(index, "a", ["egret"]) == expected
-        assert cached_article_level(index, "egret") == {"a": expected}
+        assert article_level(index, "egret") == {"a": expected}
 
 
 def test_absent_terms_are_not_cached():
