@@ -22,8 +22,8 @@ class QuestionsFormatError(ValueError):
 def load_examples(path) -> list[QuestionExample]:
     """Read a line-delimited questions file.
 
-    Each line is an object with id and question; answers,
-    gold_paragraph_ids, answer_kind, fixed_steps, and dataset are optional.
+    Each line is an object with id and question; answers, gold_paragraph_ids
+    (distinct), answer_kind, fixed_steps, and dataset are optional.
     """
     examples = []
     id_lines: dict[str, int] = {}  # question id -> line it is first used on
@@ -56,6 +56,12 @@ def load_examples(path) -> list[QuestionExample]:
                     raise QuestionsFormatError(
                         f"line {line_no}: {name} must be a list of strings, got {value!r}"
                     )
+            gold_ids = tuple(record.get("gold_paragraph_ids", ()))
+            repeated = next((g for i, g in enumerate(gold_ids) if g in gold_ids[:i]), None)
+            if repeated is not None:
+                raise QuestionsFormatError(
+                    f"line {line_no}: gold paragraph {repeated!r} is listed twice"
+                )
             fixed_steps = record.get("fixed_steps")
             if fixed_steps is not None and (type(fixed_steps) is not int or fixed_steps < 1):
                 raise QuestionsFormatError(
@@ -75,7 +81,7 @@ def load_examples(path) -> list[QuestionExample]:
                     qid=qid,
                     question=record["question"],
                     answers=answers,
-                    gold_ids=tuple(record.get("gold_paragraph_ids", ())),
+                    gold_ids=gold_ids,
                     answer_kind=kind,
                     fixed_steps=fixed_steps,
                     dataset=record.get("dataset", ""),

@@ -16,7 +16,6 @@ import importlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress, count, repeat
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from .corpus import Corpus, Paragraph, tokenize
@@ -58,51 +57,27 @@ STOPWORDS = frozenset(
 class SerializedPath:
     """A reasoning path flattened to one token sequence.
 
-    ``text`` is "[CLS] question [SEP] title1 [CONT] para1 [SEP] ..." and
-    ``segment_map[i]`` labels token i as "special", "question", "title:t",
-    or "para:t". Whitespace inside each component is normalized to single
-    spaces so the text splits back into exactly these tokens.
+    ``tokens`` are "[CLS] question [SEP] title1 [CONT] para1 [SEP] ...",
+    each component split on whitespace, and ``paragraphs[t - 1]`` is the
+    half-open token range of step t's paragraph text.
     """
 
-    text: str
     tokens: tuple[str, ...]
-    segment_map: tuple[str, ...]
-
-    def segment_range(self, label: str) -> tuple[int, int]:
-        """Half-open token range of a segment; (0, 0) when absent."""
-        start = None
-        end = 0
-        for i, seg in enumerate(self.segment_map):
-            if seg == label:
-                if start is None:
-                    start = i
-                end = i + 1
-        return (start, end) if start is not None else (0, 0)
+    paragraphs: tuple[tuple[int, int], ...]
 
 
 def serialize_path(path: ReasoningPath) -> SerializedPath:
     """Flatten a reasoning path into the reader's input format."""
-    pieces = [CLS]
-    labels = ["special"]
-
-    def emit(text: str, label: str) -> None:
-        for word in text.split():
-            pieces.append(word)
-            labels.append(label)
-
-    emit(path.question, "question")
-    pieces.append(SEP)
-    labels.append("special")
-    for t, para in enumerate(path.steps, start=1):
-        emit(para.title, f"title:{t}")
-        pieces.append(CONT)
-        labels.append("special")
-        emit(para.text, f"para:{t}")
-        pieces.append(SEP)
-        labels.append("special")
-    return SerializedPath(
-        text=" ".join(pieces), tokens=tuple(pieces), segment_map=tuple(labels)
-    )
+    tokens = [CLS, *path.question.split(), SEP]
+    paragraphs = []
+    for para in path.steps:
+        tokens += para.title.split()
+        tokens.append(CONT)
+        start = len(tokens)
+        tokens += para.text.split()
+        paragraphs.append((start, len(tokens)))
+        tokens.append(SEP)
+    return SerializedPath(tuple(tokens), tuple(paragraphs))
 
 
 @dataclass(frozen=True)
@@ -110,8 +85,8 @@ class ReaderOutput:
     """Four-way class logits plus per-token span logits.
 
     ``best_span`` maximizes start+end logit sum over valid intervals
-    (start <= end, inside one paragraph segment, at most MAX_SPAN_TOKENS
-    long); (0, 0) - the [CLS] position - marks "no span".
+    (start <= end, inside one paragraph's token range, at most
+    MAX_SPAN_TOKENS long); (0, 0) - the [CLS] position - marks "no span".
     """
 
     class_logits: dict[str, float]
@@ -123,10 +98,10 @@ class ReaderOutput:
 def find_best_span(
     start_logits: Sequence[float],
     end_logits: Sequence[float],
-    segment_map: Sequence[str],
+    paragraphs: Sequence[tuple[int, int]],
     max_span_tokens: int = MAX_SPAN_TOKENS,
 ) -> tuple[int, int]:
-    """Highest start+end interval within a single paragraph segment.
+    """Highest start+end interval within one of the half-open ``paragraphs`` ranges.
 
     Ties resolve to the earliest (start, end). Paths with no paragraph have
     no valid interval; the [CLS] marker position (0, 0) is returned.
@@ -134,9 +109,10 @@ def find_best_span(
     Float addition rounds monotonically, so no interval scores above the
     largest paragraph start logit plus the largest paragraph end logit; the
     scan stops at the first interval that reaches that bound, which is the
-    earliest of the best. A bound of -inf or NaN is never reached.
+    earliest of the best. A bound of -inf or NaN is never reached. The bound
+    spans all paragraphs at once: max() over NaN logits depends on their order.
     """
-    positions = list(compress(count(), map(str.startswith, segment_map, repeat("para:"))))
+    positions = [i for lo, hi in paragraphs for i in range(lo, hi)]
     if not positions:
         return (0, 0)
     starts = map(start_logits.__getitem__, positions)
@@ -144,17 +120,15 @@ def find_best_span(
     bound = max(starts) + max(ends)
     best: tuple[int, int] | None = None
     best_score = -math.inf
-    for i in positions:
-        seg = segment_map[i]
-        for j in range(i, min(i + max_span_tokens, len(segment_map))):
-            if segment_map[j] != seg:
-                break
-            score = start_logits[i] + end_logits[j]
-            if score > best_score:
-                if score == bound:
-                    return (i, j)
-                best_score = score
-                best = (i, j)
+    for lo, hi in paragraphs:
+        for i in range(lo, hi):
+            for j in range(i, min(i + max_span_tokens, hi)):
+                score = start_logits[i] + end_logits[j]
+                if score > best_score:
+                    if score == bound:
+                        return (i, j)
+                    best_score = score
+                    best = (i, j)
     return best if best is not None else (0, 0)
 
 
@@ -210,16 +184,15 @@ def _normalize_piece(piece: str) -> str:
 def find_answer_span(
     serialized: SerializedPath,
     answers: Sequence[str],
-    segment_labels: Sequence[str],
+    paragraphs: Sequence[tuple[int, int]],
 ) -> tuple[int, int] | None:
-    """First occurrence of any answer inside the given paragraph segments.
+    """First occurrence of any answer inside the given half-open token ranges.
 
     Matching compares normalized tokens, so case and surrounding
-    punctuation in the serialized text do not break it. Returns global
+    punctuation in the serialized tokens do not break it. Returns global
     (start, end) token positions, inclusive, or None.
     """
-    for label in segment_labels:
-        lo, hi = serialized.segment_range(label)
+    for lo, hi in paragraphs:
         normalized = [_normalize_piece(tok) for tok in serialized.tokens[lo:hi]]
         for answer in answers:
             want = tokenize(answer)
@@ -355,14 +328,14 @@ class GoldReader:
         class_logits = {SPAN: -self.MARGIN, YES: -self.MARGIN, NO: -self.MARGIN, NOANSWER: 0.0}
         span = None
         if complete and self.kind == "span":
-            span = find_answer_span(serialized, self.answers, [f"para:{len(path.steps)}"])
+            span = find_answer_span(serialized, self.answers, serialized.paragraphs[-1:])
             if span is not None:
                 class_logits[SPAN] = self.MARGIN
         elif complete:
             class_logits[YES if self.kind == "yes" else NO] = self.MARGIN
         n = len(serialized.tokens)
         start, end = (self._marker_logits(n, hot) for hot in span or (None, None))
-        best = span or find_best_span(start, end, serialized.segment_map)
+        best = span or find_best_span(start, end, serialized.paragraphs)
         return ReaderOutput(class_logits, start, end, best)
 
     @staticmethod
@@ -402,12 +375,7 @@ def _load_external(ref: str):
 
 
 _DEFAULT_ROLES = {"retriever": "baseline", "reader": "gold", "reranker": "baseline"}
-# Built-in roles but the baseline retriever: constructors (example, index, corpus) -> callable.
-_BUILTIN_ROLES = {
-    ("retriever", "oracle"): lambda ex, index, corpus: OracleRetriever(index, corpus, ex.gold_ids),
-    ("reader", "gold"): lambda ex, index, corpus: GoldReader(ex.answers, ex.gold_ids, ex.answer_kind),
-    ("reranker", "baseline"): lambda ex, index, corpus: LexicalReranker(index),
-}
+_LEXICAL_OPTIONS = ("keep_fraction", "max_query_len")
 
 
 def build_model_factory(
@@ -418,35 +386,48 @@ def build_model_factory(
     Manifest keys: ``retriever`` ("baseline", "oracle", or
     "external:module:attr"), ``reader`` ("gold" or external), ``reranker``
     ("baseline" or external), plus optional ``keep_fraction`` and
-    ``max_query_len`` for the baseline retriever. External attributes are
+    ``max_query_len`` for the lexical retriever (the baseline retriever and
+    the oracle's fallback); any other key is refused. External attributes are
     called with (example, index, corpus) and must return the role callable.
     Gold-aware roles read ``gold_ids``, ``answers``, and ``answer_kind``
     off the example passed to the factory. Every role is resolved here, so
     a bad manifest raises ManifestError before any question runs.
     """
+    unknown = sorted(manifest.keys() - _DEFAULT_ROLES.keys() - set(_LEXICAL_OPTIONS))
+    if unknown:
+        raise ManifestError(f"unknown manifest key {unknown[0]!r}")
+    lexical = None  # pure and the same for every question, so built once, below
+    builtin = {  # (role, name) -> constructor: example -> role callable
+        ("retriever", "baseline"): lambda ex: lexical,
+        ("retriever", "oracle"): lambda ex: OracleRetriever(index, corpus, ex.gold_ids, lexical),
+        ("reader", "gold"): lambda ex: GoldReader(ex.answers, ex.gold_ids, ex.answer_kind),
+        ("reranker", "baseline"): lambda ex: LexicalReranker(index),
+    }
     constructors = {}
     for role, default in _DEFAULT_ROLES.items():
         name = manifest.get(role, default)
         if not isinstance(name, str):
             raise ManifestError(f"{role} must be a string, got {name!r}")
         if name.startswith("external:"):
-            constructors[role] = _load_external(name[len("external:"):])
-        elif (role, name) == ("retriever", "baseline"):
-            # Pure and the same for every question, so built once, here.
-            try:
-                lexical = LexicalRetriever(
-                    index, manifest.get("keep_fraction", 0.4), manifest.get("max_query_len", 20)
-                )
-            except (TypeError, ValueError) as exc:
-                raise ManifestError(f"baseline retriever: {exc}") from None
-            constructors[role] = lambda ex, index, corpus: lexical
-        elif (role, name) in _BUILTIN_ROLES:
-            constructors[role] = _BUILTIN_ROLES[role, name]
+            make = _load_external(name[len("external:"):])
+            constructors[role] = lambda ex, make=make: make(ex, index, corpus)
+        elif (role, name) in builtin:
+            constructors[role] = builtin[role, name]
         else:
             raise ManifestError(f"unknown {role} {name!r}")
 
+    options = {key: manifest[key] for key in _LEXICAL_OPTIONS if key in manifest}
+    if manifest.get("retriever", "").startswith("external:"):
+        if options:
+            raise ManifestError(f"{next(iter(options))} does not apply to an external retriever")
+    else:
+        try:
+            lexical = LexicalRetriever(index, **options)
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"baseline retriever: {exc}") from None
+
     def factory(example) -> ModelBundle:
-        return ModelBundle(**{role: make(example, index, corpus) for role, make in constructors.items()})
+        return ModelBundle(**{role: make(example) for role, make in constructors.items()})
 
     return factory
 

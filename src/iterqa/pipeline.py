@@ -104,22 +104,33 @@ class StepOutcome:
 
     query_used: tuple[str, ...]
     retrieved: tuple[SearchHit, ...] = ()
-    answer: AnswerRecord | None = None
     chosen_paragraph: str | None = None
     candidate_answerabilities: tuple[tuple[str, float], ...] = ()
     best_candidate: AnswerRecord | None = None
     exhausted_reason: str | None = None
 
+    @property
+    def answer(self) -> AnswerRecord | None:
+        """The answer to stop with: the best candidate, when no paragraph is chosen."""
+        return self.best_candidate if self.chosen_paragraph is None else None
+
 
 @dataclass(frozen=True)
 class RunResult:
-    question: str
     status: str  # answered | exhausted
     answer: AnswerRecord | None
-    best_attempt: AnswerRecord | None
     steps: tuple[StepOutcome, ...]
-    paragraphs_retrieved: int
     final_path: ReasoningPath
+
+    @property
+    def best_attempt(self) -> AnswerRecord | None:
+        """The most answerable candidate over all steps; the earliest of equals."""
+        candidates = [s.best_candidate for s in self.steps if s.best_candidate is not None]
+        return max(candidates, key=lambda c: c.answerability, default=None)
+
+    @property
+    def paragraphs_retrieved(self) -> int:
+        return sum(len(s.retrieved) for s in self.steps)
 
     @property
     def prediction(self) -> str:
@@ -154,8 +165,9 @@ def step(
     """Run one retrieve-read-rerank iteration; returns the new path.
 
     The input path is not mutated. Zero-score hits count as not retrieved.
-    The outcome has an ``answer`` when the run should stop with it, and an
-    ``exhausted_reason`` when the path cannot be extended.
+    The outcome has an ``answer`` when the run should stop with it, a
+    ``chosen_paragraph`` when the path is extended, and an
+    ``exhausted_reason`` when it cannot be.
     """
     query = tuple(models.retriever(path))
     if not query:
@@ -189,26 +201,12 @@ def step(
         stop = len(path.steps) + 1 == config.fixed_steps
     else:
         stop = best_score > config.stop_threshold
-    if stop:
-        outcome = StepOutcome(
-            query_used=query,
-            retrieved=hits,
-            answer=best_record,
-            candidate_answerabilities=answerabilities,
-            best_candidate=best_record,
-        )
-        return best_ext, outcome
-
-    scored = [(models.reranker(path, para), para) for para, _, _, _, _ in evaluated]
-    _, chosen = min(scored, key=lambda item: (-item[0], item[1].id))
-    outcome = StepOutcome(
-        query_used=query,
-        retrieved=hits,
-        chosen_paragraph=chosen.id,
-        candidate_answerabilities=answerabilities,
-        best_candidate=best_record,
-    )
-    return path.extended(chosen), outcome
+    next_path, chosen_id = best_ext, None
+    if not stop:
+        scored = [(models.reranker(path, para), para) for para, _, _, _, _ in evaluated]
+        _, chosen = min(scored, key=lambda item: (-item[0], item[1].id))
+        next_path, chosen_id = path.extended(chosen), chosen.id
+    return next_path, StepOutcome(query, hits, chosen_id, answerabilities, best_record)
 
 
 def run_question(
@@ -225,29 +223,17 @@ def run_question(
     """
     path = initial_path(question)
     outcomes: list[StepOutcome] = []
-    best_attempt: AnswerRecord | None = None
-    retrieved_total = 0
-
     while len(path.steps) < config.k_cap:
         path, outcome = step(path, corpus, index, models, config)
         outcomes.append(outcome)
-        retrieved_total += len(outcome.retrieved)
-        candidate = outcome.best_candidate
-        if candidate is not None and (
-            best_attempt is None or candidate.answerability > best_attempt.answerability
-        ):
-            best_attempt = candidate
-        if outcome.answer is not None or outcome.exhausted_reason is not None:
+        if outcome.chosen_paragraph is None:  # answered or exhausted
             break
 
     answer = outcomes[-1].answer
     return RunResult(
-        question=question,
         status=ANSWERED if answer is not None else EXHAUSTED,
         answer=answer,
-        best_attempt=best_attempt,
         steps=tuple(outcomes),
-        paragraphs_retrieved=retrieved_total,
         final_path=path,
     )
 
@@ -329,8 +315,7 @@ def _reader_label(
     if example.answer_kind == "no":
         return "NO", None
     serialized = serialize_path(next_path)
-    labels = [f"para:{t}" for t in range(1, len(next_path.steps) + 1)]
-    span = find_answer_span(serialized, example.answers, labels)
+    span = find_answer_span(serialized, example.answers, serialized.paragraphs)
     if span is None:
         return "NOANSWER", None
     return "SPAN", span

@@ -308,7 +308,13 @@ def test_cli_reports_bad_manifest(workspace, capsys):
              "line 1 column 2 (char 1)"),
     ({"retriever": "baseline", "max_query_len": "x"},
      "baseline retriever: max_query_len must be an integer >= 1, got 'x'"),
-], ids=["role-not-a-string", "bad-keep-fraction", "not-json", "bad-max-query-len"])
+    ({"retriever": "oracle", "keep_fraction": 7},
+     "baseline retriever: keep_fraction must be in (0, 1]"),
+    ({"retriever": "baseline", "keep_fracton": 0.9}, "unknown manifest key 'keep_fracton'"),
+    ({"retriever": "external:conftest:external_retriever_factory", "max_query_len": 5},
+     "max_query_len does not apply to an external retriever"),
+], ids=["role-not-a-string", "bad-keep-fraction", "not-json", "bad-max-query-len",
+        "bad-oracle-fallback", "misspelled-key", "external-retriever-option"])
 def test_cli_reports_malformed_manifest(workspace, capsys, manifest, expected):
     tmp_path, corpus_path, questions_path = workspace
     manifest_path = tmp_path / "models.json"
@@ -534,4 +540,16 @@ def test_cli_refuses_a_questions_file_without_questions(workspace, capsys, comma
     empty.write_text("\n")
     message = cli_error(empty_input_argv(command, tmp_path, corpus_path, empty), capsys)
     assert message == f"iterqa {command}: questions file {str(empty)!r} holds no questions"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "traces", "run", "bench"])
+def test_cli_refuses_a_repeated_gold_id(workspace, capsys, command):
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(questions_path)
+    gold_id = records[0]["gold_paragraph_ids"][0]
+    records[0]["gold_paragraph_ids"] = [gold_id, gold_id]
+    questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = cli_error(empty_input_argv(command, tmp_path, corpus_path, questions_path), capsys)
+    assert message == f"iterqa {command}: line 1: gold paragraph {gold_id!r} is listed twice"
     assert not (tmp_path / "out.jsonl").exists()

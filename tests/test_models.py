@@ -75,9 +75,8 @@ def path_with(corpus, question, ids):
 
 def test_serialize_zero_step_path():
     sp = serialize_path(initial_path("who did it"))
-    assert sp.text == "[CLS] who did it [SEP]"
-    assert sp.segment_map[0] == "special"
-    assert sp.segment_map[1:4] == ("question",) * 3
+    assert sp.tokens == ("[CLS]", "who", "did", "it", "[SEP]")
+    assert sp.paragraphs == ()
 
 
 def test_serialize_one_paragraph_block(fixture_corpus):
@@ -88,22 +87,22 @@ def test_serialize_one_paragraph_block(fixture_corpus):
         + FIXTURE_RECORDS[1]["text"]
         + " [SEP]"
     )
-    assert sp.text == expected
-    assert sp.segment_map.count("title:1") == 2
-    assert sp.tokens == tuple(sp.text.split(" "))
+    assert sp.tokens == tuple(expected.split(" "))
+    # Nine tokens up to [CONT], then the ten words of the text.
+    assert sp.paragraphs == ((9, 19),)
 
 
 def parse_serialized(sp):
-    """Test oracle: reconstruct components from the segment map."""
-    def join(label):
-        return " ".join(tok for tok, seg in zip(sp.tokens, sp.segment_map) if seg == label)
-
-    question = join("question")
+    """Test oracle: reconstruct components from the tokens and paragraph ranges."""
+    question_end = sp.tokens.index(SEP)
+    question = " ".join(sp.tokens[1:question_end])
     blocks = []
-    t = 1
-    while f"para:{t}" in sp.segment_map or f"title:{t}" in sp.segment_map:
-        blocks.append((join(f"title:{t}"), join(f"para:{t}")))
-        t += 1
+    title_start = question_end + 1
+    for lo, hi in sp.paragraphs:
+        assert sp.tokens[lo - 1] == CONT and sp.tokens[hi] == SEP
+        blocks.append((" ".join(sp.tokens[title_start : lo - 1]), " ".join(sp.tokens[lo:hi])))
+        title_start = hi + 1
+    assert sp.tokens[0] == CLS and title_start == len(sp.tokens)
     return question, blocks
 
 
@@ -212,30 +211,29 @@ def test_pick_answer_kind_invariant_under_positive_scaling():
 # ---------------------------------------------------------------------------
 
 def test_find_best_span_prefers_highest_sum():
-    segs = ("special", "question", "special", "para:1", "para:1", "para:1", "special")
+    # Positions 0-2 and 6 are [CLS], question and [SEP] tokens.
+    paragraphs = ((3, 6),)
     start = (9.0, 9.0, 0.0, 0.0, 2.0, 0.0, 0.0)
     end = (9.0, 9.0, 0.0, 0.0, 0.0, 3.0, 0.0)
-    assert find_best_span(start, end, segs) == (4, 5)
+    assert find_best_span(start, end, paragraphs) == (4, 5)
 
 
 def test_find_best_span_stays_inside_one_paragraph():
-    segs = ("special", "para:1", "para:1", "special", "para:2", "para:2")
+    paragraphs = ((1, 3), (4, 6))
     start = (0.0, 0.0, 5.0, 0.0, 0.0, 0.0)
     end = (0.0, 0.0, 0.0, 0.0, 0.0, 5.0)
-    best = find_best_span(start, end, segs)
-    assert segs[best[0]] == segs[best[1]]
+    best = find_best_span(start, end, paragraphs)
+    assert any(lo <= best[0] <= best[1] < hi for lo, hi in paragraphs)
 
 
 def test_find_best_span_no_paragraph_returns_marker():
-    segs = ("special", "question", "special")
-    assert find_best_span((0.0, 1.0, 0.0), (0.0, 1.0, 0.0), segs) == (0, 0)
+    assert find_best_span((0.0, 1.0, 0.0), (0.0, 1.0, 0.0), ()) == (0, 0)
 
 
 def test_find_best_span_respects_max_length():
-    segs = tuple(["para:1"] * 40)
     start = tuple([1.0] + [0.0] * 39)
     end = tuple([0.0] * 39 + [1.0])
-    best = find_best_span(start, end, segs, max_span_tokens=30)
+    best = find_best_span(start, end, ((0, 40),), max_span_tokens=30)
     assert best[1] - best[0] + 1 <= 30
 
 
@@ -266,8 +264,11 @@ SEGMENT_BLOCKS = st.lists(
 )
 # Mostly a few values one unit or one ulp apart, so exact ties and near misses
 # between intervals are common; constant rows cover flat, all -inf and all +inf
-# logits.
-NEAR_VALUES = st.sampled_from([-math.inf, -1.0, 0.0, 1.0, math.nextafter(1.0, 2.0), math.inf])
+# logits. NaN covers unordered logits, for which max() depends on argument
+# order.
+NEAR_VALUES = st.sampled_from(
+    [-math.inf, -1.0, 0.0, 1.0, math.nextafter(1.0, 2.0), math.inf, math.nan]
+)
 LOGIT = NEAR_VALUES | NEAR_VALUES | st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
@@ -282,13 +283,17 @@ def logit_rows(n):
 @given(blocks=SEGMENT_BLOCKS, max_span_tokens=st.integers(min_value=1, max_value=35),
        data=st.data())
 def test_find_best_span_equals_exhaustive_scan(blocks, max_span_tokens, data):
+    # The label map (for the reference) and the ranges come from the same blocks.
     segment_map = ["special"]
+    paragraphs = []
     for t, (kind, length) in enumerate(blocks, start=1):
         label = kind if kind in ("special", "question") else f"{kind}:{t}"
+        if kind == "para":
+            paragraphs.append((len(segment_map), len(segment_map) + length))
         segment_map += [label] * length
     start = data.draw(logit_rows(len(segment_map)), label="start")
     end = data.draw(logit_rows(len(segment_map)), label="end")
-    assert find_best_span(start, end, segment_map, max_span_tokens) == exhaustive_best_span(
+    assert find_best_span(start, end, paragraphs, max_span_tokens) == exhaustive_best_span(
         start, end, segment_map, max_span_tokens
     )
 
@@ -296,16 +301,24 @@ def test_find_best_span_equals_exhaustive_scan(blocks, max_span_tokens, data):
 def test_find_best_span_exits_only_at_the_exact_bound():
     # (1, 1) scores 2.0, one ulp below the bound that only (2, 3) reaches.
     up = math.nextafter(1.0, 2.0)
-    segs = ("special", "para:1", "para:1", "para:1")
     start = (0.0, 1.0, up, 0.0)
     end = (0.0, 1.0, 0.0, up)
-    assert find_best_span(start, end, segs) == (2, 3)
+    assert find_best_span(start, end, ((1, 4),)) == (2, 3)
+
+
+def test_find_best_span_bound_spans_all_paragraphs_with_nan():
+    # max() keeps the first of unordered values. Taken per paragraph, the
+    # second paragraph's leading NaN would hide its 5.0, and the bound 0.0
+    # would stop the scan at (1, 1).
+    start = (0.0, 0.0, 0.0, math.nan, 5.0)
+    end = (0.0, 0.0, 0.0, 0.0, 0.0)
+    assert find_best_span(start, end, ((1, 2), (3, 5))) == (4, 4)
 
 
 def test_find_answer_span_normalized_match(fixture_corpus):
     path = path_with(fixture_corpus, "what blooms", ["beta#0"])
     sp = serialize_path(path)
-    span = find_answer_span(sp, ["Rare Orchid"], ["para:1"])
+    span = find_answer_span(sp, ["Rare Orchid"], sp.paragraphs)
     assert span is not None
     start, end = span
     assert [t.lower() for t in sp.tokens[start : end + 1]] == ["rare", "orchid"]
@@ -314,7 +327,8 @@ def test_find_answer_span_normalized_match(fixture_corpus):
 def test_find_answer_span_absent():
     corpus = corpus_from([{"article_id": "a", "title": "A", "order": 0, "text": "plain words"}])
     path = path_with(corpus, "q", ["a#0"])
-    assert find_answer_span(serialize_path(path), ["missing"], ["para:1"]) is None
+    sp = serialize_path(path)
+    assert find_answer_span(sp, ["missing"], sp.paragraphs) is None
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +495,7 @@ def test_gold_reader_span_points_at_first_occurrence(fixture_corpus):
     output = reader(path)
     sp = serialize_path(path)
     # String-search oracle: earliest occurrence in the last paragraph.
-    lo, hi = sp.segment_range("para:1")
+    (lo, hi), = sp.paragraphs
     first = next(
         (i, i + 1)
         for i in range(lo, hi - 1)
@@ -520,7 +534,7 @@ def test_gold_reader_output_is_pinned(fixture_corpus, answers, gold, kind, steps
         class_logits[raised] = 10.0
     if answer is None:
         # Flat paragraph logits: the first paragraph position is the best span.
-        first = next(i for i, seg in enumerate(sp.segment_map) if seg.startswith("para:"))
+        first = next(lo for lo, hi in sp.paragraphs if lo < hi)
         best = (first, first)
         hot = (0, 0)
     else:
@@ -569,6 +583,14 @@ def test_factory_default_roles(fixture_corpus, fixture_index):
     assert isinstance(bundle.retriever, OracleRetriever)
     assert isinstance(bundle.reader, GoldReader)
     assert isinstance(bundle.reranker, LexicalReranker)
+
+
+def test_factory_shares_one_lexical_retriever_as_the_oracle_fallback(fixture_corpus, fixture_index):
+    manifest = {"retriever": "oracle", "keep_fraction": 1.0, "max_query_len": 3}
+    factory = build_model_factory(manifest, fixture_index, fixture_corpus)
+    first, second = (factory(example_for(fixture_corpus)).retriever for _ in range(2))
+    assert first.fallback is second.fallback
+    assert (first.fallback.keep_fraction, first.fallback.max_query_len) == (1.0, 3)
 
 
 def test_factory_unknown_role_rejected(fixture_corpus, fixture_index):

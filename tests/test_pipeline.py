@@ -9,9 +9,12 @@ from iterqa.models import GoldReader, LexicalReranker, ModelBundle, OracleRetrie
 from iterqa.pipeline import (
     ANSWERED,
     EXHAUSTED,
+    AnswerRecord,
     ConfigError,
     PipelineConfig,
     QuestionExample,
+    RunResult,
+    StepOutcome,
     generate_training_traces,
     initial_path,
     run_question,
@@ -19,7 +22,7 @@ from iterqa.pipeline import (
     step_log_record,
     trace_record,
 )
-from iterqa.search import build_index
+from iterqa.search import SearchHit, build_index
 
 
 def corpus_from(records):
@@ -235,6 +238,23 @@ def test_exhausted_run_reports_best_attempt():
     assert result.best_attempt is not None
     assert result.best_attempt.answerability <= 0.0
     assert result.prediction == result.best_attempt.text
+
+
+def test_run_result_reads_its_totals_off_the_steps():
+    records = [
+        AnswerRecord("span", text, score, ())
+        for text, score in (("a", -2.0), ("b", -1.0), ("c", -1.0), ("d", -3.0))
+    ]
+    hits = tuple(SearchHit(f"p{i}", 1.0, i + 1) for i in range(3))
+    steps = tuple(
+        StepOutcome(("q",), hits[:i], chosen_paragraph=f"p{i}", best_candidate=record)
+        for i, record in enumerate(records)
+    ) + (StepOutcome(("q",), exhausted_reason="no results"),)
+    result = RunResult(EXHAUSTED, None, steps, initial_path("q"))
+    assert result.best_attempt is records[1]  # the earliest of the most answerable
+    assert result.paragraphs_retrieved == 0 + 1 + 2 + 3
+    assert [s.answer for s in steps] == [None] * 5
+    assert StepOutcome(("q",), hits, best_candidate=records[0]).answer is records[0]
 
 
 def test_recovery_after_nongold_first_step():
