@@ -386,8 +386,8 @@ def build_model_factory(
     Manifest keys: ``retriever`` ("baseline", "oracle", or
     "external:module:attr"), ``reader`` ("gold" or external), ``reranker``
     ("baseline" or external), plus optional ``keep_fraction`` and
-    ``max_query_len`` for the lexical retriever (the baseline retriever and
-    the oracle's fallback); any other key is refused. External attributes are
+    ``max_query_len`` for the baseline retriever (the oracle's fallback is a
+    default one); any other key is refused. External attributes are
     called with (example, index, corpus) and must return the role callable.
     Gold-aware roles read ``gold_ids``, ``answers``, and ``answer_kind``
     off the example passed to the factory. Every role is resolved here, so
@@ -396,7 +396,14 @@ def build_model_factory(
     unknown = sorted(manifest.keys() - _DEFAULT_ROLES.keys() - set(_LEXICAL_OPTIONS))
     if unknown:
         raise ManifestError(f"unknown manifest key {unknown[0]!r}")
-    lexical = None  # pure and the same for every question, so built once, below
+    options = {key: manifest[key] for key in _LEXICAL_OPTIONS if key in manifest}
+    if options and manifest.get("retriever", "baseline") != "baseline":
+        raise ManifestError(f"{next(iter(options))} applies only to the baseline retriever")
+    try:
+        # Pure and the same for every question, so built once, here.
+        lexical = LexicalRetriever(index, **options)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"baseline retriever: {exc}") from None
     builtin = {  # (role, name) -> constructor: example -> role callable
         ("retriever", "baseline"): lambda ex: lexical,
         ("retriever", "oracle"): lambda ex: OracleRetriever(index, corpus, ex.gold_ids, lexical),
@@ -415,16 +422,6 @@ def build_model_factory(
             constructors[role] = builtin[role, name]
         else:
             raise ManifestError(f"unknown {role} {name!r}")
-
-    options = {key: manifest[key] for key in _LEXICAL_OPTIONS if key in manifest}
-    if manifest.get("retriever", "").startswith("external:"):
-        if options:
-            raise ManifestError(f"{next(iter(options))} does not apply to an external retriever")
-    else:
-        try:
-            lexical = LexicalRetriever(index, **options)
-        except (TypeError, ValueError) as exc:
-            raise ManifestError(f"baseline retriever: {exc}") from None
 
     def factory(example) -> ModelBundle:
         return ModelBundle(**{role: make(example) for role, make in constructors.items()})

@@ -206,7 +206,10 @@ def step(
         scored = [(models.reranker(path, para), para) for para, _, _, _, _ in evaluated]
         _, chosen = min(scored, key=lambda item: (-item[0], item[1].id))
         next_path, chosen_id = path.extended(chosen), chosen.id
-    return next_path, StepOutcome(query, hits, chosen_id, answerabilities, best_record)
+    return next_path, StepOutcome(
+        query_used=query, retrieved=hits, chosen_paragraph=chosen_id,
+        candidate_answerabilities=answerabilities, best_candidate=best_record,
+    )
 
 
 def run_question(

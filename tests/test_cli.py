@@ -309,12 +309,12 @@ def test_cli_reports_bad_manifest(workspace, capsys):
     ({"retriever": "baseline", "max_query_len": "x"},
      "baseline retriever: max_query_len must be an integer >= 1, got 'x'"),
     ({"retriever": "oracle", "keep_fraction": 7},
-     "baseline retriever: keep_fraction must be in (0, 1]"),
+     "keep_fraction applies only to the baseline retriever"),
     ({"retriever": "baseline", "keep_fracton": 0.9}, "unknown manifest key 'keep_fracton'"),
     ({"retriever": "external:conftest:external_retriever_factory", "max_query_len": 5},
-     "max_query_len does not apply to an external retriever"),
+     "max_query_len applies only to the baseline retriever"),
 ], ids=["role-not-a-string", "bad-keep-fraction", "not-json", "bad-max-query-len",
-        "bad-oracle-fallback", "misspelled-key", "external-retriever-option"])
+        "oracle-retriever-option", "misspelled-key", "external-retriever-option"])
 def test_cli_reports_malformed_manifest(workspace, capsys, manifest, expected):
     tmp_path, corpus_path, questions_path = workspace
     manifest_path = tmp_path / "models.json"

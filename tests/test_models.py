@@ -586,11 +586,10 @@ def test_factory_default_roles(fixture_corpus, fixture_index):
 
 
 def test_factory_shares_one_lexical_retriever_as_the_oracle_fallback(fixture_corpus, fixture_index):
-    manifest = {"retriever": "oracle", "keep_fraction": 1.0, "max_query_len": 3}
-    factory = build_model_factory(manifest, fixture_index, fixture_corpus)
+    factory = build_model_factory({"retriever": "oracle"}, fixture_index, fixture_corpus)
     first, second = (factory(example_for(fixture_corpus)).retriever for _ in range(2))
     assert first.fallback is second.fallback
-    assert (first.fallback.keep_fraction, first.fallback.max_query_len) == (1.0, 3)
+    assert (first.fallback.keep_fraction, first.fallback.max_query_len) == (0.4, 20)
 
 
 def test_factory_unknown_role_rejected(fixture_corpus, fixture_index):
