@@ -191,6 +191,14 @@ def evaluate(
     )
 
 
+def grid_configs(
+    config: PipelineConfig, fixed_k_grid: Sequence[int], docs_grid: Sequence[int]
+) -> tuple[list[PipelineConfig], list[PipelineConfig]]:
+    """The docs-grid and fixed-K-grid settings; a bad grid value raises ConfigError."""
+    docs_configs = [replace(config, docs_per_step=docs) for docs in docs_grid]
+    return docs_configs, [replace(config, fixed_steps=k) for k in fixed_k_grid]
+
+
 def run_benchmark(
     examples: Sequence[QuestionExample],
     corpus: Corpus,
@@ -210,8 +218,7 @@ def run_benchmark(
     if not examples:
         raise ValueError("no questions to run")
     # Built before any question runs, so a bad grid value fails at once.
-    docs_configs = [replace(config, docs_per_step=docs) for docs in docs_grid]
-    fixed_configs = [replace(config, fixed_steps=k) for k in fixed_k_grid]
+    docs_configs, fixed_configs = grid_configs(config, fixed_k_grid, docs_grid)
     result = evaluate(examples, corpus, index, factory, config)
     report = BenchmarkReport(result=result)
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
-from .bench import QuestionsFormatError, format_summary, load_examples, run_benchmark, write_reports
+from .bench import (
+    QuestionsFormatError, format_summary, grid_configs, load_examples, run_benchmark, write_reports
+)
 from .corpus import IngestError, load_corpus, map_paragraph
 from .models import ManifestError, build_model_factory, load_manifest
 from .oracle import UntrainableExample, oracle_trace_record, recall_curve
@@ -150,10 +153,10 @@ def cmd_traces(args) -> int:
     index = _index_for(args, corpus)
     examples = _examples_for(args.questions, corpus)
     config = PipelineConfig(k_cap=args.k_cap, docs_per_step=args.docs_per_step)
-    generation = generate_training_traces(
-        corpus, index, examples, config, augment_nongold=not args.no_augment
-    )
     with open(args.out, "w", encoding="utf-8") as out:
+        generation = generate_training_traces(
+            corpus, index, examples, config, augment_nongold=not args.no_augment
+        )
         for trace in generation.traces:
             out.write(json.dumps(trace_record(trace)) + "\n")
     print(
@@ -193,15 +196,12 @@ def cmd_bench(args) -> int:
     index = _index_for(args, corpus)
     examples = _examples_for(args.questions, corpus)
     factory = _factory(args, index, corpus)
-    report = run_benchmark(
-        examples,
-        corpus,
-        index,
-        factory,
-        _pipeline_config(args),
-        fixed_k_grid=args.fixed_k_grid or (),
-        docs_grid=args.docs_grid or (),
-    )
+    config = _pipeline_config(args)
+    grids = {"fixed_k_grid": args.fixed_k_grid or (), "docs_grid": args.docs_grid or ()}
+    if args.report_dir:
+        grid_configs(config, **grids)  # a bad grid value fails before the directory is made
+        os.makedirs(args.report_dir, exist_ok=True)
+    report = run_benchmark(examples, corpus, index, factory, config, **grids)
     print(format_summary(report), end="")
     if args.report_dir:
         write_reports(report, args.report_dir)

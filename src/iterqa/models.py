@@ -34,9 +34,6 @@ YES = "YES"
 NO = "NO"
 NOANSWER = "NOANSWER"
 
-# Answer spans must sit inside a single paragraph and not exceed this length.
-MAX_SPAN_TOKENS = 30
-
 # Closed stopword list used by the lexical retriever baseline.
 STOPWORDS = frozenset(
     """
@@ -82,54 +79,17 @@ def serialize_path(path: ReasoningPath) -> SerializedPath:
 
 @dataclass(frozen=True)
 class ReaderOutput:
-    """Four-way class logits plus per-token span logits.
+    """What a reader returns: four-way class logits plus per-token span logits.
 
-    ``best_span`` maximizes start+end logit sum over valid intervals
-    (start <= end, inside one paragraph's token range, at most
-    MAX_SPAN_TOKENS long); (0, 0) - the [CLS] position - marks "no span".
+    ``best_span`` is the reader's answer, an inclusive (start, end) interval
+    of the serialized path inside one paragraph's token range; (0, 0) - the
+    [CLS] position - marks "no span".
     """
 
     class_logits: dict[str, float]
     start_logits: tuple[float, ...]
     end_logits: tuple[float, ...]
     best_span: tuple[int, int]
-
-
-def find_best_span(
-    start_logits: Sequence[float],
-    end_logits: Sequence[float],
-    paragraphs: Sequence[tuple[int, int]],
-    max_span_tokens: int = MAX_SPAN_TOKENS,
-) -> tuple[int, int]:
-    """Highest start+end interval within one of the half-open ``paragraphs`` ranges.
-
-    Ties resolve to the earliest (start, end). Paths with no paragraph have
-    no valid interval; the [CLS] marker position (0, 0) is returned.
-
-    Float addition rounds monotonically, so no interval scores above the
-    largest paragraph start logit plus the largest paragraph end logit; the
-    scan stops at the first interval that reaches that bound, which is the
-    earliest of the best. A bound of -inf or NaN is never reached. The bound
-    spans all paragraphs at once: max() over NaN logits depends on their order.
-    """
-    positions = [i for lo, hi in paragraphs for i in range(lo, hi)]
-    if not positions:
-        return (0, 0)
-    starts = map(start_logits.__getitem__, positions)
-    ends = map(end_logits.__getitem__, positions)
-    bound = max(starts) + max(ends)
-    best: tuple[int, int] | None = None
-    best_score = -math.inf
-    for lo, hi in paragraphs:
-        for i in range(lo, hi):
-            for j in range(i, min(i + max_span_tokens, hi)):
-                score = start_logits[i] + end_logits[j]
-                if score > best_score:
-                    if score == bound:
-                        return (i, j)
-                    best_score = score
-                    best = (i, j)
-    return best if best is not None else (0, 0)
 
 
 def answerability_span(
@@ -335,7 +295,8 @@ class GoldReader:
             class_logits[YES if self.kind == "yes" else NO] = self.MARGIN
         n = len(serialized.tokens)
         start, end = (self._marker_logits(n, hot) for hot in span or (None, None))
-        best = span or find_best_span(start, end, serialized.paragraphs)
+        # Every interval ties on flat paragraph logits, so the earliest one wins.
+        best = span or next(((lo, lo) for lo, hi in serialized.paragraphs if lo < hi), (0, 0))
         return ReaderOutput(class_logits, start, end, best)
 
     @staticmethod

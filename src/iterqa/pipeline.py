@@ -36,6 +36,7 @@ from .search import InvertedIndex, SearchHit, search_topk
 
 ANSWERED = "answered"
 EXHAUSTED = "exhausted"
+RERANKER_CANDIDATES = 5  # new hits per step that the reader and reranker score
 
 
 class ConfigError(ValueError):
@@ -47,13 +48,12 @@ class PipelineConfig:
     k_cap: int = 5
     docs_per_step: int = 50
     stop_threshold: float = 0.0
-    reranker_candidates: int = 5
     # When set, answerability is ignored and the answer is forced from the
     # candidates at exactly this step.
     fixed_steps: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("k_cap", "docs_per_step", "reranker_candidates", "fixed_steps"):
+        for name in ("k_cap", "docs_per_step", "fixed_steps"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
@@ -179,7 +179,7 @@ def step(
     on_path = set(path.step_ids())
     candidates = [
         corpus.paragraphs[h.paragraph_id] for h in hits if h.paragraph_id not in on_path
-    ][: config.reranker_candidates]
+    ][:RERANKER_CANDIDATES]
     if not candidates:
         return path, StepOutcome(query_used=query, exhausted_reason="no new candidates")
 
@@ -341,8 +341,8 @@ def generate_training_traces(
     skipped and counted.
 
     From ``config``, ``k_cap`` caps the paragraphs on a traced path and
-    ``docs_per_step`` and ``reranker_candidates`` size each step's search
-    and candidate set; the stop settings do not apply.
+    ``docs_per_step`` sizes each step's search; the stop settings do not
+    apply.
     """
     result = TraceGeneration()
     for example in gold_examples:
@@ -381,7 +381,7 @@ def _trace(
 ) -> tuple[TrainingTrace, list[SearchHit]]:
     """The trace for reaching ``target`` from ``path``, and the query's hits."""
     hits = search_topk(index, list(query.terms), config.docs_per_step)
-    candidates = _trace_candidates(hits, set(path.step_ids()), index, config.reranker_candidates)
+    candidates = _trace_candidates(hits, set(path.step_ids()), index, RERANKER_CANDIDATES)
     label, span = _reader_label(path.extended(target), example)
     gold = set(example.gold_ids)
     trace = TrainingTrace(

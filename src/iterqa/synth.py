@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .corpus import Corpus, ingest_corpus
-from .pipeline import QuestionExample
+from .pipeline import ConfigError, QuestionExample
 
 _SYLLABLES = [
     "bal", "dor", "fen", "gri", "hol", "jun", "kel", "lor", "mav", "nim",
@@ -71,6 +71,11 @@ def make_chain_benchmark(
     seed: int = 13,
 ) -> SyntheticBenchmark:
     """Build a corpus and question set with planted 1/2/3-hop chains."""
+    if min(*n_per_hop, n_distractors) < 0 or not sum(n_per_hop):
+        raise ConfigError(
+            f"counts must be >= 0 and ask for a question, "
+            f"got per hop {list(n_per_hop)} and distractors {n_distractors}"
+        )
     rng = random.Random(seed)
     namer = _Namer(rng)
     records: list[dict] = []

@@ -360,11 +360,15 @@ def test_cli_reports_bad_config_value(workspace, capsys, command, flags, name):
         argv += ["--question", "where is the secret"]
     else:
         argv += ["--questions", str(questions_path)]
+    out = tmp_path / "out"
     if command == "traces":
-        argv += ["--out", str(tmp_path / "traces.jsonl")]
+        argv += ["--out", str(out)]
+    if command == "bench":
+        argv += ["--report-dir", str(out)]
     message = cli_error(argv, capsys)
     rule = "a number" if name == "stop_threshold" else ">= 1"
     assert message.startswith(f"iterqa {command}: {name} must be {rule}, got ")
+    assert not out.exists()
 
 
 def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
@@ -553,3 +557,49 @@ def test_cli_refuses_a_repeated_gold_id(workspace, capsys, command):
     message = cli_error(empty_input_argv(command, tmp_path, corpus_path, questions_path), capsys)
     assert message == f"iterqa {command}: line 1: gold paragraph {gold_id!r} is listed twice"
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("per_hop, distractors", [
+    (["-1", "0", "0"], "-4"),
+    (["2", "2", "2"], "-1"),
+    (["0", "0", "0"], "3"),
+], ids=["negative-per-hop", "negative-distractors", "no-question"])
+def test_cli_synth_refuses_counts_that_make_no_benchmark(tmp_path, capsys, per_hop, distractors):
+    corpus_out, questions_out = tmp_path / "corpus.jsonl", tmp_path / "questions.jsonl"
+    message = cli_error([
+        "synth", "--corpus-out", str(corpus_out), "--questions-out", str(questions_out),
+        "--per-hop", *per_hop, "--distractors", distractors,
+    ], capsys)
+    assert message == (
+        "iterqa synth: counts must be >= 0 and ask for a question, "
+        f"got per hop [{', '.join(per_hop)}] and distractors {distractors}"
+    )
+    assert not corpus_out.exists() and not questions_out.exists()
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("questions ran before the output was opened")
+
+
+def test_cli_traces_opens_its_output_before_any_question_runs(workspace, capsys, monkeypatch):
+    tmp_path, corpus_path, questions_path = workspace
+    monkeypatch.setattr("iterqa.cli.generate_training_traces", must_not_run)
+    out = tmp_path / "missing" / "traces.jsonl"
+    message = cli_error([
+        "traces", "--corpus", str(corpus_path), "--questions", str(questions_path),
+        "--out", str(out),
+    ], capsys)
+    assert message.startswith("iterqa traces: ") and str(out) in message
+
+
+def test_cli_bench_makes_its_report_dir_before_any_question_runs(workspace, capsys, monkeypatch):
+    tmp_path, corpus_path, questions_path = workspace
+    monkeypatch.setattr("iterqa.cli.run_benchmark", must_not_run)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+        "--fixed-k-grid", "1", "2", "3", "--report-dir", str(taken),
+    ], capsys)
+    assert message.startswith("iterqa bench: ") and str(taken) in message
+

@@ -6,8 +6,6 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from iterqa.corpus import ingest_corpus, tokenize
 from iterqa.models import (
@@ -29,7 +27,6 @@ from iterqa.models import (
     answerability_yesno,
     build_model_factory,
     find_answer_span,
-    find_best_span,
     pick_answer,
     serialize_path,
 )
@@ -207,113 +204,8 @@ def test_pick_answer_kind_invariant_under_positive_scaling():
 
 
 # ---------------------------------------------------------------------------
-# find_best_span / find_answer_span
+# find_answer_span
 # ---------------------------------------------------------------------------
-
-def test_find_best_span_prefers_highest_sum():
-    # Positions 0-2 and 6 are [CLS], question and [SEP] tokens.
-    paragraphs = ((3, 6),)
-    start = (9.0, 9.0, 0.0, 0.0, 2.0, 0.0, 0.0)
-    end = (9.0, 9.0, 0.0, 0.0, 0.0, 3.0, 0.0)
-    assert find_best_span(start, end, paragraphs) == (4, 5)
-
-
-def test_find_best_span_stays_inside_one_paragraph():
-    paragraphs = ((1, 3), (4, 6))
-    start = (0.0, 0.0, 5.0, 0.0, 0.0, 0.0)
-    end = (0.0, 0.0, 0.0, 0.0, 0.0, 5.0)
-    best = find_best_span(start, end, paragraphs)
-    assert any(lo <= best[0] <= best[1] < hi for lo, hi in paragraphs)
-
-
-def test_find_best_span_no_paragraph_returns_marker():
-    assert find_best_span((0.0, 1.0, 0.0), (0.0, 1.0, 0.0), ()) == (0, 0)
-
-
-def test_find_best_span_respects_max_length():
-    start = tuple([1.0] + [0.0] * 39)
-    end = tuple([0.0] * 39 + [1.0])
-    best = find_best_span(start, end, ((0, 40),), max_span_tokens=30)
-    assert best[1] - best[0] + 1 <= 30
-
-
-def exhaustive_best_span(start_logits, end_logits, segment_map, max_span_tokens=30):
-    """Reference: every valid interval, scanned without any early exit."""
-    best = None
-    best_score = -math.inf
-    for i, seg in enumerate(segment_map):
-        if not seg.startswith("para:"):
-            continue
-        for j in range(i, min(i + max_span_tokens, len(segment_map))):
-            if segment_map[j] != seg:
-                break
-            score = start_logits[i] + end_logits[j]
-            if score > best_score:
-                best_score = score
-                best = (i, j)
-    return best if best is not None else (0, 0)
-
-
-# Blocks of a serialized path: paragraphs (each with its own label, so two can
-# be adjacent), separated or not by special, question and title tokens. Most
-# blocks are short, so intervals are dense; some outgrow max_span_tokens.
-SEGMENT_BLOCKS = st.lists(
-    st.tuples(st.sampled_from(["para", "para", "special", "question", "title"]),
-              st.integers(min_value=1, max_value=6) | st.integers(min_value=1, max_value=40)),
-    max_size=6,
-)
-# Mostly a few values one unit or one ulp apart, so exact ties and near misses
-# between intervals are common; constant rows cover flat, all -inf and all +inf
-# logits. NaN covers unordered logits, for which max() depends on argument
-# order.
-NEAR_VALUES = st.sampled_from(
-    [-math.inf, -1.0, 0.0, 1.0, math.nextafter(1.0, 2.0), math.inf, math.nan]
-)
-LOGIT = NEAR_VALUES | NEAR_VALUES | st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-def logit_rows(n):
-    return st.one_of(
-        st.lists(LOGIT, min_size=n, max_size=n),
-        LOGIT.map(lambda value: [value] * n),
-    ).map(tuple)
-
-
-@settings(max_examples=300, deadline=None)
-@given(blocks=SEGMENT_BLOCKS, max_span_tokens=st.integers(min_value=1, max_value=35),
-       data=st.data())
-def test_find_best_span_equals_exhaustive_scan(blocks, max_span_tokens, data):
-    # The label map (for the reference) and the ranges come from the same blocks.
-    segment_map = ["special"]
-    paragraphs = []
-    for t, (kind, length) in enumerate(blocks, start=1):
-        label = kind if kind in ("special", "question") else f"{kind}:{t}"
-        if kind == "para":
-            paragraphs.append((len(segment_map), len(segment_map) + length))
-        segment_map += [label] * length
-    start = data.draw(logit_rows(len(segment_map)), label="start")
-    end = data.draw(logit_rows(len(segment_map)), label="end")
-    assert find_best_span(start, end, paragraphs, max_span_tokens) == exhaustive_best_span(
-        start, end, segment_map, max_span_tokens
-    )
-
-
-def test_find_best_span_exits_only_at_the_exact_bound():
-    # (1, 1) scores 2.0, one ulp below the bound that only (2, 3) reaches.
-    up = math.nextafter(1.0, 2.0)
-    start = (0.0, 1.0, up, 0.0)
-    end = (0.0, 1.0, 0.0, up)
-    assert find_best_span(start, end, ((1, 4),)) == (2, 3)
-
-
-def test_find_best_span_bound_spans_all_paragraphs_with_nan():
-    # max() keeps the first of unordered values. Taken per paragraph, the
-    # second paragraph's leading NaN would hide its 5.0, and the bound 0.0
-    # would stop the scan at (1, 1).
-    start = (0.0, 0.0, 0.0, math.nan, 5.0)
-    end = (0.0, 0.0, 0.0, 0.0, 0.0)
-    assert find_best_span(start, end, ((1, 2), (3, 5))) == (4, 4)
-
 
 def test_find_answer_span_normalized_match(fixture_corpus):
     path = path_with(fixture_corpus, "what blooms", ["beta#0"])
@@ -525,17 +417,24 @@ def test_gold_reader_yes_no(fixture_corpus):
     (["yes"], {"alpha#0"}, "yes", ["alpha#0"], YES, None),
     (["no"], {"alpha#0"}, "no", ["alpha#0"], NO, None),
     (["orchid bloom"], {"alpha#0", "beta#0"}, "span", ["beta#0"], None, None),
-], ids=["span-found", "span-not-in-last", "yes", "no", "incomplete"])
-def test_gold_reader_output_is_pinned(fixture_corpus, answers, gold, kind, steps, raised, answer):
-    path = path_with(fixture_corpus, "q", steps)
+    (["orchid bloom"], {"void#0", "alpha#0"}, "span", ["void#0", "alpha#0"], None, None),
+    (["yes"], {"void#0"}, "yes", ["void#0"], YES, None),
+], ids=["span-found", "span-not-in-last", "yes", "no", "incomplete", "empty-then-text",
+        "only-empty"])
+def test_gold_reader_output_is_pinned(answers, gold, kind, steps, raised, answer):
+    # "void#0" has no text, so its token range is empty.
+    corpus = corpus_from(FIXTURE_RECORDS + [
+        {"article_id": "void", "title": "Void", "order": 0, "text": ""},
+    ])
+    path = path_with(corpus, "q", steps)
     sp = serialize_path(path)
     class_logits = {SPAN: -10.0, YES: -10.0, NO: -10.0, NOANSWER: 0.0}
     if raised is not None:
         class_logits[raised] = 10.0
     if answer is None:
-        # Flat paragraph logits: the first paragraph position is the best span.
-        first = next(lo for lo, hi in sp.paragraphs if lo < hi)
-        best = (first, first)
+        # Flat paragraph logits: the first position of a non-empty paragraph
+        # is the best span, and with none the no-span marker (0, 0) is.
+        best = next(((lo, lo) for lo, hi in sp.paragraphs if lo < hi), (0, 0))
         hot = (0, 0)
     else:
         best = hot = (sp.tokens.index(answer[0]), sp.tokens.index(answer[1]))

@@ -454,7 +454,7 @@ def test_trace_record_round_trips_json():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("k_cap", -1), ("k_cap", 0), ("docs_per_step", 0), ("reranker_candidates", 0),
+    ("k_cap", -1), ("k_cap", 0), ("docs_per_step", 0),
     ("fixed_steps", 0), ("fixed_steps", -2), ("stop_threshold", math.nan),
 ])
 def test_pipeline_config_rejects_out_of_range_values(field, value):
