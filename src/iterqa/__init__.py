@@ -51,7 +51,6 @@ from .search import (
     InvertedIndex,
     SearchHit,
     build_index,
-    load_index,
     rank_of,
     save_index,
     search_topk,

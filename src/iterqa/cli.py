@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 
 from .bench import (
     QuestionsFormatError, format_summary, grid_configs, load_examples, run_benchmark, write_reports
@@ -24,7 +23,7 @@ from .pipeline import (
     trace_record,
     walk_gold_path,
 )
-from .search import IndexFormatError, build_index, load_index, save_index
+from .search import build_index, save_index
 from .synth import make_chain_benchmark, write_benchmark
 
 
@@ -52,10 +51,7 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _factory(args, index, corpus):
-    if args.models:
-        manifest = load_manifest(args.models)
-    else:
-        manifest = {"retriever": "oracle", "reader": "gold", "reranker": "baseline"}
+    manifest = load_manifest(args.models) if args.models else {}
     return build_model_factory(manifest, index, corpus)
 
 
@@ -65,33 +61,6 @@ def _load_corpus(path):
     if not corpus.paragraphs:
         raise IngestError(None, f"corpus {path!r} holds no paragraphs")
     return corpus
-
-
-def _index_for(args, corpus):
-    """The index at ``--index``, once its paragraphs match the corpus; else a new one.
-
-    A paragraph matches when its article, its token count and the count of
-    each of its indexed terms are the corpus's. Equal counts of the indexed
-    terms at an equal token count leave no room for another term.
-    """
-    if not getattr(args, "index", None):
-        return build_index(corpus)
-    index = load_index(args.index)
-    for pid in sorted(index.doc_lengths.keys() | corpus.paragraphs.keys()):
-        para = corpus.paragraphs.get(pid)
-        indexed = (index.doc_lengths.get(pid), index.para_article.get(pid))
-        if para is None or indexed != (len(para.tokens), para.article_id):
-            raise IndexFormatError(f"index does not match the corpus at paragraph {pid!r}")
-    counts = {pid: Counter(para.tokens) for pid, para in corpus.paragraphs.items()}
-    other_words = [
-        pid for term, entry in index.postings.items() for pid, tf in entry.items()
-        if counts[pid][term] != tf
-    ]
-    if other_words:
-        raise IndexFormatError(
-            f"index does not match the corpus at paragraph {min(other_words)!r}"
-        )
-    return index
 
 
 def _examples_for(path, corpus) -> list[QuestionExample]:
@@ -109,7 +78,7 @@ def _examples_for(path, corpus) -> list[QuestionExample]:
 
 
 def cmd_index(args) -> int:
-    index = _index_for(args, _load_corpus(args.corpus))
+    index = build_index(_load_corpus(args.corpus))
     save_index(index, args.out)
     print(f"indexed {index.n_para} paragraphs / {index.n_article} articles -> {args.out}")
     return 0
@@ -117,7 +86,7 @@ def cmd_index(args) -> int:
 
 def cmd_oracle(args) -> int:
     corpus = _load_corpus(args.corpus)
-    index = _index_for(args, corpus)
+    index = build_index(corpus)
     examples = _examples_for(args.questions, corpus)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     skipped = 0
@@ -150,7 +119,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_traces(args) -> int:
     corpus = _load_corpus(args.corpus)
-    index = _index_for(args, corpus)
+    index = build_index(corpus)
     examples = _examples_for(args.questions, corpus)
     config = PipelineConfig(k_cap=args.k_cap, docs_per_step=args.docs_per_step)
     with open(args.out, "w", encoding="utf-8") as out:
@@ -168,7 +137,7 @@ def cmd_traces(args) -> int:
 
 def cmd_run(args) -> int:
     corpus = _load_corpus(args.corpus)
-    index = _index_for(args, corpus)
+    index = build_index(corpus)
     if args.question_file:
         example = _examples_for(args.question_file, corpus)[0]
     else:
@@ -193,7 +162,7 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     corpus = _load_corpus(args.corpus)
-    index = _index_for(args, corpus)
+    index = build_index(corpus)
     examples = _examples_for(args.questions, corpus)
     factory = _factory(args, index, corpus)
     config = _pipeline_config(args)
@@ -266,14 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="emit oracle queries along gold paths")
     p.add_argument("--corpus", required=True)
     p.add_argument("--questions", required=True)
-    p.add_argument("--index", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("traces", help="emit training traces, with optional augmentation")
     p.add_argument("--corpus", required=True)
     p.add_argument("--questions", required=True)
-    p.add_argument("--index", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--k-cap", type=int, default=3)
     p.add_argument("--docs-per-step", type=int, default=50)
@@ -282,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="answer a single question with a verbose step log")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--index", default=None)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--question")
     group.add_argument("--question-file")
@@ -292,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a questions file and report EM/F1 + behavior")
     p.add_argument("--corpus", required=True)
     p.add_argument("--questions", required=True)
-    p.add_argument("--index", default=None)
     p.add_argument("--report-dir", default=None)
     p.add_argument("--fixed-k-grid", type=int, nargs="*", default=None,
                    help="also evaluate fixed-step policies at these K values")
@@ -323,9 +288,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        OSError, IngestError, IndexFormatError, QuestionsFormatError, ManifestError, ConfigError
-    ) as exc:
+    except (OSError, IngestError, QuestionsFormatError, ManifestError, ConfigError) as exc:
         print(f"iterqa {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -335,7 +335,7 @@ def _load_external(ref: str):
         raise ManifestError(f"cannot load external model {ref!r}: {exc}") from exc
 
 
-_DEFAULT_ROLES = {"retriever": "baseline", "reader": "gold", "reranker": "baseline"}
+_DEFAULT_ROLES = {"retriever": "oracle", "reader": "gold", "reranker": "baseline"}
 _LEXICAL_OPTIONS = ("keep_fraction", "max_query_len")
 
 
@@ -348,17 +348,19 @@ def build_model_factory(
     "external:module:attr"), ``reader`` ("gold" or external), ``reranker``
     ("baseline" or external), plus optional ``keep_fraction`` and
     ``max_query_len`` for the baseline retriever (the oracle's fallback is a
-    default one); any other key is refused. External attributes are
-    called with (example, index, corpus) and must return the role callable.
-    Gold-aware roles read ``gold_ids``, ``answers``, and ``answer_kind``
-    off the example passed to the factory. Every role is resolved here, so
-    a bad manifest raises ManifestError before any question runs.
+    default one); any other key is refused. A missing role takes its
+    default, so ``{}`` is the oracle retriever, the gold reader and the
+    baseline reranker. External attributes are called with (example,
+    index, corpus) and must return the role callable. Gold-aware roles read
+    ``gold_ids``, ``answers``, and ``answer_kind`` off the example passed
+    to the factory. Every role is resolved here, so a bad manifest raises
+    ManifestError before any question runs.
     """
     unknown = sorted(manifest.keys() - _DEFAULT_ROLES.keys() - set(_LEXICAL_OPTIONS))
     if unknown:
         raise ManifestError(f"unknown manifest key {unknown[0]!r}")
     options = {key: manifest[key] for key in _LEXICAL_OPTIONS if key in manifest}
-    if options and manifest.get("retriever", "baseline") != "baseline":
+    if options and manifest.get("retriever", _DEFAULT_ROLES["retriever"]) != "baseline":
         raise ManifestError(f"{next(iter(options))} applies only to the baseline retriever")
     try:
         # Pure and the same for every question, so built once, here.

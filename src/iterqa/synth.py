@@ -142,11 +142,17 @@ def make_chain_benchmark(
 
 
 def write_benchmark(benchmark: SyntheticBenchmark, corpus_path, questions_path) -> None:
-    """Write the benchmark as a corpus file and a questions file."""
-    with open(corpus_path, "w", encoding="utf-8") as out:
+    """Write the benchmark as a corpus file and a questions file.
+
+    Both files are opened before either is written, so an output that
+    cannot be opened leaves no record in the other.
+    """
+    with (
+        open(corpus_path, "w", encoding="utf-8") as corpus_out,
+        open(questions_path, "w", encoding="utf-8") as questions_out,
+    ):
         for record in benchmark.corpus_records:
-            out.write(json.dumps(record) + "\n")
-    with open(questions_path, "w", encoding="utf-8") as out:
+            corpus_out.write(json.dumps(record) + "\n")
         for ex in benchmark.examples:
             record = {
                 "id": ex.qid,
@@ -156,4 +162,4 @@ def write_benchmark(benchmark: SyntheticBenchmark, corpus_path, questions_path) 
                 "answer_kind": ex.answer_kind,
                 "dataset": ex.dataset,
             }
-            out.write(json.dumps(record) + "\n")
+            questions_out.write(json.dumps(record) + "\n")

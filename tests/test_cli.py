@@ -1,9 +1,12 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from iterqa.cli import main
+from iterqa.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -168,15 +171,13 @@ def test_cli_run_single_question(workspace, capsys):
     assert steps and steps[0]["query"]
 
 
-def test_cli_run_with_index_and_baseline_manifest(workspace, tmp_path, capsys):
+def test_cli_run_with_baseline_manifest(workspace, tmp_path, capsys):
     _, corpus_path, _ = workspace
-    index_path = tmp_path / "idx.jsonl"
-    main(["index", "--corpus", str(corpus_path), "--out", str(index_path)])
     manifest = tmp_path / "models.json"
     manifest.write_text(json.dumps({"retriever": "baseline", "reader": "gold",
                                     "reranker": "baseline"}))
     assert main([
-        "run", "--corpus", str(corpus_path), "--index", str(index_path),
+        "run", "--corpus", str(corpus_path),
         "--question", "which secret is kept somewhere",
         "--models", str(manifest),
     ]) == 0
@@ -236,49 +237,6 @@ def test_cli_reports_bad_corpus_line(tmp_path, capsys):
     assert message == "iterqa index: line 1: missing field 'text'"
 
 
-def test_cli_reports_bad_index(workspace, capsys):
-    tmp_path, corpus_path, questions_path = workspace
-    index_path = tmp_path / "index.jsonl"
-    index_path.write_text('{"magic": "something-else"}\n')
-    message = cli_error([
-        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
-        "--index", str(index_path),
-    ], capsys)
-    assert message.startswith("iterqa bench: ") and "magic" in message
-
-
-def test_cli_refuses_an_index_cut_short(workspace, capsys):
-    tmp_path, corpus_path, questions_path = workspace
-    index_path = tmp_path / "index.jsonl"
-    assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
-    capsys.readouterr()
-    lines = index_path.read_text().splitlines(keepends=True)
-    index_path.write_text("".join(lines[:-3]))
-    message = cli_error([
-        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
-        "--index", str(index_path),
-    ], capsys)
-    n = len(lines) - 1
-    assert message == (
-        f"iterqa bench: index file has {n - 3} paragraph records, not the {n} its header names"
-    )
-
-
-def test_cli_reports_format_1_index(workspace, capsys):
-    tmp_path, corpus_path, _ = workspace
-    index_path = tmp_path / "index.jsonl"
-    index_path.write_text(
-        '{"magic": "iterqa-index", "format_version": 1, "k1": 1.2, "b": 0.75, "article_k1": 1.2, '
-        '"article_b": 0.0, "n_para": 1, "n_article": 1, "avg_doc_length": 2.0}\n'
-        '{"kind": "para", "id": "a#0", "len": 2, "article": "a"}\n'
-    )
-    message = cli_error([
-        "run", "--corpus", str(corpus_path), "--index", str(index_path),
-        "--question", "which secret is kept somewhere",
-    ], capsys)
-    assert message == "iterqa run: unsupported index format version 1"
-
-
 def test_cli_reports_bad_question_record(workspace, capsys):
     tmp_path, corpus_path, _ = workspace
     questions_path = tmp_path / "bad.jsonl"
@@ -313,8 +271,10 @@ def test_cli_reports_bad_manifest(workspace, capsys):
     ({"retriever": "baseline", "keep_fracton": 0.9}, "unknown manifest key 'keep_fracton'"),
     ({"retriever": "external:conftest:external_retriever_factory", "max_query_len": 5},
      "max_query_len applies only to the baseline retriever"),
+    ({"keep_fraction": 0.5}, "keep_fraction applies only to the baseline retriever"),
 ], ids=["role-not-a-string", "bad-keep-fraction", "not-json", "bad-max-query-len",
-        "oracle-retriever-option", "misspelled-key", "external-retriever-option"])
+        "oracle-retriever-option", "misspelled-key", "external-retriever-option",
+        "default-retriever-option"])
 def test_cli_reports_malformed_manifest(workspace, capsys, manifest, expected):
     tmp_path, corpus_path, questions_path = workspace
     manifest_path = tmp_path / "models.json"
@@ -415,90 +375,17 @@ def test_cli_reports_duplicate_question_id(workspace, capsys):
     assert message == f"iterqa bench: line 5: id {records[1]['id']!r} is already used on line 2"
 
 
-@pytest.mark.parametrize("flag", ["--corpus", "--questions", "--index", "--models"])
+@pytest.mark.parametrize("flag", ["--corpus", "--questions", "--models"])
 def test_cli_reports_missing_input_file(workspace, capsys, flag):
     tmp_path, corpus_path, questions_path = workspace
-    index_path = tmp_path / "index.jsonl"
-    assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
     manifest_path = tmp_path / "models.json"
     manifest_path.write_text(json.dumps({"retriever": "baseline"}))
-    capsys.readouterr()
-    paths = {"--corpus": corpus_path, "--questions": questions_path,
-             "--index": index_path, "--models": manifest_path}
+    paths = {"--corpus": corpus_path, "--questions": questions_path, "--models": manifest_path}
     missing = tmp_path / "missing.jsonl"
     paths[flag] = missing
     argv = ["bench"] + [part for name, path in paths.items() for part in (name, str(path))]
     message = cli_error(argv, capsys)
     assert message.startswith("iterqa bench: ") and str(missing) in message
-
-
-@pytest.fixture()
-def foreign_index(workspace):
-    """An index of the workspace's benchmark drawn with another seed."""
-    tmp_path = workspace[0]
-    other = tmp_path / "other"
-    other.mkdir()
-    assert main([
-        "synth", "--corpus-out", str(other / "corpus.jsonl"),
-        "--questions-out", str(other / "questions.jsonl"),
-        "--per-hop", "4", "4", "2", "--distractors", "10", "--seed", "13",
-    ]) == 0
-    index_path = other / "index.jsonl"
-    assert main(["index", "--corpus", str(other / "corpus.jsonl"), "--out", str(index_path)]) == 0
-    return index_path
-
-
-@pytest.mark.parametrize("command", ["oracle", "traces", "run", "bench"])
-def test_cli_refuses_index_of_another_corpus(workspace, foreign_index, capsys, command):
-    tmp_path, corpus_path, questions_path = workspace
-    capsys.readouterr()
-    argv = [command, "--corpus", str(corpus_path), "--index", str(foreign_index)]
-    if command == "run":
-        argv += ["--question-file", str(questions_path)]
-    else:
-        argv += ["--questions", str(questions_path)]
-    out = tmp_path / "out.jsonl"
-    if command in ("oracle", "traces"):
-        argv += ["--out", str(out)]
-    message = cli_error(argv, capsys)
-    assert message == (
-        f"iterqa {command}: index does not match the corpus at paragraph 'dist0001#0'"
-    )
-    assert not out.exists()
-
-
-def test_cli_refuses_index_with_other_token_counts(workspace, capsys):
-    tmp_path, corpus_path, questions_path = workspace
-    records = read_jsonl(corpus_path)
-    records[2]["text"] += " plus two"
-    edited = tmp_path / "edited.jsonl"
-    edited.write_text("".join(json.dumps(r) + "\n" for r in records))
-    index_path = tmp_path / "index.jsonl"
-    assert main(["index", "--corpus", str(edited), "--out", str(index_path)]) == 0
-    capsys.readouterr()
-    message = cli_error([
-        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
-        "--index", str(index_path),
-    ], capsys)
-    pid = f"{records[2]['article_id']}#{records[2]['order']}"
-    assert message == f"iterqa bench: index does not match the corpus at paragraph {pid!r}"
-
-
-def test_cli_refuses_index_with_other_words_at_equal_token_counts(workspace, capsys):
-    tmp_path, corpus_path, questions_path = workspace
-    records = read_jsonl(corpus_path)
-    records[2]["text"] = " ".join(["zzzword"] + records[2]["text"].split()[1:])
-    edited = tmp_path / "edited.jsonl"
-    edited.write_text("".join(json.dumps(r) + "\n" for r in records))
-    index_path = tmp_path / "index.jsonl"
-    assert main(["index", "--corpus", str(edited), "--out", str(index_path)]) == 0
-    capsys.readouterr()
-    message = cli_error([
-        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
-        "--index", str(index_path),
-    ], capsys)
-    pid = f"{records[2]['article_id']}#{records[2]['order']}"
-    assert message == f"iterqa bench: index does not match the corpus at paragraph {pid!r}"
 
 
 def empty_input_argv(command, tmp_path, corpus_path, questions_path):
@@ -575,6 +462,32 @@ def test_cli_synth_refuses_counts_that_make_no_benchmark(tmp_path, capsys, per_h
         f"got per hop [{', '.join(per_hop)}] and distractors {distractors}"
     )
     assert not corpus_out.exists() and not questions_out.exists()
+
+
+@pytest.mark.parametrize("missing", ["corpus", "questions"])
+def test_cli_synth_writes_no_record_when_an_output_cannot_be_opened(tmp_path, capsys, missing):
+    outputs = {"corpus": tmp_path / "corpus.jsonl", "questions": tmp_path / "questions.jsonl"}
+    outputs[missing] = tmp_path / "nodir" / f"{missing}.jsonl"
+    message = cli_error([
+        "synth", "--corpus-out", str(outputs["corpus"]),
+        "--questions-out", str(outputs["questions"]),
+        "--per-hop", "2", "2", "2", "--distractors", "3",
+    ], capsys)
+    assert message.startswith("iterqa synth: ") and str(outputs[missing]) in message
+    assert all(not path.exists() or path.read_text() == "" for path in outputs.values())
+
+
+def test_cli_readme_walkthrough_parses():
+    # Every `iterqa ...` line of the README's bash blocks, continuations joined.
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("iterqa ")]
+    assert [argv[0] for argv in commands] == [
+        "synth", "index", "run", "bench", "oracle", "traces", "map"
+    ]
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def must_not_run(*args, **kwargs):

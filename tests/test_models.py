@@ -476,12 +476,13 @@ def example_for(corpus):
 
 
 def test_factory_default_roles(fixture_corpus, fixture_index):
-    manifest = {"retriever": "oracle", "reader": "gold", "reranker": "baseline"}
-    factory = build_model_factory(manifest, fixture_index, fixture_corpus)
-    bundle = factory(example_for(fixture_corpus))
-    assert isinstance(bundle.retriever, OracleRetriever)
-    assert isinstance(bundle.reader, GoldReader)
-    assert isinstance(bundle.reranker, LexicalReranker)
+    # The empty manifest takes every role's default: the same three roles.
+    for manifest in ({"retriever": "oracle", "reader": "gold", "reranker": "baseline"}, {}):
+        factory = build_model_factory(manifest, fixture_index, fixture_corpus)
+        bundle = factory(example_for(fixture_corpus))
+        assert isinstance(bundle.retriever, OracleRetriever)
+        assert isinstance(bundle.reader, GoldReader)
+        assert isinstance(bundle.reranker, LexicalReranker)
 
 
 def test_factory_shares_one_lexical_retriever_as_the_oracle_fallback(fixture_corpus, fixture_index):

@@ -768,3 +768,28 @@ def test_load_rejects_malformed_records(tmp_path, rewrite, message):
     with pytest.raises(IndexFormatError, match=message) as info:
         load_index(path)
     assert "\n" not in str(info.value)
+
+
+def with_header(**changes):
+    """Replace the header line by the saved one with ``changes`` (None drops a key)."""
+    def rewrite(lines):
+        header = {**json.loads(lines[0]), **changes}
+        lines[0] = json.dumps({k: v for k, v in header.items() if v is not None}) + "\n"
+        return lines
+    return rewrite
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (lambda lines: [lines[0][:-5] + "\n"] + lines[1:], "unreadable index header"),
+    (with_header(format_version=1), "unsupported index format version 1"),
+    (with_header(n_para=0), "index header has n_para=0, not an integer >= 1"),
+    (with_header(n_para="809"), "index header has n_para='809', not an integer >= 1"),
+    (with_header(n_para=True), "index header has n_para=True, not an integer >= 1"),
+    (with_header(n_para=None), "index header has n_para=None, not an integer >= 1"),
+], ids=["unreadable", "format-1", "n-para-0", "n-para-string", "n-para-bool", "n-para-missing"])
+def test_load_rejects_bad_headers(tmp_path, rewrite, message):
+    path = tmp_path / "index.jsonl"
+    path.write_text("".join(rewrite(saved_lines(path))))
+    with pytest.raises(IndexFormatError, match=message) as info:
+        load_index(path)
+    assert "\n" not in str(info.value)
