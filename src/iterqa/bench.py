@@ -68,6 +68,11 @@ def load_examples(path) -> list[QuestionExample]:
                     f"line {line_no}: fixed_steps must be null or an integer >= 1, "
                     f"got {fixed_steps!r}"
                 )
+            dataset = record.get("dataset", "")
+            if not isinstance(dataset, str):
+                raise QuestionsFormatError(
+                    f"line {line_no}: dataset must be a string, got {dataset!r}"
+                )
             answers = tuple(record.get("answers", ()))
             kind = record.get("answer_kind")
             if kind is None:
@@ -84,7 +89,7 @@ def load_examples(path) -> list[QuestionExample]:
                     gold_ids=gold_ids,
                     answer_kind=kind,
                     fixed_steps=fixed_steps,
-                    dataset=record.get("dataset", ""),
+                    dataset=dataset,
                 )
             )
     return examples

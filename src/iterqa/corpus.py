@@ -38,11 +38,13 @@ def tokenize(text: str) -> list[str]:
     """Lowercase, split on Unicode whitespace, strip edge punctuation.
 
     Deterministic and idempotent: pieces that are punctuation-only are
-    dropped, internal punctuation (hyphens, apostrophes) is kept.
+    dropped, internal punctuation (hyphens, apostrophes) is kept. A piece with
+    alphanumeric ends is kept whole, which is exact because no code point is
+    both ``isalnum()`` and of a ``P*`` category.
     """
     tokens = []
     for piece in text.lower().split():
-        token = _strip_punct(piece)
+        token = piece if piece[0].isalnum() and piece[-1].isalnum() else _strip_punct(piece)
         if token:
             tokens.append(token)
     return tokens

@@ -47,7 +47,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, filterfalse, islice
 from operator import countOf
@@ -121,14 +121,14 @@ def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedI
     Each article id is interned, so the index holds one string per article.
     Ordinals are positions in the sorted ``para_order`` and ``article_order``.
     """
-    postings: dict[str, dict[str, int]] = {}
+    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
     doc_lengths: dict[str, int] = {}
     para_article: dict[str, str] = {}
     for pid, aid, counts in records:
         para_article[pid] = sys.intern(aid)
         doc_lengths[pid] = sum(counts.values())
         for term, tf in counts.items():
-            postings.setdefault(term, {})[pid] = tf
+            postings[term][pid] = tf
     para_order = tuple(sorted(doc_lengths))
     article_order = tuple(sorted(set(para_article.values())))
     ordinals = tuple(range(len(para_order)))
@@ -136,7 +136,7 @@ def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedI
     for i, pid in zip(ordinals, para_order):
         members[para_article[pid]].append(i)
     return InvertedIndex(
-        postings=postings,
+        postings=dict(postings),  # a plain dict, so a lookup never inserts
         doc_lengths=doc_lengths,
         avg_doc_length=sum(doc_lengths.values()) / len(doc_lengths),
         n_para=len(doc_lengths),

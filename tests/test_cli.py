@@ -352,6 +352,9 @@ def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
      "gold_paragraph_ids must be a list of strings, got 'q0001-hop1#0'"),
     ("id", None, "id must be a string, got None"),
     ("id", [1], "id must be a string, got [1]"),
+    ("dataset", 5, "dataset must be a string, got 5"),
+    ("dataset", None, "dataset must be a string, got None"),
+    ("dataset", ["x"], "dataset must be a string, got ['x']"),
 ])
 def test_cli_reports_bad_question_field(workspace, capsys, field, value, expected):
     tmp_path, corpus_path, questions_path = workspace

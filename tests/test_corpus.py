@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,49 @@ def test_tokenize_unicode_whitespace():
 def test_tokenize_idempotent(text):
     once = tokenize(text)
     assert tokenize(" ".join(once)) == once
+
+
+def reference_tokenize(text):
+    """``tokenize`` without its fast path: every piece's ends are looked up."""
+    tokens = []
+    for piece in text.lower().split():
+        start, end = 0, len(piece)
+        while start < end and unicodedata.category(piece[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(piece[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            tokens.append(piece[start:end])
+    return tokens
+
+
+# Pieces near the fast path's edge: alphanumeric ends around inner punctuation,
+# combining marks, a capital whose lowercase is two code points, CJK, Roman
+# numerals, Arabic-Indic and superscript digits, and punctuation only.
+TRICKY_PIECES = [
+    "a.b", "don't", "U.S.A", "x-1", "e\u0301", "\u0301e", "(e\u0301)", "İ", "İstanbul",
+    "ß", "東京", "「東京」", "Ⅻ", "ⅻ.", "٣٤٥", "(٣)", "x²", "²", "½", "...", "—", "«»", "(1925).",
+]
+
+
+@settings(max_examples=500)
+@given(text=st.text() | st.lists(
+    st.sampled_from(TRICKY_PIECES) | st.text(st.sampled_from("".join(TRICKY_PIECES)), max_size=4)
+).map(" ".join))
+def test_tokenize_equals_reference(text):
+    assert tokenize(text) == reference_tokenize(text)
+
+
+def test_tokenize_equals_reference_on_chain_corpus(chain_benchmark):
+    for para in chain_benchmark.corpus.paragraphs.values():
+        assert list(para.tokens) == reference_tokenize(para.text)
+
+
+def test_no_code_point_is_alphanumeric_punctuation():
+    # The fast path in tokenize is exact only while this holds.
+    both = [hex(cp) for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")]
+    assert both == [], f"Unicode {unicodedata.unidata_version}"
 
 
 # ---------------------------------------------------------------------------

@@ -680,6 +680,8 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "index.jsonl"
     save_index(index, path)
     loaded = load_index(path)
+    assert loaded == index
+    assert type(index.postings) is dict and type(loaded.postings) is dict
     rng = random.Random(18)
     for _ in range(30):
         query = make_random_query(rng)
@@ -688,6 +690,10 @@ def test_save_load_round_trip(tmp_path):
         assert [(h.paragraph_id, h.score) for h in original] == [
             (h.paragraph_id, h.score) for h in reloaded
         ]
+    for postings in (index.postings, loaded.postings):
+        with pytest.raises(KeyError):
+            postings["unknown-term"]
+        assert "unknown-term" not in postings
 
 
 def test_load_rejects_bad_magic(tmp_path):
