@@ -181,7 +181,11 @@ def cmd_bench(args) -> int:
 def cmd_map(args) -> int:
     original = _load_corpus(args.original)
     candidate = _load_corpus(args.candidate)
-    by_title = {a.title: a for a in candidate.articles.values()}
+    # An original whose article id the candidate lacks is compared with every
+    # article of its title, in id order; max() keeps the earliest best verdict.
+    by_title: dict[str, list] = {}
+    for _, article in sorted(candidate.articles.items()):
+        by_title.setdefault(article.title, []).append(article)
     matched = 0
     total = 0
     with open(args.out, "w", encoding="utf-8") as out:
@@ -189,11 +193,15 @@ def cmd_map(args) -> int:
             if not para.tokens:
                 continue
             total += 1
-            article = candidate.articles.get(para.article_id) or by_title.get(para.title)
-            if article is None or not article.paragraphs:
+            article = candidate.articles.get(para.article_id)
+            articles = [article] if article is not None else by_title.get(para.title, [])
+            if not articles:
                 record = {"paragraph_id": para.id, "matched": False, "reason": "article not found"}
             else:
-                verdict = map_paragraph(para, article)
+                verdict = max(
+                    (map_paragraph(para, a) for a in articles),
+                    key=lambda v: (v.matched, v.unigram_recall, v.lcs_coverage),
+                )
                 matched += int(verdict.matched)
                 record = {
                     "paragraph_id": para.id,

@@ -28,6 +28,19 @@ additions and break that equality.) Contributions are positive, so a
 paragraph the query reaches scores above 0.0 and any other scores exactly
 0.0; the reached ordinals are read off the list with ``compress``.
 
+A cached level is in ascending ordinal order and carries its largest
+contribution. ``rank_of`` knows its threshold before it scans: the target's
+own score t. It bounds query terms, most postings first, while their
+paragraph maxima summed in query order from 0.0, plus their article maxima
+summed the same way, stay strictly below t. Rounding is monotone in each
+operand and p + 0.0 == p, so a paragraph that only bounded terms reach
+scores at most that bound and can neither beat nor tie the target. Only
+the paragraphs the other terms reach, directly or through their article,
+are scored; bounded terms are looked up there by bisection on their
+levels, in the same order, so ranks are exact. (Top-k pruning of this kind
+learns its threshold only as the scan ends, and common terms reach most
+articles, so ``search_topk`` scores every reached paragraph.)
+
 The index holds the paragraph level only. An article's text is its
 paragraphs' tokens in order, so a term's article tfs (sums over the
 article's paragraphs) and article df are derived from its paragraph
@@ -51,7 +64,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import compress, filterfalse, islice
 from operator import countOf
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .corpus import Corpus
 
@@ -69,9 +82,10 @@ _CONSTANTS = {"k1": K1, "b": B, "article_k1": ARTICLE_K1, "article_b": ARTICLE_B
 # A query is an ordered multiset of normalized tokens (tokenize() output).
 Query = Sequence[str]
 
-# One level of a term's cached contributions: the ordinals of the postings
-# and their contributions, both in the key order of the posting dict.
-_Level = tuple[tuple[int, ...], array]
+# One level of a term's cached contributions: the ordinals of the postings in
+# ascending order, their contributions in the same order, and the largest
+# contribution (0.0 for an empty level).
+_Level = tuple[tuple[int, ...], array, float]
 
 
 @dataclass
@@ -84,11 +98,11 @@ class InvertedIndex:
 
     Immutable after build_index or load_index except ``impacts``, the
     scorer's lazily filled cache: term -> (paragraph level, article level),
-    each level the ordinals and contributions of the paragraphs or articles
-    the term occurs in, left out of ``==`` and ``repr``. Concurrent reads
-    stay safe: each entry is an idempotent value, derived from the immutable
-    postings and set with one dict assignment under the GIL, so a reader
-    never sees a partial entry.
+    each level the ascending ordinals and the contributions of the paragraphs
+    or articles the term occurs in, and their maximum, left out of ``==`` and
+    ``repr``. Concurrent reads stay safe: each entry is an idempotent value,
+    derived from the immutable postings and set with one dict assignment
+    under the GIL, so a reader never sees a partial entry.
     """
 
     postings: dict[str, dict[str, int]]          # term -> {paragraph_id: tf}
@@ -100,6 +114,7 @@ class InvertedIndex:
     para_order: tuple[str, ...]                  # paragraph ids, ascending
     article_order: tuple[str, ...]               # article ids, ascending
     article_members: tuple[tuple[int, ...], ...]  # article ordinal -> paragraph ordinals
+    article_of: tuple[int, ...]                  # paragraph ordinal -> article ordinal
     ordinals: tuple[int, ...]                    # tuple(range(n_para)), shared ints
     impacts: dict[str, tuple[_Level, _Level]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -135,6 +150,10 @@ def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedI
     members: dict[str, list[int]] = {aid: [] for aid in article_order}
     for i, pid in zip(ordinals, para_order):
         members[para_article[pid]].append(i)
+    article_of = [0] * len(para_order)
+    for a, paragraphs in zip(ordinals, members.values()):
+        for i in paragraphs:
+            article_of[i] = a
     return InvertedIndex(
         postings=dict(postings),  # a plain dict, so a lookup never inserts
         doc_lengths=doc_lengths,
@@ -145,6 +164,7 @@ def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedI
         para_order=para_order,
         article_order=article_order,
         article_members=tuple(map(tuple, members.values())),
+        article_of=tuple(article_of),
         ordinals=ordinals,
     )
 
@@ -176,43 +196,55 @@ def _ordinals(index: InvertedIndex, order: tuple[str, ...], ids) -> tuple[int, .
     return tuple([ordinals[bisect_left(order, key)] for key in ids])
 
 
+# The levels of a term the index lacks.
+_NO_LEVEL: _Level = ((), array("d"), 0.0)
+_ABSENT = (_NO_LEVEL, _NO_LEVEL)
+
+
 def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
     """The term's contribution to each paragraph and article it occurs in.
 
     The one place where the two formulas are written. A term's article tfs
     are sums over its paragraph postings, and its article df is the number
     of articles they reach. A clamped article idf of 0.0 adds nothing, so
-    its article level is empty. Terms the index lacks are not stored, so the
-    cache stays within the vocabulary.
+    its article level is empty. Each level is in id order, which is
+    ascending ordinal. Terms the index lacks are not stored, so the cache
+    stays within the vocabulary.
     """
-    entry = index.postings.get(term, {})
+    entry = index.postings.get(term)
+    if entry is None:
+        return _ABSENT
+    postings = sorted(entry.items())
     idf = idf_paragraph(index, term)
     lengths, avg = index.doc_lengths, index.avg_doc_length
     para = array("d", [
         idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * lengths[pid] / avg))
-        for pid, tf in entry.items()
+        for pid, tf in postings
     ])
     article_entry: dict[str, int] = {}
-    for pid, tf in entry.items():
+    for pid, tf in postings:
         aid = index.para_article[pid]
         article_entry[aid] = article_entry.get(aid, 0) + tf
     n = len(article_entry)
     idf = max(0.0, math.log((index.n_article - n + 0.5) / (n + 0.5)))
-    if not idf:
-        article_entry = {}
+    articles = sorted(article_entry.items()) if idf else []
     article = array("d", [
-        idf * idf * tf * (ARTICLE_K1 + 1.0) / (tf + ARTICLE_K1) for tf in article_entry.values()
+        idf * idf * tf * (ARTICLE_K1 + 1.0) / (tf + ARTICLE_K1) for _, tf in articles
     ])
-    levels = (
-        (_ordinals(index, index.para_order, entry), para),
-        (_ordinals(index, index.article_order, article_entry), article),
+    levels = index.impacts[term] = (
+        (_ordinals(index, index.para_order, [pid for pid, _ in postings]), para, max(para)),
+        (_ordinals(index, index.article_order, [aid for aid, _ in articles]), article,
+         max(article, default=0.0)),
     )
-    if entry:
-        index.impacts[term] = levels
     return levels
 
 
-def _accumulate(index: InvertedIndex, query: Query) -> list[float]:
+def _accumulate(
+    index: InvertedIndex,
+    query: Query,
+    bounded: Collection[str] = (),
+    candidates: Sequence[int] = (),
+) -> list[float]:
     """Combined score of every paragraph, by ordinal, a term at a time.
 
     Each term's cached contributions are added in query-term order, and
@@ -220,18 +252,38 @@ def _accumulate(index: InvertedIndex, query: Query) -> list[float]:
     the article part, each summed left to right, bit for bit. The tie-breaks
     of search_topk and rank_of rely on that exact equality. Paragraphs the
     query does not reach score exactly 0.0.
+
+    A ``bounded`` term adds only at the ``candidates`` (ascending ordinals)
+    and at their articles, each contribution found by bisection on the
+    term's level; other terms add everywhere. A candidate still receives the
+    same contributions in the same order, so its value is its full score,
+    bit for bit. Values at other ordinals are partial and mean nothing.
     """
     scores = [0.0] * index.n_para
     article_scores = [0.0] * index.n_article
+    articles = sorted(set(map(index.article_of.__getitem__, candidates))) if bounded else ()
     cache = index.impacts
     for term in query:
-        (para_ordinals, para), (article_ordinals, article) = (
+        (para_ordinals, para, _), (article_ordinals, article, _) = (
             cache.get(term) or _impacts(index, term)
         )
-        for i, c in zip(para_ordinals, para):
-            scores[i] += c
-        for a, c in zip(article_ordinals, article):
-            article_scores[a] += c
+        if term not in bounded:
+            for i, c in zip(para_ordinals, para):
+                scores[i] += c
+            for a, c in zip(article_ordinals, article):
+                article_scores[a] += c
+            continue
+        for totals, keys, values, at in (
+            (scores, para_ordinals, para, candidates),
+            (article_scores, article_ordinals, article, articles),
+        ):
+            j, n = 0, len(keys)
+            for i in at:
+                j = bisect_left(keys, i, j)
+                if j == n:
+                    break
+                if keys[j] == i:
+                    totals[i] += values[j]
     members = index.article_members
     # An article has at least one paragraph, so the ordinals cover every article.
     for a in compress(index.ordinals, article_scores):
@@ -268,18 +320,54 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
 
     An empty query, or a target the query does not reach, yields the
     sentinel rank N_para + 1 ("not retrieved").
+
+    Only the paragraphs that could reach the target's score t are scored.
+    Terms are bounded, most postings first, while the bound stays strictly
+    below t: the bounded terms' paragraph maxima summed in query order from
+    0.0, plus their article maxima summed the same way. A paragraph that no
+    other term reaches, directly or through its article, gets at most those
+    maxima at the same places of the same two sums, and p + 0.0 == p for
+    the terms that miss it. Rounding is monotone in each operand, so its
+    score is at most the bound: it neither beats nor ties the target. The
+    rest are the candidates, the target among them (its score t is above
+    the bound), and ``_accumulate`` scores them exactly. When no term can
+    be bounded, every paragraph is a candidate.
     """
     if target_paragraph_id not in index.doc_lengths:
         raise KeyError(f"unknown paragraph id {target_paragraph_id!r}")
     target = bisect_left(index.para_order, target_paragraph_id)
-    scores = _accumulate(index, query)
-    target_score = scores[target]
+    terms = dict.fromkeys(query)
+    target_score = _accumulate(index, query, terms, (target,))[target]
     if target_score <= 0.0:
         return index.sentinel_rank
+    # The target's pass cached every term the index holds.
+    levels = {term: index.impacts.get(term, _ABSENT) for term in terms}
+    bounded: set[str] = set()
+    for term in sorted(terms, key=lambda t: len(levels[t][0][0]), reverse=True):
+        para_bound = article_bound = 0.0
+        for q in query:
+            if q == term or q in bounded:
+                (_, _, para_max), (_, _, article_max) = levels[q]
+                para_bound += para_max
+                article_bound += article_max
+        if para_bound + article_bound >= target_score:
+            break
+        bounded.add(term)
+    candidates: Sequence[int] = index.ordinals
+    if bounded:
+        reached: set[int] = set()
+        for term in terms.keys() - bounded:
+            (para_ordinals, _, _), (article_ordinals, _, _) = levels[term]
+            reached.update(para_ordinals)
+            for a in article_ordinals:
+                reached.update(index.article_members[a])
+        candidates = sorted(reached)
+    scores = _accumulate(index, query, bounded, candidates)
+    values = list(map(scores.__getitem__, candidates))
     # Ties count when their ordinal, and so their id, is below the target's.
     return (
-        1 + sum(map(target_score.__lt__, scores))
-        + countOf(islice(scores, target), target_score)
+        1 + sum(map(target_score.__lt__, values))
+        + countOf(islice(values, bisect_left(candidates, target)), target_score)
     )
 
 

@@ -100,7 +100,7 @@ class BruteForceScorer:
 
 def article_level(index, term) -> dict[str, float]:
     """The package's article-level contributions of ``term``, as {article id: contribution}."""
-    ordinals, contributions = _impacts(index, term)[1]
+    ordinals, contributions, _ = _impacts(index, term)[1]
     level = {index.article_order[a]: c for a, c in zip(ordinals, contributions)}
     assert len(level) == len(ordinals)
     return level
@@ -141,7 +141,9 @@ def make_random_corpus(
     n_articles: int,
     max_paras: int = 5,
     vocab_size: int = 300,
+    shuffled: bool = False,
 ) -> Corpus:
+    """A random corpus, ingested in id order or, if ``shuffled``, in a random order."""
     words, weights = zipf_vocab(vocab_size)
     records = []
     for a in range(n_articles):
@@ -155,6 +157,8 @@ def make_random_corpus(
                     "text": " ".join(tokens),
                 }
             )
+    if shuffled:
+        rng.shuffle(records)
     return ingest_corpus(json.dumps(r) for r in records)
 
 

@@ -215,6 +215,32 @@ def test_cli_map(workspace, tmp_path, capsys):
     assert all(v["matched"] for v in verdicts)
 
 
+def test_cli_map_compares_every_article_of_the_title(tmp_path, capsys):
+    # The original's article id is not in the candidate, which holds two exact
+    # copies titled "Paris" (the earlier id wins the tie) and, last, a third
+    # "Paris" with other text.
+    text = "Paris is the capital of France and its largest city on the Seine"
+    original = tmp_path / "original.jsonl"
+    original.write_text(json.dumps(
+        {"article_id": "paris-old", "title": "Paris", "order": 0, "text": text}) + "\n")
+    candidate = tmp_path / "candidate.jsonl"
+    candidate.write_text("".join(json.dumps(r) + "\n" for r in [
+        {"article_id": "paris-b", "title": "Paris", "order": 0, "text": text},
+        {"article_id": "paris-a", "title": "Paris", "order": 0, "text": text},
+        {"article_id": "paris-c", "title": "Paris", "order": 0,
+         "text": "Paris hosts many museums and the city holds a famous tower"},
+    ]))
+    out = tmp_path / "mapping.jsonl"
+    assert main([
+        "map", "--original", str(original), "--candidate", str(candidate), "--out", str(out),
+    ]) == 0
+    assert capsys.readouterr().out == f"mapped 1/1 paragraphs -> {out}\n"
+    assert read_jsonl(out) == [{
+        "paragraph_id": "paris-old#0", "matched": True, "unigram_recall": 1.0,
+        "lcs_coverage": 1.0, "target_paragraph_ids": ["paris-a#0"],
+    }]
+
+
 # ---------------------------------------------------------------------------
 # bad input: exit code 2 and one line on stderr, before any question runs
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from conftest import BruteForceScorer, article_level, make_random_corpus, make_r
 from iterqa.corpus import ingest_corpus
 from iterqa.search import (
     IndexFormatError,
+    _accumulate,
+    _impacts,
     build_index,
     idf_paragraph,
     load_index,
@@ -577,27 +579,189 @@ def test_topk_with_k_above_the_reached_paragraphs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# rank_of's bound: exactness at its edge, on a built and on a reloaded index
+# ---------------------------------------------------------------------------
+
+def bound_sum(index, query, terms):
+    """rank_of's bound for ``terms``: their paragraph maxima summed in query
+    order from 0.0, plus their article maxima summed the same way."""
+    para = article = 0.0
+    for term in query:
+        if term in terms:
+            (_, _, para_max), (_, _, article_max) = _impacts(index, term)
+            para += para_max
+            article += article_max
+    return para + article
+
+
+def reloaded(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "index.jsonl")
+        save_index(index, path)
+        return load_index(path)
+
+
+@st.composite
+def edge_corpora(draw):
+    """Small corpora in which "every" is in every paragraph, an article is
+    copied under ids on both sides of its own when drawn so (c1 < m1 < x1),
+    and the records are ingested in a drawn order."""
+    articles = draw(st.lists(
+        st.lists(st.lists(st.sampled_from("abcdef"), max_size=5), min_size=1, max_size=3),
+        min_size=1,
+        max_size=5,
+    ))
+    records = [
+        {"article_id": f"{prefix}{a}", "title": "T", "order": order,
+         "text": " ".join(["every", *tokens])}
+        for a, paras in enumerate(articles)
+        for prefix in draw(st.sampled_from(["m", "cmx"]))
+        for order, tokens in enumerate(paras)
+    ]
+    return corpus_from(draw(st.permutations(records)))
+
+
+EDGE_QUERIES = st.lists(
+    st.lists(st.sampled_from([*"abcdef", "every", "zzqabsent"]), max_size=7),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpus=edge_corpora(), queries=EDGE_QUERIES)
+def test_bounded_rank_of_equals_brute_force(corpus, queries):
+    brute = BruteForceScorer(corpus)
+    expected = [[brute.rank_of(pid, q) for pid in corpus.paragraphs] for q in queries]
+    index = build_index(corpus)
+    for searched in (index, reloaded(index)):
+        assert [[rank_of(searched, pid, q) for pid in corpus.paragraphs]
+                for q in queries] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), data=st.data())
+def test_restricted_accumulate_equals_full_at_every_candidate(seed, data):
+    rng = random.Random(seed)
+    index = build_index(make_random_corpus(rng, n_articles=40, shuffled=True))
+    query = make_random_query(rng) + make_random_query(rng)
+    bounded = data.draw(st.sets(st.sampled_from(query)), label="bounded")
+    candidates = sorted(data.draw(
+        st.sets(st.integers(min_value=0, max_value=index.n_para - 1), max_size=40),
+        label="candidates",
+    ))
+    full = _accumulate(index, query)
+    restricted = _accumulate(index, query, bounded, candidates)
+    assert [restricted[i] for i in candidates] == [full[i] for i in candidates]
+
+
+def common_term_corpus(*triples):
+    """``triples`` plus 40 one-paragraph articles that hold "the" and a word of their own."""
+    return corpus_of(*triples, *((f"f{n:02d}", 0, f"the filler{n}") for n in range(40)))
+
+
+def test_bounded_rank_of_counts_only_the_twins_below_the_target(tmp_path):
+    twin = "the twin pine lake"
+    corpus = common_term_corpus(
+        ("x", 0, twin), ("m", 0, twin), ("c", 0, twin), ("k", 0, "the lake shore"),
+    )
+    brute = BruteForceScorer(corpus)
+    index, loaded = built_and_loaded(corpus, tmp_path)
+    for searched in (index, loaded):
+        for query in (["the", "lake"], ["the", "twin", "the"], ["pine", "the", "lake"]):
+            # "the" reaches every paragraph, and it alone stays below the twins' score.
+            assert bound_sum(searched, query, {"the"}) < brute.combined("m#0", query)
+            ranks = [rank_of(searched, pid, query) for pid in ("c#0", "m#0", "x#0")]
+            assert ranks == [brute.rank_of(pid, query) for pid in ("c#0", "m#0", "x#0")]
+            assert ranks[1] == ranks[0] + 1 and ranks[2] == ranks[0] + 2
+
+
+def test_bounded_rank_of_target_reached_only_through_its_article(tmp_path):
+    corpus = common_term_corpus(
+        ("a", 0, "the rare bird"), ("a", 1, "quiet morning"), ("a", 2, "quiet evening"),
+    )
+    brute = BruteForceScorer(corpus)
+    index, loaded = built_and_loaded(corpus, tmp_path)
+    query = ["the", "rare"]
+    for pid in ("a#1", "a#2"):
+        assert brute.paragraph(pid, query) == 0.0 < brute.combined(pid, query)
+    assert bound_sum(index, query, {"the"}) < brute.combined("a#2", query)
+    for searched in (index, loaded):
+        # a#1 ties a#2 through the article alone and is counted, a#0 beats both.
+        assert rank_of(searched, "a#2", query) == brute.rank_of("a#2", query) == 3
+        for pid in corpus.paragraphs:
+            assert rank_of(searched, pid, query) == brute.rank_of(pid, query)
+
+
+def near_tie_corpus():
+    """q#0 and t#0 hold terms of equal statistics (df 1, tfs 1, 2, 1, equal
+    lengths), so sums of their contributions differ only by rounding."""
+    return corpus_of(
+        ("q", 0, "y1 y2 y2 y3"), ("t", 0, "x1 x2 x2 x3"),
+        *((f"f{n}", 0, "filler") for n in range(4)),
+    )
+
+
+def test_bounded_rank_of_when_the_bound_equals_the_target_score(tmp_path):
+    corpus = near_tie_corpus()
+    brute = BruteForceScorer(corpus)
+    query = ["y1", "y2", "y3", "x1", "x2", "x3"]
+    target_score = brute.combined("t#0", query)
+    assert brute.combined("q#0", query) == target_score
+    index, loaded = built_and_loaded(corpus, tmp_path)
+    # y3 cannot be bounded: with it the bound reaches t exactly, and q#0 ties t#0.
+    assert bound_sum(index, query, {"y1", "y2"}) < target_score
+    assert bound_sum(index, query, {"y1", "y2", "y3"}) == target_score
+    for searched in (index, loaded):
+        assert rank_of(searched, "t#0", query) == brute.rank_of("t#0", query) == 2
+        for pid in corpus.paragraphs:
+            assert rank_of(searched, pid, query) == brute.rank_of(pid, query)
+
+
+def test_bounded_rank_of_when_the_bound_is_one_ulp_below_the_target_score(tmp_path):
+    corpus = near_tie_corpus()
+    brute = BruteForceScorer(corpus)
+    query = ["y1", "y2", "y3", "x1", "x3", "x2"]
+    target_score = brute.combined("t#0", query)
+    index, loaded = built_and_loaded(corpus, tmp_path)
+    # The y terms are bounded one ulp below t, and q#0 scores exactly the bound.
+    bound = bound_sum(index, query, {"y1", "y2", "y3"})
+    assert bound == math.nextafter(target_score, 0.0) == brute.combined("q#0", query)
+    for searched in (index, loaded):
+        assert rank_of(searched, "t#0", query) == brute.rank_of("t#0", query) == 1
+        assert rank_of(searched, "q#0", query) == brute.rank_of("q#0", query) == 2
+        for pid in corpus.paragraphs:
+            assert rank_of(searched, pid, query) == brute.rank_of(pid, query)
+
+
+# ---------------------------------------------------------------------------
 # the per-term contribution cache
 # ---------------------------------------------------------------------------
 
 def test_cached_contributions_equal_reference_and_stay_unchanged():
-    corpus = make_random_corpus(random.Random(26), n_articles=20)
+    # Ingested in a shuffled order, so a level kept in posting order would
+    # not be ascending.
+    corpus = make_random_corpus(random.Random(26), n_articles=20, shuffled=True)
     index = build_index(corpus)
     brute = BruteForceScorer(corpus)
     probe = build_index(corpus)
-    term = next(t for t in sorted(probe.postings) if article_level(probe, t))
+    term = next(t for t in sorted(probe.postings) if len(article_level(probe, t)) > 2)
+    assert list(index.postings[term]) != sorted(index.postings[term])
     search_topk(index, [term], 5)
     entry = index.impacts[term]
-    (para_ordinals, para), (article_ordinals, article) = entry
-    assert [index.para_order[i] for i in para_ordinals] == list(index.postings[term])
+    (para_ordinals, para, para_max), (article_ordinals, article, article_max) = entry
+    for ordinals in (para_ordinals, article_ordinals):
+        assert all(a < b for a, b in zip(ordinals, ordinals[1:]))
+    assert para_max == max(para) and article_max == max(article)
+    assert [index.para_order[i] for i in para_ordinals] == sorted(index.postings[term])
     reached = {index.para_article[pid] for pid in index.postings[term]}
-    assert sorted(index.article_order[a] for a in article_ordinals) == sorted(reached)
+    assert [index.article_order[a] for a in article_ordinals] == sorted(reached)
     assert list(para) == [brute.paragraph(index.para_order[i], [term]) for i in para_ordinals]
     assert list(article) == [
         brute.article(index.article_order[a], [term]) for a in article_ordinals
     ]
     assert all(index.ordinals[i] is i for i in para_ordinals + article_ordinals)
-    snapshot = (para_ordinals, list(para), article_ordinals, list(article))
+    snapshot = (para_ordinals, list(para), para_max, article_ordinals, list(article), article_max)
     target = next(iter(index.postings[term]))
     for query in ([term, "w001"], [term, term], [term, "w002", "w001", term]):
         search_topk(index, query, 5)
@@ -605,7 +769,8 @@ def test_cached_contributions_equal_reference_and_stay_unchanged():
     assert index.impacts[term] is entry
     assert entry[0][0] is para_ordinals and entry[0][1] is para
     assert entry[1][0] is article_ordinals and entry[1][1] is article
-    assert (para_ordinals, list(para), article_ordinals, list(article)) == snapshot
+    assert (para_ordinals, list(para), para_max, article_ordinals, list(article),
+            article_max) == snapshot
 
 
 def test_cached_article_level_equals_score_article(tmp_path):
@@ -638,6 +803,23 @@ def test_cached_article_level_sums_paragraphs_apart_in_id_order(tmp_path):
         idf = math.log((5 - 1 + 0.5) / (1 + 0.5))
         expected = idf * idf * 3 * (1.2 + 1.0) / (3 + 1.2)
         assert article_level(index, "egret") == {"a": expected}
+
+
+def test_article_level_is_in_article_order_where_paragraph_order_differs(tmp_path):
+    # "new york#0" sorts before "new#0" (" " < "#"), but "new" before "new york".
+    corpus = corpus_of(
+        ("new", 0, "city hall"), ("new york", 0, "city park city"), ("x", 0, "hall"),
+        ("y", 0, "park"), ("z", 0, "tree"), ("w", 0, "tree hall"),
+    )
+    brute = BruteForceScorer(corpus)
+    for index in built_and_loaded(corpus, tmp_path):
+        assert index.para_order[:2] == ("new york#0", "new#0")
+        (para_ordinals, _, _), (article_ordinals, _, _) = _impacts(index, "city")
+        assert [index.para_order[i] for i in para_ordinals] == ["new york#0", "new#0"]
+        assert [index.article_order[a] for a in article_ordinals] == ["new", "new york"]
+        for query in (["city", "park"], ["hall", "city", "tree"]):
+            for pid in corpus.paragraphs:
+                assert rank_of(index, pid, query) == brute.rank_of(pid, query)
 
 
 def test_absent_terms_are_not_cached():
