@@ -15,6 +15,7 @@ from .models import ManifestError, build_model_factory, load_manifest
 from .oracle import UntrainableExample, oracle_trace_record, recall_curve
 from .pipeline import (
     ConfigError,
+    ModelOutputError,
     PipelineConfig,
     QuestionExample,
     generate_training_traces,
@@ -296,7 +297,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, IngestError, QuestionsFormatError, ManifestError, ConfigError) as exc:
+    except (OSError, IngestError, QuestionsFormatError, ManifestError, ConfigError,
+            ModelOutputError) as exc:
         print(f"iterqa {args.command}: {exc}", file=sys.stderr)
         return 2
 

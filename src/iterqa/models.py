@@ -195,8 +195,6 @@ class LexicalRetriever:
         keep_n = max(1, math.ceil(self.keep_fraction * len(ordered)))
         threshold = ordered[keep_n - 1]
         kept = [i for i, v in enumerate(idfs) if v >= threshold]
-        if not kept:
-            kept = list(range(len(tokens)))
         if len(kept) > self.max_query_len:
             by_value = sorted(kept, key=lambda i: (-idfs[i], i))[: self.max_query_len]
             kept = sorted(by_value)

@@ -97,10 +97,17 @@ def build_oracle_query(
 ) -> OracleQuery:
     """Greedily build an oracle query from the path/target overlap spans.
 
-    Every span's importance is estimated first (two rank evaluations each,
-    singleton ranks shared with the greedy pass), then spans are appended
-    in descending-importance order for as long as the target's rank keeps
-    strictly improving. At most 3N+1 rank evaluations for N spans.
+    Every span's importance is estimated first, from the target's rank
+    under the span alone and under every other span. Then spans are
+    appended in descending-importance order for as long as the target's
+    rank keeps strictly improving; the first, alone, always beats the
+    sentinel, since span tokens occur in the target.
+
+    ``rank_fn`` must be pure: a rank depends only on the target and the
+    ordered query. Each distinct query is evaluated once per call and its
+    rank reused, so the singletons serve both passes, and at N = 2 each
+    leave-one-out query is the other span's singleton. At most 3N+1
+    distinct rank evaluations for N spans.
 
     Raises UntrainableExample when the path and target share no tokens.
     """
@@ -109,10 +116,17 @@ def build_oracle_query(
         raise UntrainableExample(
             f"no overlap between path and target paragraph {target.id!r}"
         )
-    singleton_rank = [rank_fn(index, target.id, list(span.tokens)) for span in spans]
+    ranks: dict[tuple[str, ...], int] = {}
+
+    def evaluate(query: list[str]) -> int:
+        key = tuple(query)
+        if key not in ranks:
+            ranks[key] = rank_fn(index, target.id, query)
+        return ranks[key]
+
     for i, span in enumerate(spans):
         others = [t for j, other in enumerate(spans) if j != i for t in other.tokens]
-        span.importance = float(rank_fn(index, target.id, others) - singleton_rank[i])
+        span.importance = float(evaluate(others) - evaluate(list(span.tokens)))
 
     # Ties in importance resolve to the earlier path position.
     order = sorted(range(len(spans)), key=lambda i: (-spans[i].importance, spans[i].path_offset))
@@ -120,15 +134,9 @@ def build_oracle_query(
     included: list[OverlapSpan] = []
     terms: list[str] = []
     best_rank = index.sentinel_rank
-    for step, i in enumerate(order):
+    for i in order:
         span = spans[i]
-        if step == 0:
-            # The first candidate query is the top span alone; its rank is
-            # already known, and span tokens occur in the target, so it
-            # always beats the sentinel and is always accepted.
-            rank = singleton_rank[i]
-        else:
-            rank = rank_fn(index, target.id, terms + list(span.tokens))
+        rank = evaluate(terms + list(span.tokens))
         if rank >= best_rank:
             break
         included.append(span)

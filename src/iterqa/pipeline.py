@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import filterfalse, islice
+from numbers import Real
 from typing import Iterable, Iterator
 
 from .corpus import Corpus, Paragraph, tokenize
@@ -41,6 +42,13 @@ RERANKER_CANDIDATES = 5  # new hits per step that the reader and reranker score
 
 class ConfigError(ValueError):
     """A pipeline setting is out of range."""
+
+
+class ModelOutputError(ValueError):
+    """A model role returned a value outside its contract."""
+
+    def __init__(self, role: str, path: ReasoningPath, problem: str):
+        super().__init__(f"{role} output for question {path.question!r}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -167,9 +175,17 @@ def step(
     The input path is not mutated. Zero-score hits count as not retrieved.
     The outcome has an ``answer`` when the run should stop with it, a
     ``chosen_paragraph`` when the path is extended, and an
-    ``exhausted_reason`` when it cannot be.
+    ``exhausted_reason`` when it cannot be. A retriever output that is a
+    ``str``, is not iterable or holds a non-``str`` term, and a reranker
+    score that is not a finite real number, raise ModelOutputError.
     """
-    query = tuple(models.retriever(path))
+    terms = models.retriever(path)
+    if isinstance(terms, str) or not isinstance(terms, Iterable):
+        raise ModelOutputError("retriever", path, f"{type(terms).__name__}, not a list of str")
+    query = tuple(terms)
+    for term in query:
+        if not isinstance(term, str):
+            raise ModelOutputError("retriever", path, f"term {term!r} is not a str")
     if not query:
         return path, StepOutcome(query_used=query, exhausted_reason="empty query")
     hits = tuple(h for h in search_topk(index, list(query), config.docs_per_step) if h.score > 0.0)
@@ -204,6 +220,11 @@ def step(
     next_path, chosen_id = best_ext, None
     if not stop:
         scored = [(models.reranker(path, para), para) for para, _, _, _, _ in evaluated]
+        for score, para in scored:
+            if not (isinstance(score, Real) and math.isfinite(score)):
+                raise ModelOutputError(
+                    "reranker", path, f"{score!r} for {para.id!r} is not a finite real number"
+                )
         _, chosen = min(scored, key=lambda item: (-item[0], item[1].id))
         next_path, chosen_id = path.extended(chosen), chosen.id
     return next_path, StepOutcome(

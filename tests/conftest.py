@@ -171,16 +171,19 @@ def make_random_query(rng: random.Random, vocab_size: int = 300) -> list[str]:
 
 
 class CountingRank:
-    """rank_of wrapper that counts evaluations, for O(N) contract checks."""
+    """rank_of wrapper that counts evaluations and records their queries,
+    for O(N) contract checks."""
 
     def __init__(self):
         from iterqa.search import rank_of
 
         self._rank_of = rank_of
         self.calls = 0
+        self.queries: list[tuple[str, ...]] = []
 
     def __call__(self, index, target_id, query):
         self.calls += 1
+        self.queries.append(tuple(query))
         return self._rank_of(index, target_id, query)
 
 
@@ -228,3 +231,18 @@ def external_retriever_factory(example, index, corpus):
         return ["external", "query"]
 
     return retriever
+
+
+# Roles that break their output contract, for the CLI's refusal tests.
+def string_retriever_factory(example, index, corpus):
+    def retriever(path):
+        return "where is the secret"
+
+    return retriever
+
+
+def nan_reranker_factory(example, index, corpus):
+    def reranker(path, candidate):
+        return math.nan
+
+    return reranker

@@ -312,6 +312,29 @@ def test_cli_reports_malformed_manifest(workspace, capsys, manifest, expected):
     assert message == f"iterqa bench: {expected}"
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("role, factory, problem", [
+    ("retriever", "string_retriever_factory", "str, not a list of str"),
+    ("reranker", "nan_reranker_factory", "nan for '[^']+' is not a finite real number"),
+], ids=["string-retriever", "nan-reranker"])
+def test_cli_refuses_a_model_output_outside_its_contract(
+    workspace, capsys, command, role, factory, problem
+):
+    tmp_path, corpus_path, questions_path = workspace
+    manifest = tmp_path / "models.json"
+    manifest.write_text(json.dumps({"retriever": "baseline", role: f"external:conftest:{factory}"}))
+    argv = [command, "--corpus", str(corpus_path), "--models", str(manifest)]
+    if command == "run":
+        argv += ["--question", "where is the secret"]
+    else:
+        argv += ["--questions", str(questions_path)]
+    message = cli_error(argv, capsys)
+    question = "where is the secret" if command == "run" else ".+"
+    assert re.fullmatch(
+        f"iterqa {command}: {role} output for question '{question}': {problem}", message
+    ), message
+
+
 @pytest.mark.parametrize("command", ["oracle", "traces", "bench"])
 def test_cli_reports_unknown_gold_id_before_running(workspace, capsys, command):
     tmp_path, corpus_path, questions_path = workspace

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import CountingRank, exhaustive_best_rank, make_random_corpus, oracle_ranks
 from iterqa.corpus import ingest_corpus
 from iterqa.oracle import (
+    OracleQuery,
     UntrainableExample,
     build_oracle_query,
     extract_overlap_spans,
@@ -196,12 +197,40 @@ def test_untrainable_when_no_overlap():
         build_oracle_query(index, ["completely", "foreign"], target)
 
 
+def plain_greedy(index, path_tokens, target, rank_fn):
+    """The oracle as its docstring states it, with no memo: every query is
+    asked when the greedy needs it. Returns the query and the queries asked."""
+    spans = extract_overlap_spans(path_tokens, target)
+    asked = []
+
+    def ask(query):
+        asked.append(tuple(query))
+        return rank_fn(index, target.id, list(query))
+
+    for i, span in enumerate(spans):
+        alone = ask(span.tokens)
+        others = ask([t for j, other in enumerate(spans) if j != i for t in other.tokens])
+        span.importance = float(others - alone)
+    order = sorted(range(len(spans)), key=lambda i: (-spans[i].importance, spans[i].path_offset))
+    included, terms, best = [], [], index.sentinel_rank
+    for i in order:
+        rank = ask(terms + list(spans[i].tokens))
+        if rank >= best:
+            break
+        included.append(spans[i])
+        terms += spans[i].tokens
+        best = rank
+        if best == 1:
+            break
+    return OracleQuery(tuple(included), tuple(terms), best, tuple(spans)), asked
+
+
 def test_rank_budget_within_linear_bound():
     rng = random.Random(41)
     corpus = make_random_corpus(rng, n_articles=30)
     index = build_index(corpus)
     pids = sorted(index.doc_lengths)
-    checked = 0
+    checked = repeats = 0
     for _ in range(120):
         target = corpus.paragraphs[rng.choice(pids)]
         if len(target.tokens) < 4:
@@ -215,14 +244,17 @@ def test_rank_budget_within_linear_bound():
             continue
         n_spans = len(extract_overlap_spans(path, target))
         assert counter.calls <= 3 * n_spans + 1
-        # Each span's importance costs exactly two evaluations; the greedy
-        # pass reuses the first span's singleton rank and then evaluates each
-        # span it adds, plus at most one it rejects.
-        greedy = counter.calls - 2 * n_spans
-        assert len(query.spans_included) - 1 <= greedy <= len(query.spans_included)
+        # Each distinct query is evaluated once per call, and the queries
+        # are exactly those the plain greedy asks for, with the same result.
+        assert len(set(counter.queries)) == counter.calls
+        expected, asked = plain_greedy(index, path, target, rank_of)
+        assert set(counter.queries) == set(asked)
+        assert query == expected
         assert query.achieved_rank <= index.sentinel_rank
         checked += 1
+        repeats += len(asked) - counter.calls
     assert checked > 50
+    assert repeats > 0  # the plain greedy asks some query twice
 
 
 def test_achieved_rank_never_worse_than_first_sorted_span():

@@ -11,6 +11,7 @@ from iterqa.pipeline import (
     EXHAUSTED,
     AnswerRecord,
     ConfigError,
+    ModelOutputError,
     PipelineConfig,
     QuestionExample,
     RunResult,
@@ -160,6 +161,45 @@ def test_step_no_results_exhausts():
     assert new_path.steps == ()
     assert outcome.exhausted_reason == "no results"
     assert outcome.answer is None and outcome.chosen_paragraph is None
+
+
+@pytest.mark.parametrize("output, problem", [
+    ("old tower", "str, not a list of str"),
+    (None, "NoneType, not a list of str"),
+    (7, "int, not a list of str"),
+    (["old", 7], "term 7 is not a str"),
+    (("old", None), "term None is not a str"),
+    ([b"old"], "term b'old' is not a str"),
+], ids=["str", "none", "int", "int-term", "none-term", "bytes-term"])
+def test_step_refuses_a_retriever_output_outside_its_contract(output, problem):
+    corpus, index, models = toad_setup()
+    models = ModelBundle(lambda path: output, models.reader, models.reranker)
+    with pytest.raises(ModelOutputError) as raised:
+        step(initial_path(TOAD_QUESTION), corpus, index, models, PipelineConfig())
+    assert str(raised.value) == f"retriever output for question {TOAD_QUESTION!r}: {problem}"
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf, "1.0", None, 1j])
+def test_step_refuses_a_reranker_score_outside_its_contract(score):
+    corpus, index, models = toad_setup()
+    models = ModelBundle(models.retriever, models.reader, lambda path, para: score)
+    with pytest.raises(ModelOutputError) as raised:
+        step(initial_path(TOAD_QUESTION), corpus, index, models, PipelineConfig())
+    assert str(raised.value).startswith(f"reranker output for question {TOAD_QUESTION!r}: ")
+    assert str(raised.value).endswith(" is not a finite real number")
+
+
+@pytest.mark.parametrize("retriever_output, score", [
+    (("ingerophrynus", "gollum"), 3),
+    (iter(["ingerophrynus", "gollum"]), True),
+    (["ingerophrynus", "gollum"], -2.5),
+], ids=["tuple-int", "iterator-bool", "list-float"])
+def test_step_accepts_outputs_inside_the_contract(retriever_output, score):
+    corpus, index, models = toad_setup()
+    models = ModelBundle(lambda path: retriever_output, models.reader, lambda path, para: score)
+    _, outcome = step(initial_path(TOAD_QUESTION), corpus, index, models, PipelineConfig())
+    assert outcome.query_used == ("ingerophrynus", "gollum")
+    assert outcome.chosen_paragraph is not None
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ import math
 import os
 import random
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BruteForceScorer, article_level, make_random_corpus, make_random_query
+import iterqa.search as search
 from iterqa.corpus import ingest_corpus
 from iterqa.search import (
     IndexFormatError,
@@ -594,6 +596,22 @@ def bound_sum(index, query, terms):
     return para + article
 
 
+def rank_and_lookups(index, target_id, query):
+    """rank_of's rank, the terms its scoring pass looks up by bisection and
+    its candidates. Every other term of the query is added whole."""
+    calls = []
+
+    def recording(index, query, bounded=(), candidates=()):
+        calls.append((set(bounded), list(candidates)))
+        return _accumulate(index, query, bounded, candidates)
+
+    with mock.patch.object(search, "_accumulate", recording):
+        rank = rank_of(index, target_id, query)
+    # The first pass scores the target alone; the second scores the candidates.
+    assert len(calls) == 2
+    return rank, *calls[1]
+
+
 def reloaded(index):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "index.jsonl")
@@ -634,9 +652,13 @@ def test_bounded_rank_of_equals_brute_force(corpus, queries):
     brute = BruteForceScorer(corpus)
     expected = [[brute.rank_of(pid, q) for pid in corpus.paragraphs] for q in queries]
     index = build_index(corpus)
-    for searched in (index, reloaded(index)):
-        assert [[rank_of(searched, pid, q) for pid in corpus.paragraphs]
-                for q in queries] == expected
+    # Factor 0 looks every bounded term up by bisection, infinity adds every
+    # one whole; the default picks per term.
+    for factor in (0, search._LOOKUP_FACTOR, math.inf):
+        with mock.patch.object(search, "_LOOKUP_FACTOR", factor):
+            for searched in (index, reloaded(index)):
+                assert [[rank_of(searched, pid, q) for pid in corpus.paragraphs]
+                        for q in queries] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -656,8 +678,10 @@ def test_restricted_accumulate_equals_full_at_every_candidate(seed, data):
 
 
 def common_term_corpus(*triples):
-    """``triples`` plus 40 one-paragraph articles that hold "the" and a word of their own."""
-    return corpus_of(*triples, *((f"f{n:02d}", 0, f"the filler{n}") for n in range(40)))
+    """``triples`` plus 80 one-paragraph articles that hold "the" and a word
+    of their own, so that "the" is long enough to be looked up by bisection
+    at up to 5 candidates."""
+    return corpus_of(*triples, *((f"f{n:02d}", 0, f"the filler{n}") for n in range(80)))
 
 
 def test_bounded_rank_of_counts_only_the_twins_below_the_target(tmp_path):
@@ -671,7 +695,11 @@ def test_bounded_rank_of_counts_only_the_twins_below_the_target(tmp_path):
         for query in (["the", "lake"], ["the", "twin", "the"], ["pine", "the", "lake"]):
             # "the" reaches every paragraph, and it alone stays below the twins' score.
             assert bound_sum(searched, query, {"the"}) < brute.combined("m#0", query)
-            ranks = [rank_of(searched, pid, query) for pid in ("c#0", "m#0", "x#0")]
+            ranks = []
+            for pid in ("c#0", "m#0", "x#0"):
+                rank, looked_up, _ = rank_and_lookups(searched, pid, query)
+                assert looked_up == {"the"}
+                ranks.append(rank)
             assert ranks == [brute.rank_of(pid, query) for pid in ("c#0", "m#0", "x#0")]
             assert ranks[1] == ranks[0] + 1 and ranks[2] == ranks[0] + 2
 
@@ -688,7 +716,9 @@ def test_bounded_rank_of_target_reached_only_through_its_article(tmp_path):
     assert bound_sum(index, query, {"the"}) < brute.combined("a#2", query)
     for searched in (index, loaded):
         # a#1 ties a#2 through the article alone and is counted, a#0 beats both.
-        assert rank_of(searched, "a#2", query) == brute.rank_of("a#2", query) == 3
+        rank, looked_up, candidates = rank_and_lookups(searched, "a#2", query)
+        assert rank == brute.rank_of("a#2", query) == 3
+        assert looked_up == {"the"} and len(candidates) == 3
         for pid in corpus.paragraphs:
             assert rank_of(searched, pid, query) == brute.rank_of(pid, query)
 
@@ -713,7 +743,11 @@ def test_bounded_rank_of_when_the_bound_equals_the_target_score(tmp_path):
     assert bound_sum(index, query, {"y1", "y2"}) < target_score
     assert bound_sum(index, query, {"y1", "y2", "y3"}) == target_score
     for searched in (index, loaded):
-        assert rank_of(searched, "t#0", query) == brute.rank_of("t#0", query) == 2
+        # y1 and y2 are bounded, and their one-posting levels are added whole.
+        rank, looked_up, candidates = rank_and_lookups(searched, "t#0", query)
+        assert rank == brute.rank_of("t#0", query) == 2
+        assert looked_up == set()
+        assert [searched.para_order[i] for i in candidates] == ["q#0", "t#0"]
         for pid in corpus.paragraphs:
             assert rank_of(searched, pid, query) == brute.rank_of(pid, query)
 
@@ -728,7 +762,10 @@ def test_bounded_rank_of_when_the_bound_is_one_ulp_below_the_target_score(tmp_pa
     bound = bound_sum(index, query, {"y1", "y2", "y3"})
     assert bound == math.nextafter(target_score, 0.0) == brute.combined("q#0", query)
     for searched in (index, loaded):
-        assert rank_of(searched, "t#0", query) == brute.rank_of("t#0", query) == 1
+        rank, looked_up, candidates = rank_and_lookups(searched, "t#0", query)
+        assert rank == brute.rank_of("t#0", query) == 1
+        assert looked_up == set()
+        assert [searched.para_order[i] for i in candidates] == ["t#0"]
         assert rank_of(searched, "q#0", query) == brute.rank_of("q#0", query) == 2
         for pid in corpus.paragraphs:
             assert rank_of(searched, pid, query) == brute.rank_of(pid, query)
