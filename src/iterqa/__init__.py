@@ -45,7 +45,6 @@ from .pipeline import (
     generate_training_traces,
     initial_path,
     run_question,
-    step,
 )
 from .search import (
     InvertedIndex,

@@ -9,7 +9,9 @@ from typing import Callable, Sequence
 from .corpus import Corpus
 from .metrics import exact_match, unigram_f1
 from .models import ModelBundle
-from .pipeline import PipelineConfig, QuestionExample, RunResult, run_question
+from .pipeline import (
+    RERANKER_CANDIDATES, PipelineConfig, QuestionExample, RunResult, run_policies
+)
 from .search import InvertedIndex
 
 ModelFactory = Callable[[QuestionExample], ModelBundle]
@@ -146,53 +148,13 @@ def _mean_scores(scores: Sequence[tuple[float | None, float | None]]) -> tuple[f
     return em / len(scored), f1 / len(scored)
 
 
-def _run_example(
-    example: QuestionExample,
-    corpus: Corpus,
-    index: InvertedIndex,
-    factory: ModelFactory,
-    config: PipelineConfig,
-) -> tuple[RunResult, PerQuestion]:
-    if example.fixed_steps is not None:
-        config = replace(config, fixed_steps=example.fixed_steps)
-    result = run_question(example.question, corpus, index, factory(example), config)
+def _row(example: QuestionExample, result: RunResult, docs: int) -> PerQuestion:
+    """The report row of ``result`` read at ``docs`` paragraphs per step."""
     prediction = result.prediction
     em, f1 = _score(example, prediction)
-    row = PerQuestion(
-        qid=example.qid,
-        em=em,
-        f1=f1,
-        steps_used=len(result.final_path.steps),
-        paragraphs_retrieved_total=result.paragraphs_retrieved,
-        status=result.status,
-        prediction=prediction,
-    )
-    return result, row
-
-
-def _prediction_at(result: RunResult, k: int) -> str:
-    """What a run forced to answer at step ``k`` predicts, read off ``result``,
-    a run forced to answer at step ``k`` or later: stop rules never change
-    the reranker's choice, so the first run is a prefix of the second.
-    """
-    if len(result.steps) >= k and result.steps[k - 1].best_candidate is not None:
-        return result.steps[k - 1].best_candidate.text
-    return result.prediction
-
-
-def evaluate(
-    examples: Sequence[QuestionExample],
-    corpus: Corpus,
-    index: InvertedIndex,
-    factory: ModelFactory,
-    config: PipelineConfig = PipelineConfig(),
-) -> EvalResult:
-    """Run every question once and aggregate EM/F1 over the scored ones."""
-    rows = [_run_example(ex, corpus, index, factory, config)[1] for ex in examples]
-    em, f1 = _mean_scores([(r.em, r.f1) for r in rows])
-    n_scored = sum(r.em is not None for r in rows)
-    return EvalResult(
-        em=em, f1=f1, per_question=tuple(rows), n_scored=n_scored, n_unscored=len(rows) - n_scored
+    retrieved = sum(min(docs, len(s.retrieved)) for s in result.steps)
+    return PerQuestion(
+        example.qid, em, f1, len(result.final_path.steps), retrieved, result.status, prediction
     )
 
 
@@ -213,40 +175,69 @@ def run_benchmark(
     fixed_k_grid: Sequence[int] = (),
     docs_grid: Sequence[int] = (),
 ) -> BenchmarkReport:
-    """Evaluate plus the retrieval-behavior reports.
+    """Run every question, aggregate EM/F1 over the scored ones, and add the reports.
 
-    ``fixed_k_grid`` adds a dynamic-vs-fixed-steps comparison table, read
-    off one extra pass forced to answer at the largest K (a question's own
-    ``fixed_steps`` still overrides K); ``docs_grid`` adds a
-    retrieval-budget-vs-F1 table, rerunning the question set per setting.
+    ``fixed_k_grid`` adds a dynamic-vs-fixed-steps table (a question's own
+    ``fixed_steps`` overrides K) and ``docs_grid`` a retrieval-budget-vs-F1
+    table. Each question runs one trajectory per budget class, for all the
+    stop policies read at that budget at once (``run_policies``), and every
+    row is read off those.
+
+    A step reads the first RERANKER_CANDIDATES positive hits not on the path,
+    with at most k_cap - 1 paragraphs on it, and ``search_topk(d)`` is a
+    prefix of ``search_topk(d')`` for d < d'. So every budget at or above the
+    bound RERANKER_CANDIDATES + k_cap - 1 reads the same candidates, and ends
+    the same way, as the largest budget: they share its trajectory, and
+    budget d counts min(d, len(hits)) paragraphs per step. A budget below
+    the bound runs its own. The model bundle is built once per question and
+    serves every trajectory, so the roles must be pure.
     """
     if not examples:
         raise ValueError("no questions to run")
     # Built before any question runs, so a bad grid value fails at once.
-    docs_configs, fixed_configs = grid_configs(config, fixed_k_grid, docs_grid)
-    result = evaluate(examples, corpus, index, factory, config)
-    report = BenchmarkReport(result=result)
+    _, fixed_configs = grid_configs(config, fixed_k_grid, docs_grid)
+    bound = RERANKER_CANDIDATES + config.k_cap - 1
+    largest = max((config.docs_per_step, *docs_grid))
+    budgets = {d: largest if d >= bound else d for d in (config.docs_per_step, *docs_grid)}
+    settings = {d: replace(config, docs_per_step=d) for d in budgets.values()}
+    main_budget = budgets[config.docs_per_step]
 
-    for row in result.per_question:
+    rows: list[PerQuestion] = []
+    budget_rows: list[list[PerQuestion]] = [[] for _ in docs_grid]
+    fixed_scores: list[list[tuple[float | None, float | None]]] = [[] for _ in fixed_k_grid]
+    for example in examples:
+        models = factory(example)
+        policies = [config, *fixed_configs]
+        if example.fixed_steps is not None:
+            policies = [replace(config, fixed_steps=example.fixed_steps)] * len(policies)
+        runs = {main_budget: run_policies(
+            example.question, corpus, index, models, settings[main_budget], policies
+        )}
+        for docs in docs_grid:
+            if budgets[docs] not in runs:
+                runs[budgets[docs]] = run_policies(
+                    example.question, corpus, index, models, settings[budgets[docs]], policies[:1]
+                )
+        main, *fixed = runs[main_budget]
+        rows.append(_row(example, main, config.docs_per_step))
+        for table, docs in zip(budget_rows, docs_grid):
+            table.append(_row(example, runs[budgets[docs]][0], docs))
+        for scores, run in zip(fixed_scores, fixed):
+            scores.append(_score(example, run.prediction))
+
+    em, f1 = _mean_scores([(r.em, r.f1) for r in rows])
+    n_scored = sum(r.em is not None for r in rows)
+    report = BenchmarkReport(EvalResult(em, f1, tuple(rows), n_scored, len(rows) - n_scored))
+    for row in rows:
         report.step_histogram[row.steps_used] = report.step_histogram.get(row.steps_used, 0) + 1
-
-    for docs, docs_config in zip(docs_grid, docs_configs):
-        grid_result = evaluate(examples, corpus, index, factory, docs_config)
-        mean_retrieved = sum(
-            r.paragraphs_retrieved_total for r in grid_result.per_question
-        ) / len(grid_result.per_question)
-        report.budget_table.append((docs, mean_retrieved, grid_result.em, grid_result.f1))
-
+    for docs, table in zip(docs_grid, budget_rows):
+        mean_retrieved = sum(r.paragraphs_retrieved_total for r in table) / len(table)
+        docs_em, docs_f1 = _mean_scores([(r.em, r.f1) for r in table])
+        report.budget_table.append((docs, mean_retrieved, docs_em, docs_f1))
     if fixed_k_grid:
-        report.dynamic_vs_fixed.append(("dynamic", result.em, result.f1))
-        forced = max(fixed_configs, key=lambda c: c.fixed_steps)
-        runs = [_run_example(ex, corpus, index, factory, forced)[0] for ex in examples]
-        for k in fixed_k_grid:
-            em, f1 = _mean_scores([
-                _score(ex, _prediction_at(run, ex.fixed_steps or k))
-                for ex, run in zip(examples, runs)
-            ])
-            report.dynamic_vs_fixed.append((f"fixed-{k}", em, f1))
+        report.dynamic_vs_fixed.append(("dynamic", em, f1))
+        for k, scores in zip(fixed_k_grid, fixed_scores):
+            report.dynamic_vs_fixed.append((f"fixed-{k}", *_mean_scores(scores)))
     return report
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 import importlib
 import json
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
 from .corpus import Corpus, Paragraph, tokenize
@@ -63,11 +65,17 @@ class SerializedPath:
     paragraphs: tuple[tuple[int, int], ...]
 
 
-def serialize_path(path: ReasoningPath) -> SerializedPath:
-    """Flatten a reasoning path into the reader's input format."""
-    tokens = [CLS, *path.question.split(), SEP]
-    paragraphs = []
-    for para in path.steps:
+def serialize_path(path: ReasoningPath, prefix: SerializedPath | None = None) -> SerializedPath:
+    """Flatten a reasoning path into the reader's input format.
+
+    ``prefix``, when given, is the serialization of the path without its
+    last step; only that step is then added.
+    """
+    if prefix is None:
+        tokens, paragraphs, steps = [CLS, *path.question.split(), SEP], [], path.steps
+    else:
+        tokens, paragraphs, steps = list(prefix.tokens), list(prefix.paragraphs), path.steps[-1:]
+    for para in steps:
         tokens += para.title.split()
         tokens.append(CONT)
         start = len(tokens)
@@ -81,6 +89,8 @@ def serialize_path(path: ReasoningPath) -> SerializedPath:
 class ReaderOutput:
     """What a reader returns: four-way class logits plus per-token span logits.
 
+    ``class_logits`` holds exactly SPAN, YES, NO and NOANSWER, as finite
+    numbers, and the start and end logits one value per serialized token.
     ``best_span`` is the reader's answer, an inclusive (start, end) interval
     of the serialized path inside one paragraph's token range; (0, 0) - the
     [CLS] position - marks "no span".
@@ -90,6 +100,40 @@ class ReaderOutput:
     start_logits: tuple[float, ...]
     end_logits: tuple[float, ...]
     best_span: tuple[int, int]
+
+
+_CLASSES = frozenset((SPAN, YES, NO, NOANSWER))
+
+
+def reader_problem(output, serialized: SerializedPath) -> str | None:
+    """How a reader output for ``serialized`` breaks the ReaderOutput contract, or None.
+
+    Apart from the paragraph ranges, the check reads only a few values. Each
+    type test tries the type readers return before the slower ABC test.
+    """
+    if not isinstance(output, ReaderOutput):
+        return f"{type(output).__name__}, not a ReaderOutput"
+    logits = output.class_logits
+    if not isinstance(logits, dict) or logits.keys() != _CLASSES:
+        return f"class_logits {logits!r} do not hold exactly {SPAN}, {YES}, {NO} and {NOANSWER}"
+    for name, value in logits.items():
+        if not ((type(value) is float or isinstance(value, Real)) and math.isfinite(value)):
+            return f"class logit {name} {value!r} is not a finite real number"
+    n = len(serialized.tokens)
+    for name in ("start_logits", "end_logits"):
+        values = getattr(output, name)
+        if not (type(values) is tuple or isinstance(values, Sized)) or len(values) != n:
+            return f"{name} do not hold one value per serialized token ({n})"
+    span = output.best_span
+    if isinstance(span, tuple) and len(span) == 2:
+        start, end = span
+        if type(start) is type(end) is int or all(isinstance(i, Integral) for i in span):
+            if span == (0, 0):
+                return None
+            for lo, hi in serialized.paragraphs:
+                if lo <= start <= end < hi:
+                    return None
+    return f"best_span {span!r} is neither (0, 0) nor inside one paragraph's tokens"
 
 
 def answerability_span(
@@ -281,7 +325,7 @@ class GoldReader:
         self.kind = kind
 
     def __call__(self, path: ReasoningPath) -> ReaderOutput:
-        serialized = serialize_path(path)
+        serialized = path.serialized
         complete = bool(path.steps) and self.gold_ids <= set(path.step_ids())
         class_logits = {SPAN: -self.MARGIN, YES: -self.MARGIN, NO: -self.MARGIN, NOANSWER: 0.0}
         span = None

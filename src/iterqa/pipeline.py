@@ -6,6 +6,17 @@ candidate extension; when the best answerability clears the stop
 threshold the answer is emitted, otherwise the reranker's argmax extends
 the path and the loop continues, up to a cap of K paragraphs.
 
+There is one loop, ``run_policies``. It runs one trajectory for several
+stop policies at once: a policy stays live until ``stops`` says it answers,
+and the reranker extends the path only while some policy is live. A stop
+rule never changes what the roles or the search see, so each policy gets
+the run it would get alone. ``run_question`` is the loop with its own
+config as the only policy. A path's serialization is built once
+(``ReasoningPath.serialized``), and an extension's extends its prefix's
+(``serialize_path``'s ``prefix`` argument). So a step serializes its path
+once for all its candidates, and each candidate's reader output is checked
+against the candidate's serialization, which the gold reader reads too.
+
 Also generates training traces: oracle queries and reranker candidate sets
 along gold paths, optionally with "polluted" non-gold branches the oracle
 then recovers from.
@@ -19,10 +30,11 @@ candidate evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import filterfalse, islice
 from numbers import Real
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Corpus, Paragraph, tokenize
 from .models import (
@@ -30,6 +42,7 @@ from .models import (
     SerializedPath,
     find_answer_span,
     pick_answer,
+    reader_problem,
     serialize_path,
 )
 from .oracle import OracleQuery, UntrainableExample, build_oracle_query
@@ -88,10 +101,18 @@ class ReasoningPath:
             tokens.extend(para.tokens)
         return tokens
 
+    @cached_property
+    def serialized(self) -> SerializedPath:
+        """The path in the reader's input format, ``serialize_path(self)``, built once."""
+        return serialize_path(self)
+
     def extended(self, paragraph: Paragraph) -> ReasoningPath:
+        """This path plus ``paragraph``; its serialization extends this path's."""
         if paragraph.id in self.step_ids():
             raise ValueError(f"paragraph {paragraph.id!r} is already on the path")
-        return replace(self, steps=self.steps + (paragraph,))
+        ext = ReasoningPath(self.question, self.steps + (paragraph,))
+        vars(ext)["serialized"] = serialize_path(ext, self.serialized)  # seeds the cache
+        return ext
 
 
 def initial_path(question: str) -> ReasoningPath:
@@ -150,12 +171,10 @@ class RunResult:
         return ""
 
 
-def _answer_record(
-    kind: str, answerability: float, ext: ReasoningPath, serialized: SerializedPath, span
-) -> AnswerRecord:
+def _answer_record(kind: str, answerability: float, ext: ReasoningPath, span) -> AnswerRecord:
     if kind == "span":
         start, end = span
-        text = " ".join(serialized.tokens[start : end + 1])
+        text = " ".join(ext.serialized.tokens[start : end + 1])
     else:
         text = kind
     return AnswerRecord(
@@ -163,74 +182,92 @@ def _answer_record(
     )
 
 
-def step(
-    path: ReasoningPath,
+def stops(config: PipelineConfig, step_no: int, answerability: float) -> bool:
+    """Whether a run at ``config`` answers at step ``step_no``, given its best answerability."""
+    if config.fixed_steps is not None:
+        return step_no == config.fixed_steps
+    return answerability > config.stop_threshold
+
+
+def run_policies(
+    question: str,
     corpus: Corpus,
     index: InvertedIndex,
     models: ModelBundle,
     config: PipelineConfig,
-) -> tuple[ReasoningPath, StepOutcome]:
-    """Run one retrieve-read-rerank iteration; returns the new path.
+    policies: Sequence[PipelineConfig],
+) -> list[RunResult]:
+    """Run the loop once for every stop policy; one RunResult per policy.
 
-    The input path is not mutated. Zero-score hits count as not retrieved.
-    The outcome has an ``answer`` when the run should stop with it, a
-    ``chosen_paragraph`` when the path is extended, and an
-    ``exhausted_reason`` when it cannot be. A retriever output that is a
-    ``str``, is not iterable or holds a non-``str`` term, and a reranker
+    ``config`` sets k_cap and docs_per_step, and each policy only its stop
+    rule. Each step reads: the query, the search (zero-score hits count as not
+    retrieved), the first RERANKER_CANDIDATES hits not on the path, a reader
+    call per candidate and the best candidate. Each live policy then asks
+    ``stops`` whether it answers here, and the reranker's argmax extends the
+    path only while some policy is still live. A stop rule never changes what
+    the roles or the search see, so each policy's RunResult is the one a run
+    of its own would give. A retriever output that is a ``str``, is not
+    iterable or holds a non-``str`` term, a reader output that
+    ``reader_problem`` refuses or whose answerability is NaN, and a reranker
     score that is not a finite real number, raise ModelOutputError.
     """
-    terms = models.retriever(path)
-    if isinstance(terms, str) or not isinstance(terms, Iterable):
-        raise ModelOutputError("retriever", path, f"{type(terms).__name__}, not a list of str")
-    query = tuple(terms)
-    for term in query:
-        if not isinstance(term, str):
-            raise ModelOutputError("retriever", path, f"term {term!r} is not a str")
-    if not query:
-        return path, StepOutcome(query_used=query, exhausted_reason="empty query")
-    hits = tuple(h for h in search_topk(index, list(query), config.docs_per_step) if h.score > 0.0)
-    if not hits:
-        return path, StepOutcome(query_used=query, exhausted_reason="no results")
+    results: list[RunResult | None] = [None] * len(policies)
+    outcomes: list[StepOutcome] = []
+    path = initial_path(question)
+    while len(path.steps) < config.k_cap:
+        terms = models.retriever(path)
+        if isinstance(terms, str) or not isinstance(terms, Iterable):
+            raise ModelOutputError("retriever", path, f"{type(terms).__name__}, not a list of str")
+        query = tuple(terms)
+        for term in query:
+            if not isinstance(term, str):
+                raise ModelOutputError("retriever", path, f"term {term!r} is not a str")
+        hits = ()
+        if query:
+            found = search_topk(index, list(query), config.docs_per_step)
+            hits = tuple(h for h in found if h.score > 0.0)
+        on_path = set(path.step_ids())
+        candidates = [
+            corpus.paragraphs[h.paragraph_id] for h in hits if h.paragraph_id not in on_path
+        ][:RERANKER_CANDIDATES]
+        if not candidates:
+            reason = "no new candidates" if hits else "no results" if query else "empty query"
+            outcomes.append(StepOutcome(query_used=query, exhausted_reason=reason))
+            break
 
-    on_path = set(path.step_ids())
-    candidates = [
-        corpus.paragraphs[h.paragraph_id] for h in hits if h.paragraph_id not in on_path
-    ][:RERANKER_CANDIDATES]
-    if not candidates:
-        return path, StepOutcome(query_used=query, exhausted_reason="no new candidates")
+        evaluated = []
+        for para in candidates:
+            ext = path.extended(para)
+            output = models.reader(ext)
+            problem = reader_problem(output, ext.serialized)
+            if problem is None:
+                kind, score = pick_answer(output)
+                problem = "its answerability is NaN" if math.isnan(score) else None
+            if problem is not None:
+                raise ModelOutputError("reader", path, f"{problem}, reading {para.id!r}")
+            evaluated.append((para, ext, output.best_span, kind, score))
+        _, best_ext, span, kind, best_score = min(evaluated, key=lambda e: (-e[4], e[0].id))
+        record = _answer_record(kind, best_score, best_ext, span)
+        answerabilities = tuple((e[0].id, e[4]) for e in evaluated)
+        for i, policy in enumerate(policies):
+            if results[i] is None and stops(policy, len(path.steps) + 1, best_score):
+                answered = StepOutcome(query, hits, None, answerabilities, record)
+                results[i] = RunResult(ANSWERED, record, (*outcomes, answered), best_ext)
+        if None not in results:
+            return results
 
-    evaluated = []
-    for para in candidates:
-        ext = path.extended(para)
-        output = models.reader(ext)
-        kind, score = pick_answer(output)
-        evaluated.append((para, ext, output, kind, score))
-
-    best = min(evaluated, key=lambda e: (-e[4], e[0].id))
-    best_para, best_ext, best_output, best_kind, best_score = best
-    best_record = _answer_record(
-        best_kind, best_score, best_ext, serialize_path(best_ext), best_output.best_span
-    )
-    answerabilities = tuple((para.id, score) for para, _, _, _, score in evaluated)
-
-    if config.fixed_steps is not None:
-        stop = len(path.steps) + 1 == config.fixed_steps
-    else:
-        stop = best_score > config.stop_threshold
-    next_path, chosen_id = best_ext, None
-    if not stop:
-        scored = [(models.reranker(path, para), para) for para, _, _, _, _ in evaluated]
-        for score, para in scored:
+        scored = [(models.reranker(path, para), para, ext) for para, ext, *_ in evaluated]
+        for score, para, _ in scored:
             if not (isinstance(score, Real) and math.isfinite(score)):
                 raise ModelOutputError(
                     "reranker", path, f"{score!r} for {para.id!r} is not a finite real number"
                 )
-        _, chosen = min(scored, key=lambda item: (-item[0], item[1].id))
-        next_path, chosen_id = path.extended(chosen), chosen.id
-    return next_path, StepOutcome(
-        query_used=query, retrieved=hits, chosen_paragraph=chosen_id,
-        candidate_answerabilities=answerabilities, best_candidate=best_record,
-    )
+        _, chosen, chosen_path = min(scored, key=lambda item: (-item[0], item[1].id))
+        outcomes.append(StepOutcome(query, hits, chosen.id, answerabilities, record))
+        path = chosen_path
+
+    exhausted = RunResult(EXHAUSTED, None, tuple(outcomes), path)
+    return [exhausted if result is None else result for result in results]
 
 
 def run_question(
@@ -245,21 +282,7 @@ def run_question(
     Exhausted runs carry the best low-confidence candidate seen, so they
     can still be inspected and scored.
     """
-    path = initial_path(question)
-    outcomes: list[StepOutcome] = []
-    while len(path.steps) < config.k_cap:
-        path, outcome = step(path, corpus, index, models, config)
-        outcomes.append(outcome)
-        if outcome.chosen_paragraph is None:  # answered or exhausted
-            break
-
-    answer = outcomes[-1].answer
-    return RunResult(
-        status=ANSWERED if answer is not None else EXHAUSTED,
-        answer=answer,
-        steps=tuple(outcomes),
-        final_path=path,
-    )
+    return run_policies(question, corpus, index, models, config, (config,))[0]
 
 
 def step_log_record(outcome: StepOutcome) -> dict:
@@ -338,7 +361,7 @@ def _reader_label(
         return "YES", None
     if example.answer_kind == "no":
         return "NO", None
-    serialized = serialize_path(next_path)
+    serialized = next_path.serialized
     span = find_answer_span(serialized, example.answers, serialized.paragraphs)
     if span is None:
         return "NOANSWER", None

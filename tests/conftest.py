@@ -5,6 +5,11 @@ recomputes document statistics straight from the corpus and evaluates every
 paragraph, so it is an independent check on the index, on the per-term
 contributions of ``iterqa.search._impacts`` (the one place the package
 writes the formulas) and on candidate generation and top-k selection.
+
+The reference loop is the same kind of check on ``iterqa.pipeline``: the
+retrieve-read-rerank loop and its stop rules written from the README and the
+module docstrings, one setting at a time, sharing nothing with the pipeline
+but the model roles.
 """
 
 from __future__ import annotations
@@ -13,11 +18,15 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from iterqa.corpus import Corpus, ingest_corpus
+from iterqa.metrics import exact_match, unigram_f1
+from iterqa.models import NO, NOANSWER, SPAN, YES, GoldReader, ReaderOutput, serialize_path
 from iterqa.oracle import UntrainableExample, build_oracle_query
+from iterqa.pipeline import QuestionExample, ReasoningPath
 from iterqa.search import _impacts, build_index, rank_of
 from iterqa.synth import make_chain_benchmark
 
@@ -124,6 +133,210 @@ def exhaustive_best_rank(index, target, spans) -> int:
         terms = [t for i, s in enumerate(spans) if (mask >> i) & 1 for t in s.tokens]
         best = min(best, rank_of(index, target.id, terms))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference loop (independent of iterqa.pipeline)
+# ---------------------------------------------------------------------------
+
+CANDIDATES_PER_STEP = 5  # "the first 5 hits not on the path"
+
+
+def _ids(paragraphs) -> tuple[str, ...]:
+    return tuple(p.id for p in paragraphs)
+
+
+def _reference_answer(output, question: str, paragraphs) -> tuple:
+    """(kind, text, answerability, path ids) of one reader output.
+
+    The kind is the largest positive class logit, ties going to SPAN, then
+    YES, then NO. A span's text is its tokens of "[CLS] question [SEP]
+    title1 [CONT] para1 [SEP] ...", each part split on whitespace.
+    """
+    logits = output.class_logits
+    kind = SPAN
+    for other in (YES, NO):
+        if logits[other] > logits[kind]:
+            kind = other
+    if kind != SPAN:
+        return kind.lower(), kind.lower(), logits[kind] - logits[NOANSWER], _ids(paragraphs)
+    tokens = ["[CLS]", *question.split(), "[SEP]"]
+    for para in paragraphs:
+        tokens += [*para.title.split(), "[CONT]", *para.text.split(), "[SEP]"]
+    start, end = output.best_span
+    answerability = (
+        logits[SPAN] - logits[NOANSWER]
+        + (output.start_logits[start] - output.start_logits[0]) / 2.0
+        + (output.end_logits[end] - output.end_logits[0]) / 2.0
+    )
+    return "span", " ".join(tokens[start : end + 1]), answerability, _ids(paragraphs)
+
+
+def _argmax(scored):
+    """The item of the highest score in (item id, score, item) triples, the smallest id on a tie."""
+    best = None
+    for item_id, score, item in scored:
+        if best is None or score > best[1] or (score == best[1] and item_id < best[0]):
+            best = (item_id, score, item)
+    return best[2]
+
+
+def reference_run(question: str, corpus: Corpus, models, config, topk) -> tuple:
+    """One question through the loop at ``config``, as plain tuples.
+
+    ``topk(query, d)`` lists the top d paragraphs as (id, score) by (-score,
+    id). Returns (status, answer, final path ids, steps). A step is (query,
+    hits as (id, score, rank), chosen id, candidate answerabilities, best
+    candidate, exhausted reason); an answer is (kind, text, answerability,
+    path ids). A step that exhausts the run records no hits.
+    """
+    steps = []
+    paragraphs: tuple = ()
+    while len(paragraphs) < config.k_cap:
+        path = ReasoningPath(question, paragraphs)
+        query = tuple(models.retriever(path))
+        if not query:
+            steps.append((query, (), None, (), None, "empty query"))
+            break
+        positive = [(pid, score) for pid, score in topk(list(query), config.docs_per_step)
+                    if score > 0.0]
+        hits = tuple((pid, score, rank) for rank, (pid, score) in enumerate(positive, start=1))
+        if not hits:
+            steps.append((query, (), None, (), None, "no results"))
+            break
+        on_path = set(_ids(paragraphs))
+        candidates = [corpus.paragraphs[pid] for pid, _, _ in hits if pid not in on_path]
+        candidates = candidates[:CANDIDATES_PER_STEP]
+        if not candidates:
+            steps.append((query, (), None, (), None, "no new candidates"))
+            break
+        read = []
+        for para in candidates:
+            extended = paragraphs + (para,)
+            output = models.reader(ReasoningPath(question, extended))
+            read.append((para.id, _reference_answer(output, question, extended)))
+        answerabilities = tuple((pid, answer[2]) for pid, answer in read)
+        best = _argmax((pid, answer[2], answer) for pid, answer in read)
+        step_no = len(paragraphs) + 1
+        if config.fixed_steps is not None:
+            stop = step_no == config.fixed_steps
+        else:
+            stop = best[2] > config.stop_threshold
+        if stop:
+            steps.append((query, hits, None, answerabilities, best, None))
+            return "answered", best, best[3], tuple(steps)
+        chosen = _argmax((para.id, models.reranker(path, para), para) for para in candidates)
+        steps.append((query, hits, chosen.id, answerabilities, best, None))
+        paragraphs += (chosen,)
+    return "exhausted", None, _ids(paragraphs), tuple(steps)
+
+
+def reference_prediction(record: tuple) -> str:
+    """The answer's text, else the most answerable best candidate's (the earliest of equals)."""
+    status, answer, _, steps = record
+    if answer is not None:
+        return answer[1]
+    best = None
+    for step in steps:
+        if step[4] is not None and (best is None or step[4][2] > best[2]):
+            best = step[4]
+    return best[1] if best is not None else ""
+
+
+def reference_bench(examples, corpus: Corpus, factory, config, topk) -> tuple:
+    """((EM, F1), rows) of one setting, a question's own fixed_steps overriding ``config``'s.
+
+    A row is (qid, em, f1, steps used, paragraphs retrieved, status,
+    prediction), em and f1 None for a question without answers; EM and F1
+    are left-to-right means over the scored rows, 0.0 each when none is.
+    """
+    rows = []
+    for example in examples:
+        setting = config
+        if example.fixed_steps is not None:
+            setting = replace(config, fixed_steps=example.fixed_steps)
+        record = reference_run(example.question, corpus, factory(example), setting, topk)
+        prediction = reference_prediction(record)
+        em = f1 = None
+        if example.answers:
+            em = float(exact_match(prediction, example.answers))
+            f1 = unigram_f1(prediction, example.answers)
+        retrieved = sum(len(step[1]) for step in record[3])
+        rows.append((example.qid, em, f1, len(record[2]), retrieved, record[0], prediction))
+    scored = [row for row in rows if row[1] is not None]
+    em = f1 = 0.0
+    for row in scored:
+        em += row[1]
+        f1 += row[2]
+    return ((em / len(scored), f1 / len(scored)) if scored else (0.0, 0.0)), rows
+
+
+def run_record(result) -> tuple:
+    """A pipeline RunResult in reference_run's form."""
+    def answer(record):
+        if record is None:
+            return None
+        return record.kind, record.text, record.answerability, record.path_snapshot
+
+    steps = tuple(
+        (s.query_used, tuple((h.paragraph_id, h.score, h.rank) for h in s.retrieved),
+         s.chosen_paragraph, s.candidate_answerabilities, answer(s.best_candidate),
+         s.exhausted_reason)
+        for s in result.steps
+    )
+    return result.status, answer(result.answer), result.final_path.step_ids(), steps
+
+
+class TieReader:
+    """A pure reader whose logits come from a few values, seeded by the path, so scores tie."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def __call__(self, path) -> ReaderOutput:
+        rng = random.Random(f"{self.seed}|{path.question}|{'|'.join(path.step_ids())}")
+        serialized = serialize_path(path)
+        n = len(serialized.tokens)
+        logits = {c: rng.choice((-1.0, 0.0, 1.0)) for c in (SPAN, YES, NO, NOANSWER)}
+        start = tuple(rng.choice((0.0, 1.0)) for _ in range(n))
+        end = tuple(rng.choice((0.0, 1.0)) for _ in range(n))
+        span = (0, 0)
+        ranges = [(lo, hi) for lo, hi in serialized.paragraphs if lo < hi]
+        if ranges and rng.random() < 0.8:
+            lo, hi = rng.choice(ranges)
+            first = rng.randrange(lo, hi)
+            span = (first, rng.randrange(first, min(hi, first + 3)))
+        return ReaderOutput(logits, start, end, span)
+
+
+class TieReranker:
+    """A pure reranker that scores from three values, seeded by the path and the candidate."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def __call__(self, path, candidate) -> float:
+        ids = "|".join(path.step_ids())
+        return random.Random(f"{self.seed}|{path.question}|{ids}|{candidate.id}").choice(
+            (0.0, 1.0, 2.0)
+        )
+
+
+def random_chain_example(rng: random.Random, corpus: Corpus, qid: str) -> QuestionExample:
+    """A 1-3 paragraph chain: question words from the first paragraph, answer from the last."""
+    gold = rng.sample(sorted(corpus.paragraphs), rng.randint(1, min(3, len(corpus.paragraphs))))
+    words = corpus.paragraphs[gold[0]].text.split()
+    question = " ".join(rng.sample(words, min(len(words), rng.randint(1, 4))))
+    kind = rng.choice(("span", "span", "yes", "no"))
+    answer = kind
+    if kind == "span":
+        last = corpus.paragraphs[gold[-1]].text.split()
+        first = rng.randrange(len(last))
+        answer = " ".join(last[first : first + rng.randint(1, 2)])
+    return QuestionExample(
+        qid=qid, question=question, answers=(answer,), gold_ids=tuple(gold), answer_kind=kind,
+        fixed_steps=rng.choice((None, None, None, 1, 2, 3)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +459,22 @@ def nan_reranker_factory(example, index, corpus):
         return math.nan
 
     return reranker
+
+
+def nan_class_reader_factory(example, index, corpus):
+    gold = GoldReader(example.answers, example.gold_ids, example.answer_kind)
+
+    def reader(path):
+        output = gold(path)
+        return replace(output, class_logits={**output.class_logits, SPAN: math.nan})
+
+    return reader
+
+
+def far_span_reader_factory(example, index, corpus):
+    gold = GoldReader(example.answers, example.gold_ids, example.answer_kind)
+
+    def reader(path):
+        return replace(gold(path), best_span=(10**6, 10**6))
+
+    return reader

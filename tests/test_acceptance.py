@@ -2,7 +2,7 @@
 
 Criteria 5 and 6 read one run_benchmark pass with the fixed-K grid 1-5; the
 benchmark-grid test after criterion 6 checks its rows against criterion 6's
-independent per-K runs.
+independent per-K runs of the reference loop in conftest.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Empirically frozen values (criterion 3) were recorded from the
@@ -27,8 +27,9 @@ from conftest import (
     make_random_corpus,
     make_random_query,
     oracle_ranks,
+    reference_bench,
 )
-from iterqa.bench import evaluate, run_benchmark
+from iterqa.bench import run_benchmark
 from iterqa.corpus import map_paragraph
 from iterqa.metrics import exact_match, unigram_f1
 from iterqa.models import (
@@ -299,19 +300,27 @@ def test_criterion_5_end_to_end_multi_hop(chain_benchmark, benchmark_run):
 
 @pytest.fixture(scope="module")
 def fixed_runs(chain_benchmark, chain_index, model_factory):
-    """An independent evaluate() run per fixed-step policy K = 1..5."""
+    """(EM, F1) of an independent reference run per fixed-step policy K = 1..5.
+
+    The reference loop ranks with the package's search_topk here, which
+    criterion 1 checks against the brute-force scorer: a brute-force ranking
+    of 809 paragraphs per step would take most of a minute.
+    """
+    def topk(query, k):
+        return [(hit.paragraph_id, hit.score) for hit in search_topk(chain_index, query, k)]
+
     return {
-        k: evaluate(
-            chain_benchmark.examples, chain_benchmark.corpus, chain_index, model_factory,
-            PipelineConfig(k_cap=5, docs_per_step=50, fixed_steps=k),
-        )
+        k: reference_bench(
+            chain_benchmark.examples, chain_benchmark.corpus, model_factory,
+            PipelineConfig(k_cap=5, docs_per_step=50, fixed_steps=k), topk,
+        )[0]
         for k in (1, 2, 3, 4, 5)
     }
 
 
 def test_criterion_6_dynamic_stopping(chain_benchmark, benchmark_run, fixed_runs):
     dynamic_result = benchmark_run[0].result
-    fixed_f1 = {k: fixed.f1 for k, fixed in fixed_runs.items()}
+    fixed_f1 = {k: f1 for k, (_, f1) in fixed_runs.items()}
     dominates = all(dynamic_result.f1 >= f1 - 1e-9 for f1 in fixed_f1.values())
 
     concentration = {}
@@ -335,11 +344,11 @@ def test_criterion_6_dynamic_stopping(chain_benchmark, benchmark_run, fixed_runs
 
 
 def test_run_benchmark_fixed_rows_equal_per_k_runs(benchmark_run, fixed_runs):
-    # run_benchmark reads every fixed-K row off one run forced at the largest
-    # K; the rows must equal the independent per-K runs of criterion 6 exactly.
+    # run_benchmark reads every fixed-K row off one trajectory per question;
+    # the rows must equal the independent per-K runs of criterion 6 exactly.
     report = benchmark_run[0]
     assert report.dynamic_vs_fixed == [("dynamic", report.result.em, report.result.f1)] + [
-        (f"fixed-{k}", fixed.em, fixed.f1) for k, fixed in fixed_runs.items()
+        (f"fixed-{k}", em, f1) for k, (em, f1) in fixed_runs.items()
     ]
 
 

@@ -1,11 +1,11 @@
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 
+from conftest import BruteForceScorer, reference_bench
 from iterqa.bench import (
     QuestionsFormatError,
-    evaluate,
     format_summary,
     load_examples,
     run_benchmark,
@@ -55,7 +55,7 @@ def bench_setup():
 
 def test_perfect_run_scores_one(bench_setup):
     corpus, index, factory = bench_setup
-    result = evaluate([ONE_HOP, TWO_HOP], corpus, index, factory)
+    result = run_benchmark([ONE_HOP, TWO_HOP], corpus, index, factory).result
     assert result.em == 1.0
     assert result.f1 == 1.0
     assert result.n_scored == 2
@@ -63,7 +63,7 @@ def test_perfect_run_scores_one(bench_setup):
 
 def test_aggregates_are_means_of_per_question(bench_setup):
     corpus, index, factory = bench_setup
-    result = evaluate([ONE_HOP, TWO_HOP], corpus, index, factory)
+    result = run_benchmark([ONE_HOP, TWO_HOP], corpus, index, factory).result
     scored = [r for r in result.per_question if r.em is not None]
     assert abs(result.em - sum(r.em for r in scored) / len(scored)) < 1e-12
     assert abs(result.f1 - sum(r.f1 for r in scored) / len(scored)) < 1e-12
@@ -71,9 +71,7 @@ def test_aggregates_are_means_of_per_question(bench_setup):
 
 def test_fixed_one_step_fails_two_hop(bench_setup):
     corpus, index, factory = bench_setup
-    result = evaluate(
-        [TWO_HOP], corpus, index, factory, PipelineConfig(fixed_steps=1)
-    )
+    result = run_benchmark([TWO_HOP], corpus, index, factory, PipelineConfig(fixed_steps=1)).result
     assert result.em == 0.0
 
 
@@ -81,7 +79,7 @@ def test_question_without_gold_answers_counted_unscored(bench_setup):
     corpus, index, factory = bench_setup
     no_gold = QuestionExample(qid="ng", question="what does the river gate guard",
                               gold_ids=("solo#0",))
-    result = evaluate([ONE_HOP, no_gold], corpus, index, factory)
+    result = run_benchmark([ONE_HOP, no_gold], corpus, index, factory).result
     assert result.n_scored == 1
     assert result.n_unscored == 1
     row = next(r for r in result.per_question if r.qid == "ng")
@@ -94,7 +92,7 @@ def test_per_question_fixed_override(bench_setup):
         qid="two", question=TWO_HOP.question, answers=TWO_HOP.answers,
         gold_ids=TWO_HOP.gold_ids, fixed_steps=1,
     )
-    result = evaluate([overridden], corpus, index, factory)
+    result = run_benchmark([overridden], corpus, index, factory).result
     assert result.em == 0.0
     assert result.per_question[0].steps_used == 1
 
@@ -136,12 +134,15 @@ def test_run_benchmark_fixed_rows_equal_fixed_step_runs(bench_setup):
 
     grid = (2, 4, 1, 3)
     report = run_benchmark(examples, corpus, index, counting_factory, config, fixed_k_grid=grid)
-    assert len(calls) == 2 * len(examples)  # the dynamic pass and one forced pass
-    assert report.result == evaluate(examples, corpus, index, factory, config)
-    expected = [("dynamic", report.result.em, report.result.f1)]
+    assert calls == [example.qid for example in examples]  # one bundle per question
+    topk = BruteForceScorer(corpus).topk
+    (em, f1), rows = reference_bench(examples, corpus, factory, config, topk)
+    assert [astuple(row) for row in report.result.per_question] == rows
+    assert (report.result.em, report.result.f1) == (em, f1)
+    expected = [("dynamic", em, f1)]
     for k in grid:
-        fixed = evaluate(examples, corpus, index, factory, replace(config, fixed_steps=k))
-        expected.append((f"fixed-{k}", fixed.em, fixed.f1))
+        fixed, _ = reference_bench(examples, corpus, factory, replace(config, fixed_steps=k), topk)
+        expected.append((f"fixed-{k}", *fixed))
     assert report.dynamic_vs_fixed == expected
 
 
@@ -153,8 +154,8 @@ def test_run_benchmark_empty_rejected(bench_setup):
 
 def test_benchmark_deterministic(bench_setup):
     corpus, index, factory = bench_setup
-    a = evaluate([ONE_HOP, TWO_HOP], corpus, index, factory)
-    b = evaluate([ONE_HOP, TWO_HOP], corpus, index, factory)
+    a = run_benchmark([ONE_HOP, TWO_HOP], corpus, index, factory, fixed_k_grid=(1, 2))
+    b = run_benchmark([ONE_HOP, TWO_HOP], corpus, index, factory, fixed_k_grid=(1, 2))
     assert a == b
 
 

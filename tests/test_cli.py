@@ -316,7 +316,12 @@ def test_cli_reports_malformed_manifest(workspace, capsys, manifest, expected):
 @pytest.mark.parametrize("role, factory, problem", [
     ("retriever", "string_retriever_factory", "str, not a list of str"),
     ("reranker", "nan_reranker_factory", "nan for '[^']+' is not a finite real number"),
-], ids=["string-retriever", "nan-reranker"])
+    ("reader", "nan_class_reader_factory",
+     "class logit SPAN nan is not a finite real number, reading '[^']+'"),
+    ("reader", "far_span_reader_factory",
+     r"best_span \(1000000, 1000000\) is neither \(0, 0\) nor inside one paragraph's tokens, "
+     "reading '[^']+'"),
+], ids=["string-retriever", "nan-reranker", "nan-class-logit-reader", "far-span-reader"])
 def test_cli_refuses_a_model_output_outside_its_contract(
     workspace, capsys, command, role, factory, problem
 ):

@@ -116,6 +116,19 @@ def test_serialize_round_trip(fixture_corpus):
         assert [b[1] for b in blocks] == [fixture_corpus.paragraphs[p].text for p in chosen]
 
 
+def test_serialize_extending_a_prefix_equals_serializing_the_path(fixture_corpus):
+    rng = random.Random(52)
+    ids = sorted(fixture_corpus.paragraphs)
+    for _ in range(20):
+        chosen = rng.sample(ids, rng.randint(1, len(ids)))
+        path = path_with(fixture_corpus, "who found the bloom", chosen[:-1])
+        prefix = serialize_path(path)
+        extended = path.extended(fixture_corpus.paragraphs[chosen[-1]])
+        assert serialize_path(extended, prefix) == serialize_path(extended)
+        assert serialize_path(path) == prefix  # the prefix is not changed
+        assert extended.serialized == serialize_path(extended)  # seeded from path's
+
+
 def test_serialize_special_tokens_in_text_survive_round_trip():
     corpus = corpus_from([
         {"article_id": "odd", "title": "Odd", "order": 0, "text": "contains [SEP] literally"},

@@ -1,11 +1,16 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
 from iterqa.corpus import ingest_corpus
 from iterqa.metrics import normalize_answer
-from iterqa.models import GoldReader, LexicalReranker, ModelBundle, OracleRetriever
+from iterqa.models import (
+    NO, NOANSWER, SPAN, YES, GoldReader, LexicalReranker, ModelBundle, OracleRetriever,
+    serialize_path,
+)
 from iterqa.pipeline import (
     ANSWERED,
     EXHAUSTED,
@@ -19,7 +24,6 @@ from iterqa.pipeline import (
     generate_training_traces,
     initial_path,
     run_question,
-    step,
     step_log_record,
     trace_record,
 )
@@ -107,28 +111,29 @@ def test_path_tokens_cover_question_titles_and_texts():
 
 
 # ---------------------------------------------------------------------------
-# step
+# one step of the loop
 # ---------------------------------------------------------------------------
 
 def test_step_answer_branch_has_no_chosen_paragraph():
     corpus, index, models = one_hop_setup()
-    path = initial_path("where is the bronze bell in the old tower")
-    new_path, outcome = step(path, corpus, index, models, PipelineConfig())
+    result = run_question("where is the bronze bell in the old tower", corpus, index, models)
+    (outcome,) = result.steps
     assert outcome.answer is not None
     assert outcome.chosen_paragraph is None
     assert outcome.exhausted_reason is None
-    assert new_path.step_ids() == outcome.answer.path_snapshot == ("tower#0",)
+    assert result.final_path.step_ids() == outcome.answer.path_snapshot == ("tower#0",)
     assert outcome.answer.answerability == 10.0
 
 
 def test_step_append_branch_uses_reranker_argmax():
     corpus, index, models = toad_setup()
     path = initial_path(TOAD_QUESTION)
-    new_path, outcome = step(path, corpus, index, models, PipelineConfig())
+    result = run_question(TOAD_QUESTION, corpus, index, models, PipelineConfig(k_cap=1))
+    (outcome,) = result.steps
     assert outcome.answer is None
     assert outcome.chosen_paragraph is not None
     assert outcome.exhausted_reason is None
-    assert new_path.step_ids() == (outcome.chosen_paragraph,)
+    assert result.final_path.step_ids() == (outcome.chosen_paragraph,)
     scores = {
         pid: models.reranker(path, corpus.paragraphs[pid])
         for pid, _ in outcome.candidate_answerabilities
@@ -137,30 +142,62 @@ def test_step_append_branch_uses_reranker_argmax():
     assert outcome.chosen_paragraph == best
 
 
-def test_step_empty_query_exhausts():
+def test_step_reranker_tie_goes_to_the_smallest_id():
+    corpus, index, models = toad_setup()
+    models = ModelBundle(models.retriever, models.reader, lambda path, para: 1.0)
+    result = run_question(TOAD_QUESTION, corpus, index, models, PipelineConfig(k_cap=1))
+    (outcome,) = result.steps
+    assert len(outcome.candidate_answerabilities) > 1
+    assert outcome.chosen_paragraph == min(pid for pid, _ in outcome.candidate_answerabilities)
+
+
+def test_step_best_candidate_tie_goes_to_the_smallest_id():
+    corpus, index, models = toad_setup()
+    # Every candidate extension reads the same: SPAN at answerability -11.0.
+    reader = GoldReader(["never present"], {"absent#0"})
+    models = ModelBundle(models.retriever, reader, models.reranker)
+    result = run_question(TOAD_QUESTION, corpus, index, models, PipelineConfig(fixed_steps=1))
+    (outcome,) = result.steps
+    scores = {score for _, score in outcome.candidate_answerabilities}
+    assert scores == {-11.0} and len(outcome.candidate_answerabilities) > 1
+    first = min(pid for pid, _ in outcome.candidate_answerabilities)
+    assert result.answer.path_snapshot == (first,)
+
+
+def exhausted_run(retriever):
+    """A one-hop run with ``retriever``, checked to end on an exhausted step."""
     corpus, index, _ = one_hop_setup()
     models = ModelBundle(
-        retriever=lambda path: [],
+        retriever=retriever,
         reader=GoldReader(["x"], {"tower#0"}),
         reranker=LexicalReranker(index),
     )
-    new_path, outcome = step(initial_path("q"), corpus, index, models, PipelineConfig())
-    assert new_path.steps == ()
-    assert outcome.exhausted_reason == "empty query"
+    result = run_question("q", corpus, index, models)
+    outcome = result.steps[-1]
+    assert result.status == EXHAUSTED
     assert outcome.answer is None and outcome.chosen_paragraph is None
+    assert outcome.retrieved == () and outcome.best_candidate is None
+    assert result.final_path.step_ids() == tuple(s.chosen_paragraph for s in result.steps[:-1])
+    return result
+
+
+def test_step_empty_query_exhausts():
+    result = exhausted_run(lambda path: [])
+    assert result.final_path.steps == ()
+    assert [s.exhausted_reason for s in result.steps] == ["empty query"]
 
 
 def test_step_no_results_exhausts():
-    corpus, index, _ = one_hop_setup()
-    models = ModelBundle(
-        retriever=lambda path: ["absentterm"],
-        reader=GoldReader(["x"], {"tower#0"}),
-        reranker=LexicalReranker(index),
-    )
-    new_path, outcome = step(initial_path("q"), corpus, index, models, PipelineConfig())
-    assert new_path.steps == ()
-    assert outcome.exhausted_reason == "no results"
-    assert outcome.answer is None and outcome.chosen_paragraph is None
+    result = exhausted_run(lambda path: ["absentterm"])
+    assert result.final_path.steps == ()
+    assert [s.exhausted_reason for s in result.steps] == ["no results"]
+
+
+def test_step_no_new_candidates_exhausts():
+    # tower#0 is the one hit, so once it is on the path no candidate is new.
+    result = exhausted_run(lambda path: ["bronze"])
+    assert result.final_path.step_ids() == ("tower#0",)
+    assert [s.exhausted_reason for s in result.steps] == [None, "no new candidates"]
 
 
 @pytest.mark.parametrize("output, problem", [
@@ -175,7 +212,7 @@ def test_step_refuses_a_retriever_output_outside_its_contract(output, problem):
     corpus, index, models = toad_setup()
     models = ModelBundle(lambda path: output, models.reader, models.reranker)
     with pytest.raises(ModelOutputError) as raised:
-        step(initial_path(TOAD_QUESTION), corpus, index, models, PipelineConfig())
+        run_question(TOAD_QUESTION, corpus, index, models)
     assert str(raised.value) == f"retriever output for question {TOAD_QUESTION!r}: {problem}"
 
 
@@ -184,9 +221,77 @@ def test_step_refuses_a_reranker_score_outside_its_contract(score):
     corpus, index, models = toad_setup()
     models = ModelBundle(models.retriever, models.reader, lambda path, para: score)
     with pytest.raises(ModelOutputError) as raised:
-        step(initial_path(TOAD_QUESTION), corpus, index, models, PipelineConfig())
+        run_question(TOAD_QUESTION, corpus, index, models)
     assert str(raised.value).startswith(f"reranker output for question {TOAD_QUESTION!r}: ")
     assert str(raised.value).endswith(" is not a finite real number")
+
+
+def span_in_first_paragraph(path, pick):
+    """``pick(lo, hi)`` for the first paragraph's half-open token range on ``path``."""
+    lo, hi = serialize_path(path).paragraphs[0]
+    return pick(lo, hi)
+
+
+def with_span(pick):
+    return lambda out, path: replace(out, best_span=span_in_first_paragraph(path, pick))
+
+
+def with_class(name, value):
+    return lambda out, path: replace(out, class_logits={**out.class_logits, name: value})
+
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda out, path: vars(out), "dict, not a ReaderOutput"),
+    (lambda out, path: None, "NoneType, not a ReaderOutput"),
+    (lambda out, path: replace(out, class_logits={k: v for k, v in out.class_logits.items()
+                                                   if k != NO}),
+     "} do not hold exactly SPAN, YES, NO and NOANSWER"),
+    (with_class("MAYBE", 0.0), "} do not hold exactly SPAN, YES, NO and NOANSWER"),
+    (with_class(SPAN, math.nan), "class logit SPAN nan is not a finite real number"),
+    (with_class(NOANSWER, math.inf), "class logit NOANSWER inf is not a finite real number"),
+    (with_class(YES, "1.0"), "class logit YES '1.0' is not a finite real number"),
+    (lambda out, path: replace(out, start_logits=out.start_logits[:-1]),
+     "start_logits do not hold one value per serialized token"),
+    (lambda out, path: replace(out, end_logits=out.end_logits + (0.0,)),
+     "end_logits do not hold one value per serialized token"),
+    (lambda out, path: replace(out, end_logits=None),
+     "end_logits do not hold one value per serialized token"),
+    (with_span(lambda lo, hi: (lo + 1, lo)), "is neither (0, 0) nor inside one paragraph's tokens"),
+    (with_span(lambda lo, hi: (lo, hi)), "is neither (0, 0) nor inside one paragraph's tokens"),
+    (with_span(lambda lo, hi: (1, 1)), "is neither (0, 0) nor inside one paragraph's tokens"),
+    (with_span(lambda lo, hi: (10**6, 10**6)),
+     "best_span (1000000, 1000000) is neither (0, 0) nor inside one paragraph's tokens"),
+    (with_span(lambda lo, hi: (float(lo), float(lo))),
+     "is neither (0, 0) nor inside one paragraph's tokens"),
+    (with_span(lambda lo, hi: [lo, lo]), "is neither (0, 0) nor inside one paragraph's tokens"),
+    (lambda out, path: replace(out, start_logits=(math.nan,) + out.start_logits[1:]),
+     "its answerability is NaN"),
+], ids=["dict", "none", "missing-class", "extra-class", "nan-logit", "inf-logit", "str-logit",
+        "short-start", "long-end", "no-end", "reversed-span", "span-past-paragraph",
+        "span-in-question", "far-span", "float-span", "list-span", "nan-answerability"])
+def test_step_refuses_a_reader_output_outside_its_contract(change, problem):
+    corpus, index, models = toad_setup()
+    gold = models.reader
+    models = ModelBundle(models.retriever, lambda path: change(gold(path), path), models.reranker)
+    with pytest.raises(ModelOutputError) as raised:
+        run_question(TOAD_QUESTION, corpus, index, models)
+    message = str(raised.value)
+    assert message.startswith(f"reader output for question {TOAD_QUESTION!r}: ")
+    assert re.search(f"{re.escape(problem)}.*, reading '[^']+'$", message), message
+
+
+@pytest.mark.parametrize("change", [
+    with_span(lambda lo, hi: (0, 0)),
+    with_span(lambda lo, hi: (lo, hi - 1)),
+    with_span(lambda lo, hi: (hi - 1, hi - 1)),
+    lambda out, path: replace(out, start_logits=list(out.start_logits),
+                              class_logits={k: int(v) for k, v in out.class_logits.items()}),
+], ids=["no-span", "whole-paragraph", "last-token", "lists-and-ints"])
+def test_step_accepts_reader_outputs_inside_the_contract(change):
+    corpus, index, models = toad_setup()
+    gold = models.reader
+    models = ModelBundle(models.retriever, lambda path: change(gold(path), path), models.reranker)
+    assert run_question(TOAD_QUESTION, corpus, index, models, PipelineConfig(k_cap=2)).steps
 
 
 @pytest.mark.parametrize("retriever_output, score", [
@@ -197,7 +302,8 @@ def test_step_refuses_a_reranker_score_outside_its_contract(score):
 def test_step_accepts_outputs_inside_the_contract(retriever_output, score):
     corpus, index, models = toad_setup()
     models = ModelBundle(lambda path: retriever_output, models.reader, lambda path, para: score)
-    _, outcome = step(initial_path(TOAD_QUESTION), corpus, index, models, PipelineConfig())
+    result = run_question(TOAD_QUESTION, corpus, index, models, PipelineConfig(k_cap=1))
+    (outcome,) = result.steps
     assert outcome.query_used == ("ingerophrynus", "gollum")
     assert outcome.chosen_paragraph is not None
 
@@ -299,20 +405,22 @@ def test_run_result_reads_its_totals_off_the_steps():
 
 def test_recovery_after_nongold_first_step():
     corpus, index, models = toad_setup()
-    # Seed the path with a plausible but non-gold paragraph, as if the
-    # reranker had made a mistake at step one.
-    path = initial_path(TOAD_QUESTION).extended(corpus.paragraphs["genus#0"])
-    config = PipelineConfig()
-    outcomes = []
-    while len(path.steps) < config.k_cap:
-        path, outcome = step(path, corpus, index, models, config)
-        outcomes.append(outcome)
-        if outcome.answer is not None or outcome.exhausted_reason is not None:
-            break
-    assert outcomes[-1].answer is not None
-    assert all(outcome.exhausted_reason is None for outcome in outcomes)
-    assert normalize_answer(outcomes[-1].answer.text) == normalize_answer("150 million copies")
-    assert "genus#0" in path.step_ids()  # the mistake stays on the path
+    baseline = models.reranker
+
+    # A reranker that makes a mistake at step one: it picks a plausible but
+    # non-gold paragraph, and scores like the baseline afterwards.
+    def reranker(path, para):
+        if not path.steps:
+            return float(para.id == "genus#0")
+        return baseline(path, para)
+
+    models = ModelBundle(models.retriever, models.reader, reranker)
+    result = run_question(TOAD_QUESTION, corpus, index, models)
+    assert result.steps[0].chosen_paragraph == "genus#0"
+    assert result.status == ANSWERED
+    assert all(outcome.exhausted_reason is None for outcome in result.steps)
+    assert normalize_answer(result.answer.text) == normalize_answer("150 million copies")
+    assert "genus#0" in result.final_path.step_ids()  # the mistake stays on the path
 
 
 def test_yes_no_answer_text_matches_kind():
@@ -358,7 +466,7 @@ def test_fixed_steps_does_not_stop_early():
 
 def test_step_log_record_serializes():
     corpus, index, models = toad_setup()
-    _, outcome = step(initial_path(TOAD_QUESTION), corpus, index, models, PipelineConfig())
+    (outcome,) = run_question(TOAD_QUESTION, corpus, index, models, PipelineConfig(k_cap=1)).steps
     record = step_log_record(outcome)
     parsed = json.loads(json.dumps(record))
     assert parsed["query"] and parsed["retrieved"]
