@@ -232,7 +232,7 @@ def run_policies(
         ][:RERANKER_CANDIDATES]
         if not candidates:
             reason = "no new candidates" if hits else "no results" if query else "empty query"
-            outcomes.append(StepOutcome(query_used=query, exhausted_reason=reason))
+            outcomes.append(StepOutcome(query, hits, exhausted_reason=reason))
             break
 
         evaluated = []

@@ -14,7 +14,9 @@ paragraph's ordinal is its position in ``para_order``, so ascending ordinal
 is ascending id; an article's ordinal is its position in ``article_order``.
 Each query gets one dense float list indexed by paragraph ordinal and one by
 article ordinal. Each term's contributions are added into them, then each
-reached article's total into its paragraphs. A term's ordinals and
+reached article's total into its paragraphs; when only some paragraphs'
+scores are read (``rank_of``'s candidates), each of those gets its own
+article's total and no other paragraph does. A term's ordinals and
 contributions are computed on its first use and cached on the index
 (``InvertedIndex.impacts``), so build and load pay nothing for terms no query
 uses. ``_impacts`` is the one place where both formulas are written. The
@@ -26,7 +28,8 @@ scorer in ``tests/conftest.py`` computes exactly that from its own
 statistics and is the reference. (Merged per-span sums would reassociate the
 additions and break that equality.) Contributions are positive, so a
 paragraph the query reaches scores above 0.0 and any other scores exactly
-0.0; the reached ordinals are read off the list with ``compress``.
+0.0; the reached ordinals are read off the list with ``compress``, and
+``_ranked`` sorts them by (-score, ordinal), the one ranking order.
 
 A cached level is in ascending ordinal order and carries its largest
 contribution. ``rank_of`` knows its threshold before it scans: the target's
@@ -45,6 +48,15 @@ When no term is bounded, every paragraph is a candidate and the score list
 is counted as it is. (Top-k pruning of this kind learns its threshold
 only as the scan ends, and common terms reach most articles, so
 ``search_topk`` scores every reached paragraph.)
+
+A one-term query is ranked from a table instead. On a term's first use as
+a whole query, ``rank_of`` scores every paragraph under it once, and
+stores each paragraph's position in the ``_ranked`` order, by ordinal,
+with the sentinel for paragraphs the term does not reach
+(``InvertedIndex.rank_tables``). That position is 1 + the paragraphs above
+the target + its ties with a lower id, which is the rank ``rank_of``
+counts, so the table is exact. The oracle's importance estimates ask for
+the same few one-term queries (a span of one word) many times over.
 
 The index holds the paragraph level only. An article's text is its
 paragraphs' tokens in order, so a term's article tfs (sums over the
@@ -67,7 +79,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, filterfalse, islice
+from itertools import chain, compress, filterfalse, islice
 from operator import countOf
 from typing import Collection, Iterable, Sequence
 
@@ -101,13 +113,21 @@ class InvertedIndex:
     tokens, so the scorer derives a term's article tfs and df from the
     term's paragraph postings on its first use.
 
-    Immutable after build_index or load_index except ``impacts``, the
-    scorer's lazily filled cache: term -> (paragraph level, article level),
-    each level the ascending ordinals and the contributions of the paragraphs
-    or articles the term occurs in, and their maximum, left out of ``==`` and
-    ``repr``. Concurrent reads stay safe: each entry is an idempotent value,
-    derived from the immutable postings and set with one dict assignment
-    under the GIL, so a reader never sees a partial entry.
+    Immutable after build_index or load_index except two lazily filled
+    caches, both left out of ``==`` and ``repr``:
+
+    - ``impacts``: term -> (paragraph level, article level), each level the
+      ascending ordinals and the contributions of the paragraphs or articles
+      the term occurs in, and their maximum;
+    - ``rank_tables``: term -> every paragraph's rank under the one-term
+      query, by ordinal (an ``array("i")`` of ``n_para`` entries, so 4 bytes
+      per paragraph for each term ever ranked alone; about 175 KB for the
+      53 such terms of the seed-13 oracle benchmark).
+
+    Neither holds a term the index lacks. Concurrent reads stay safe: each
+    entry is an idempotent value, derived from the immutable postings,
+    built whole and set with one dict assignment under the GIL, so a reader
+    never sees a partial entry.
     """
 
     postings: dict[str, dict[str, int]]          # term -> {paragraph_id: tf}
@@ -122,6 +142,9 @@ class InvertedIndex:
     article_of: tuple[int, ...]                  # paragraph ordinal -> article ordinal
     ordinals: tuple[int, ...]                    # tuple(range(n_para)), shared ints
     impacts: dict[str, tuple[_Level, _Level]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    rank_tables: dict[str, array] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -207,8 +230,10 @@ _ABSENT = (_NO_LEVEL, _NO_LEVEL)
 
 # rank_of looks a bounded term up by bisection only when its paragraph level
 # is longer than this many times the candidates, and adds a shorter one whole.
-# Replaying the oracle workload's rank evaluations (seeds 13 and 29) is about
-# as fast at any factor from 4 to 64 and slower at 256; 16 is mid-way.
+# Replaying the oracle workload's rank evaluations (seed 13, with one-term
+# queries read from rank tables and article totals added at the candidates
+# only) is about as fast at any factor from 4 to 32, a little slower at 64
+# and much slower at 256; 16 is on the flat part.
 _LOOKUP_FACTOR = 16
 
 
@@ -266,9 +291,12 @@ def _accumulate(
 
     A ``bounded`` term adds only at the ``candidates`` (ascending ordinals)
     and at their articles, each contribution found by bisection on the
-    term's level; other terms add everywhere. A candidate still receives the
-    same contributions in the same order, so its value is its full score,
-    bit for bit. Values at other ordinals are partial and mean nothing.
+    term's level; other terms add everywhere. When candidates are given,
+    each gets its own article's total, 0.0 if the query does not reach the
+    article (p + 0.0 == p), and no other paragraph gets one. A candidate
+    still receives the same contributions in the same order, so its value
+    is its full score, bit for bit. Values at other ordinals are partial
+    and mean nothing.
     """
     scores = [0.0] * index.n_para
     article_scores = [0.0] * index.n_article
@@ -295,6 +323,11 @@ def _accumulate(
                     break
                 if keys[j] == i:
                     totals[i] += values[j]
+    if candidates:
+        article_of = index.article_of
+        for i in candidates:
+            scores[i] += article_scores[article_of[i]]
+        return scores
     members = index.article_members
     # An article has at least one paragraph, so the ordinals cover every article.
     for a in compress(index.ordinals, article_scores):
@@ -302,6 +335,23 @@ def _accumulate(
         for i in members[a]:
             scores[i] += total
     return scores
+
+
+def _ranked(index: InvertedIndex, scores: list[float]) -> list[int]:
+    """The ordinals that score above 0.0, by descending score, ties by ascending ordinal."""
+    ranked = list(compress(index.ordinals, scores))
+    # Stable, so tied ordinals stay ascending, which is ascending id.
+    ranked.sort(key=scores.__getitem__, reverse=True)
+    return ranked
+
+
+def _rank_table(index: InvertedIndex, term: str) -> array:
+    """Every paragraph's position in the ``_ranked`` order of the query
+    ``(term,)``, by ordinal; the sentinel where the term does not reach."""
+    table = array("i", [index.sentinel_rank]) * index.n_para
+    for rank, i in enumerate(_ranked(index, _accumulate(index, (term,))), start=1):
+        table[i] = rank
+    return table
 
 
 def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
@@ -314,14 +364,11 @@ def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     scores = _accumulate(index, query)
-    ordinals = index.ordinals
-    top = list(compress(ordinals, scores))
-    # Stable, so tied ordinals stay ascending, which is ascending id.
-    top.sort(key=scores.__getitem__, reverse=True)
+    top = _ranked(index, scores)
     del top[k:]
     if len(top) < k and len(top) < index.n_para:
         taken = set(top)
-        top += islice(filterfalse(taken.__contains__, ordinals), k - len(top))
+        top += islice(filterfalse(taken.__contains__, index.ordinals), k - len(top))
     order = index.para_order
     return [SearchHit(order[i], scores[i], rank) for rank, i in enumerate(top, start=1)]
 
@@ -331,6 +378,10 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
 
     An empty query, or a target the query does not reach, yields the
     sentinel rank N_para + 1 ("not retrieved").
+
+    A one-term query reads the target's rank off the term's rank table,
+    built on the term's first use as a whole query; a term the index lacks
+    gets the sentinel and no table.
 
     Only the paragraphs that could reach the target's score t are scored.
     Terms are bounded, most postings first, while the bound stays strictly
@@ -354,6 +405,14 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     if target_paragraph_id not in index.doc_lengths:
         raise KeyError(f"unknown paragraph id {target_paragraph_id!r}")
     target = bisect_left(index.para_order, target_paragraph_id)
+    if len(query) == 1:
+        term = query[0]
+        table = index.rank_tables.get(term)
+        if table is None:
+            if term not in index.postings:
+                return index.sentinel_rank
+            table = index.rank_tables[term] = _rank_table(index, term)
+        return table[target]
     terms = dict.fromkeys(query)
     target_score = _accumulate(index, query, terms, (target,))[target]
     if target_score <= 0.0:
@@ -375,12 +434,13 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
         # Every paragraph is a candidate, so the list is counted as it is.
         values, below = _accumulate(index, query), target
     else:
+        members = index.article_members
         reached: set[int] = set()
         for term in terms.keys() - bounded:
             (para_ordinals, _, _), (article_ordinals, _, _) = levels[term]
-            reached.update(para_ordinals)
-            for a in article_ordinals:
-                reached.update(index.article_members[a])
+            reached.update(
+                para_ordinals, chain.from_iterable(map(members.__getitem__, article_ordinals))
+            )
         candidates = sorted(reached)
         lookup = len(candidates) * _LOOKUP_FACTOR
         bounded = {term for term in bounded if len(levels[term][0][0]) > lookup}

@@ -188,7 +188,7 @@ def reference_run(question: str, corpus: Corpus, models, config, topk) -> tuple:
     id). Returns (status, answer, final path ids, steps). A step is (query,
     hits as (id, score, rank), chosen id, candidate answerabilities, best
     candidate, exhausted reason); an answer is (kind, text, answerability,
-    path ids). A step that exhausts the run records no hits.
+    path ids). A step that exhausts the run records the hits its search found.
     """
     steps = []
     paragraphs: tuple = ()
@@ -208,7 +208,7 @@ def reference_run(question: str, corpus: Corpus, models, config, topk) -> tuple:
         candidates = [corpus.paragraphs[pid] for pid, _, _ in hits if pid not in on_path]
         candidates = candidates[:CANDIDATES_PER_STEP]
         if not candidates:
-            steps.append((query, (), None, (), None, "no new candidates"))
+            steps.append((query, hits, None, (), None, "no new candidates"))
             break
         read = []
         for para in candidates:

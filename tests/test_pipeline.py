@@ -176,20 +176,20 @@ def exhausted_run(retriever):
     outcome = result.steps[-1]
     assert result.status == EXHAUSTED
     assert outcome.answer is None and outcome.chosen_paragraph is None
-    assert outcome.retrieved == () and outcome.best_candidate is None
+    assert outcome.best_candidate is None and outcome.candidate_answerabilities == ()
     assert result.final_path.step_ids() == tuple(s.chosen_paragraph for s in result.steps[:-1])
     return result
 
 
 def test_step_empty_query_exhausts():
     result = exhausted_run(lambda path: [])
-    assert result.final_path.steps == ()
+    assert result.final_path.steps == () and result.steps[-1].retrieved == ()
     assert [s.exhausted_reason for s in result.steps] == ["empty query"]
 
 
 def test_step_no_results_exhausts():
     result = exhausted_run(lambda path: ["absentterm"])
-    assert result.final_path.steps == ()
+    assert result.final_path.steps == () and result.steps[-1].retrieved == ()
     assert [s.exhausted_reason for s in result.steps] == ["no results"]
 
 
@@ -198,6 +198,9 @@ def test_step_no_new_candidates_exhausts():
     result = exhausted_run(lambda path: ["bronze"])
     assert result.final_path.step_ids() == ("tower#0",)
     assert [s.exhausted_reason for s in result.steps] == [None, "no new candidates"]
+    # The exhausted step's search found tower#0, and the step records it.
+    assert [h.paragraph_id for h in result.steps[-1].retrieved] == ["tower#0"]
+    assert result.paragraphs_retrieved == 2
 
 
 @pytest.mark.parametrize("output, problem", [

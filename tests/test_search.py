@@ -672,9 +672,57 @@ def test_restricted_accumulate_equals_full_at_every_candidate(seed, data):
         st.sets(st.integers(min_value=0, max_value=index.n_para - 1), max_size=40),
         label="candidates",
     ))
+    # A candidate whose article total is 0.0: p + 0.0 == p keeps it exact.
+    reached = {a for term in query for a in _impacts(index, term)[1][0]}
+    zero_total = [i for i in index.ordinals if index.article_of[i] not in reached]
+    assert zero_total  # premise: some article is reached by no unclamped term
+    candidates = sorted({*candidates, data.draw(st.sampled_from(zero_total), label="zero")})
     full = _accumulate(index, query)
-    restricted = _accumulate(index, query, bounded, candidates)
-    assert [restricted[i] for i in candidates] == [full[i] for i in candidates]
+    # An empty bounded set still spreads the article totals to the candidates only.
+    for restricted_terms in (bounded, set()):
+        restricted = _accumulate(index, query, restricted_terms, candidates)
+        assert [restricted[i] for i in candidates] == [full[i] for i in candidates]
+
+
+# ---------------------------------------------------------------------------
+# rank_of's per-term rank tables for one-term queries
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=50, deadline=None)
+@given(corpus=edge_corpora(), terms=st.lists(
+    st.sampled_from([*"abcdef", "every", "zzqabsent"]), min_size=1, max_size=4,
+))
+def test_one_term_rank_of_equals_brute_force(corpus, terms):
+    # "every" is in every paragraph, copied articles tie exactly across
+    # articles, and "zzqabsent" is in none.
+    brute = BruteForceScorer(corpus)
+    pids = sorted(corpus.paragraphs)
+    index = build_index(corpus)
+    for searched in (index, reloaded(index)):
+        for term in terms:
+            expected = [brute.rank_of(pid, [term]) for pid in pids]
+            assert [rank_of(searched, pid, [term]) for pid in pids] == expected  # cold
+            assert [rank_of(searched, pid, (term,)) for pid in pids] == expected  # cached
+        assert set(searched.rank_tables) == {t for t in terms if t in searched.postings}
+        assert all(rank_of(searched, pid, ["zzqabsent"]) == searched.sentinel_rank
+                   for pid in pids)
+        assert "zzqabsent" not in searched.rank_tables
+
+
+def test_one_term_rank_of_reads_its_table_on_a_second_call():
+    corpus = make_random_corpus(random.Random(31), n_articles=12)
+    index = build_index(corpus)
+    term = max(sorted(index.postings), key=lambda t: len(index.postings[t]))
+    pids = sorted(index.doc_lengths)
+    with mock.patch.object(search, "_accumulate", wraps=_accumulate) as scoring:
+        first = [rank_of(index, pid, [term]) for pid in pids]
+        assert scoring.call_count == 1  # the table's one scoring pass
+    table = index.rank_tables[term]
+    assert list(table) == first
+    with mock.patch.object(search, "_accumulate", side_effect=AssertionError("scored")):
+        assert [rank_of(index, pid, [term]) for pid in pids] == first
+    assert index.rank_tables[term] is table
+    assert index == build_index(corpus) and "rank_tables" not in repr(index)
 
 
 def common_term_corpus(*triples):
