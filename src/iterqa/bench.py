@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .corpus import Corpus
 from .metrics import exact_match, unigram_f1
@@ -166,6 +166,22 @@ def grid_configs(
     return docs_configs, [replace(config, fixed_steps=k) for k in fixed_k_grid]
 
 
+def _retrieving_once_per_path(models: ModelBundle) -> ModelBundle:
+    """``models`` with the retriever called once per path (its step ids): a
+    question's trajectories share paths, and the roles are pure. An iterator
+    output is kept as a list, since it can be read only once."""
+    outputs: dict[tuple[str, ...], object] = {}
+
+    def retriever(path):
+        key = path.step_ids()
+        if key not in outputs:
+            terms = models.retriever(path)
+            outputs[key] = list(terms) if isinstance(terms, Iterator) else terms
+        return outputs[key]
+
+    return replace(models, retriever=retriever)
+
+
 def run_benchmark(
     examples: Sequence[QuestionExample],
     corpus: Corpus,
@@ -189,8 +205,8 @@ def run_benchmark(
     bound RERANKER_CANDIDATES + k_cap - 1 reads the same candidates, and ends
     the same way, as the largest budget: they share its trajectory, and
     budget d counts min(d, len(hits)) paragraphs per step. A budget below
-    the bound runs its own. The model bundle is built once per question and
-    serves every trajectory, so the roles must be pure.
+    the bound runs its own. One model bundle per question serves every
+    trajectory, retrieving once per path, so the roles must be pure.
     """
     if not examples:
         raise ValueError("no questions to run")
@@ -206,7 +222,7 @@ def run_benchmark(
     budget_rows: list[list[PerQuestion]] = [[] for _ in docs_grid]
     fixed_scores: list[list[tuple[float | None, float | None]]] = [[] for _ in fixed_k_grid]
     for example in examples:
-        models = factory(example)
+        models = _retrieving_once_per_path(factory(example))
         policies = [config, *fixed_configs]
         if example.fixed_steps is not None:
             policies = [replace(config, fixed_steps=example.fixed_steps)] * len(policies)

@@ -9,45 +9,34 @@ length normalization:
 A paragraph's relevance to a query is the sum of both parts. Natural log
 throughout; queries are multisets, so repeated terms contribute repeatedly.
 
-``search_topk`` and ``rank_of`` score a whole query term at a time. A
-paragraph's ordinal is its position in ``para_order``, so ascending ordinal
-is ascending id; an article's ordinal is its position in ``article_order``.
-Each query gets one dense float list indexed by paragraph ordinal and one by
-article ordinal. Each term's contributions are added into them, then each
-reached article's total into its paragraphs; when only some paragraphs'
-scores are read (``rank_of``'s candidates), each of those gets its own
-article's total and no other paragraph does. A term's ordinals and
-contributions are computed on its first use and cached on the index
-(``InvertedIndex.impacts``), so build and load pay nothing for terms no query
-uses. ``_impacts`` is the one place where both formulas are written. The
-lists add a paragraph's contributions in query-term order from 0.0, and then
-its article's total, summed the same way. Since 0.0 + c == c and
+``search_topk`` scores a whole query term at a time. A paragraph's ordinal
+is its position in ``para_order``, so ascending ordinal is ascending id; an
+article's ordinal is its position in ``article_order``. Each query gets one
+dense float list indexed by paragraph ordinal and one by article ordinal.
+Each term's contributions are added into them, then each reached article's
+total into its paragraphs. A term's ordinals and contributions are
+computed on its first use and cached on the index
+(``InvertedIndex.impacts``), so build and load pay nothing for terms no
+query uses; ``_impacts`` is the one place where both formulas are written.
+A paragraph's contributions are added in query-term order from 0.0, and
+then its article's total, summed the same way. Since 0.0 + c == c and
 p + 0.0 == p, every score equals the paragraph part plus the article part,
 each summed left to right over the query, bit for bit; the brute-force
 scorer in ``tests/conftest.py`` computes exactly that from its own
-statistics and is the reference. (Merged per-span sums would reassociate the
-additions and break that equality.) Contributions are positive, so a
-paragraph the query reaches scores above 0.0 and any other scores exactly
-0.0; the reached ordinals are read off the list with ``compress``, and
-``_ranked`` sorts them by (-score, ordinal), the one ranking order.
+statistics and is the reference. (Merged per-span sums would reassociate
+the additions and break that equality.) Contributions are positive, so a
+paragraph the query reaches scores above 0.0 and any other exactly 0.0;
+``_ranked`` sorts the reached ordinals by (-score, ordinal), the one
+ranking order. Hits are named tuples.
 
-A cached level is in ascending ordinal order and carries its largest
-contribution. ``rank_of`` knows its threshold before it scans: the target's
-own score t. It bounds query terms, most postings first, while their
-paragraph maxima summed in query order from 0.0, plus their article maxima
-summed the same way, stay strictly below t. Rounding is monotone in each
-operand and p + 0.0 == p, so a paragraph that only bounded terms reach
-scores at most that bound and can neither beat nor tie the target. Only
-the paragraphs the other terms reach, directly or through their article,
-are scored. A bounded term whose paragraph level is longer than
-``_LOOKUP_FACTOR`` (16) times the candidates is looked up there by
-bisection on its levels; a shorter one is added whole, which costs less.
-Both add the same contributions to each candidate in the same query order,
-and ``rank_of`` reads only the candidates, so ranks are exact either way.
-When no term is bounded, every paragraph is a candidate and the score list
-is counted as it is. (Top-k pruning of this kind learns its threshold
-only as the scan ends, and common terms reach most articles, so
-``search_topk`` scores every reached paragraph.)
+``rank_of`` pays for the paragraphs that can compete with its target, not
+for the corpus. A cached level is in ascending ordinal order and carries
+its largest contribution, so ``_score_at`` scores one paragraph by
+bisection, bit for bit as the lists do, and a bound on what the common
+terms alone can add leaves few paragraphs to score (see ``rank_of``).
+Top-k pruning of this kind learns its threshold only as the scan ends, and
+common terms reach most articles, so ``search_topk`` scores every reached
+paragraph.
 
 A one-term query is ranked from a table instead. On a term's first use as
 a whole query, ``rank_of`` scores every paragraph under it once, and
@@ -79,9 +68,10 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, filterfalse, islice
-from operator import countOf
-from typing import Collection, Iterable, Sequence
+from functools import reduce
+from itertools import chain, compress, count, filterfalse, islice
+from operator import add, countOf
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
 
@@ -103,6 +93,7 @@ Query = Sequence[str]
 # ascending order, their contributions in the same order, and the largest
 # contribution (0.0 for an empty level).
 _Level = tuple[tuple[int, ...], array, float]
+_Levels = Sequence[tuple[_Level, _Level]]  # a query's (paragraph, article) levels, in order
 
 
 @dataclass
@@ -211,8 +202,9 @@ def idf_paragraph(index: InvertedIndex, term: str) -> float:
     return math.log(1.0 + (index.n_para - n + 0.5) / (n + 0.5))
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
+    """An immutable search result; as a named tuple it equals its plain tuple."""
+
     paragraph_id: str
     score: float
     rank: int
@@ -227,14 +219,6 @@ def _ordinals(index: InvertedIndex, order: tuple[str, ...], ids) -> tuple[int, .
 # The levels of a term the index lacks.
 _NO_LEVEL: _Level = ((), array("d"), 0.0)
 _ABSENT = (_NO_LEVEL, _NO_LEVEL)
-
-# rank_of looks a bounded term up by bisection only when its paragraph level
-# is longer than this many times the candidates, and adds a shorter one whole.
-# Replaying the oracle workload's rank evaluations (seed 13, with one-term
-# queries read from rank tables and article totals added at the candidates
-# only) is about as fast at any factor from 4 to 32, a little slower at 64
-# and much slower at 256; 16 is on the flat part.
-_LOOKUP_FACTOR = 16
 
 
 def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
@@ -276,10 +260,7 @@ def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
 
 
 def _accumulate(
-    index: InvertedIndex,
-    query: Query,
-    bounded: Collection[str] = (),
-    candidates: Sequence[int] = (),
+    index: InvertedIndex, query: Query, candidates: Sequence[int] = ()
 ) -> list[float]:
     """Combined score of every paragraph, by ordinal, a term at a time.
 
@@ -289,40 +270,29 @@ def _accumulate(
     of search_topk and rank_of rely on that exact equality. Paragraphs the
     query does not reach score exactly 0.0.
 
-    A ``bounded`` term adds only at the ``candidates`` (ascending ordinals)
-    and at their articles, each contribution found by bisection on the
-    term's level; other terms add everywhere. When candidates are given,
-    each gets its own article's total, 0.0 if the query does not reach the
-    article (p + 0.0 == p), and no other paragraph gets one. A candidate
-    still receives the same contributions in the same order, so its value
-    is its full score, bit for bit. Values at other ordinals are partial
-    and mean nothing.
+    A term in every paragraph holds ordinal i's contribution at position i,
+    so it adds with ``map(add)``, or at the ``candidates`` alone. Given
+    candidates, each also gets its own article's total, 0.0 if the query
+    does not reach the article (p + 0.0 == p), and no other paragraph does:
+    their values are full scores, bit for bit, the others' mean nothing.
     """
     scores = [0.0] * index.n_para
     article_scores = [0.0] * index.n_article
-    articles = sorted(set(map(index.article_of.__getitem__, candidates))) if bounded else ()
     cache = index.impacts
     for term in query:
         (para_ordinals, para, _), (article_ordinals, article, _) = (
             cache.get(term) or _impacts(index, term)
         )
-        if term not in bounded:
+        if len(para) < index.n_para:
             for i, c in zip(para_ordinals, para):
                 scores[i] += c
-            for a, c in zip(article_ordinals, article):
-                article_scores[a] += c
-            continue
-        for totals, keys, values, at in (
-            (scores, para_ordinals, para, candidates),
-            (article_scores, article_ordinals, article, articles),
-        ):
-            j, n = 0, len(keys)
-            for i in at:
-                j = bisect_left(keys, i, j)
-                if j == n:
-                    break
-                if keys[j] == i:
-                    totals[i] += values[j]
+        elif candidates:  # in every paragraph, so ordinal i's entry is para[i]
+            for i in candidates:
+                scores[i] += para[i]
+        else:
+            scores = list(map(add, scores, para))
+        for a, c in zip(article_ordinals, article):
+            article_scores[a] += c
     if candidates:
         article_of = index.article_of
         for i in candidates:
@@ -335,6 +305,30 @@ def _accumulate(
         for i in members[a]:
             scores[i] += total
     return scores
+
+
+def _score_at(index: InvertedIndex, levels: _Levels, i: int) -> float:
+    """Paragraph ``i``'s combined score under the query of these ``levels``:
+    each term's contributions to it and to its article, found by bisection,
+    summed as ``_accumulate`` sums them, bit for bit."""
+    a = index.article_of[i]
+    para = article = 0.0
+    for (para_ordinals, para_values, _), (article_ordinals, article_values, _) in levels:
+        j = bisect_left(para_ordinals, i)
+        if j < len(para_ordinals) and para_ordinals[j] == i:
+            para += para_values[j]
+        j = bisect_left(article_ordinals, a)
+        if j < len(article_ordinals) and article_ordinals[j] == a:
+            article += article_values[j]
+    return para + article
+
+
+def _lookups_cost_less(index: InvertedIndex, levels: _Levels, n_candidates: int) -> bool:
+    """Whether ``_score_at`` at ``n_candidates`` paragraphs probes fewer level
+    entries than ``_accumulate`` adds at most: a lookup bisects both levels
+    of each query term, in at most ``n_para.bit_length()`` probes each."""
+    probes = n_candidates * len(levels) * 2 * index.n_para.bit_length()
+    return probes < sum(len(para) + len(article) for (para, _, _), (article, _, _) in levels)
 
 
 def _ranked(index: InvertedIndex, scores: list[float]) -> list[int]:
@@ -369,8 +363,8 @@ def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
     if len(top) < k and len(top) < index.n_para:
         taken = set(top)
         top += islice(filterfalse(taken.__contains__, index.ordinals), k - len(top))
-    order = index.para_order
-    return [SearchHit(order[i], scores[i], rank) for rank, i in enumerate(top, start=1)]
+    return list(map(SearchHit, map(index.para_order.__getitem__, top),
+                    map(scores.__getitem__, top), count(1)))
 
 
 def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int:
@@ -383,24 +377,18 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     built on the term's first use as a whole query; a term the index lacks
     gets the sentinel and no table.
 
-    Only the paragraphs that could reach the target's score t are scored.
-    Terms are bounded, most postings first, while the bound stays strictly
-    below t: the bounded terms' paragraph maxima summed in query order from
-    0.0, plus their article maxima summed the same way. A paragraph that no
-    other term reaches, directly or through its article, gets at most those
-    maxima at the same places of the same two sums, and p + 0.0 == p for
-    the terms that miss it. Rounding is monotone in each operand, so its
-    score is at most the bound: it neither beats nor ties the target. The
-    rest are the candidates, the target among them (its score t is above
-    the bound), and ``_accumulate`` scores them exactly. When no term can
-    be bounded, every paragraph is a candidate.
-
-    A bounded term is looked up at the candidates by bisection only when
-    its paragraph level is longer than ``_LOOKUP_FACTOR`` times the
-    candidates; a shorter level is added whole, at every ordinal it holds.
-    Either way each candidate gets the same contributions in the same query
-    order, bit for bit, and only the candidates' values are read, so the
-    partial values elsewhere do not matter.
+    Otherwise only the paragraphs that could reach the target's score t
+    are scored. Terms are bounded, most postings first, while the bounded
+    terms' paragraph maxima summed in query order from 0.0, plus their
+    article maxima summed the same way, stay strictly below t. A paragraph
+    that no other term reaches, directly or through its article, gets at
+    most those maxima at the same places of the same two sums, and
+    p + 0.0 == p for the terms that miss it. Rounding is monotone in each
+    operand, so it neither beats nor ties the target. The bound grows with
+    each term added, so the longest prefix below t is found by bisection.
+    The rest are the candidates, the target among them; a lone target has
+    rank 1. The others are scored exactly, by ``_score_at`` or
+    ``_accumulate``, whichever ``_lookups_cost_less`` picks.
     """
     if target_paragraph_id not in index.doc_lengths:
         raise KeyError(f"unknown paragraph id {target_paragraph_id!r}")
@@ -413,44 +401,40 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
                 return index.sentinel_rank
             table = index.rank_tables[term] = _rank_table(index, term)
         return table[target]
-    terms = dict.fromkeys(query)
-    target_score = _accumulate(index, query, terms, (target,))[target]
+    levels = [index.impacts.get(term) or _impacts(index, term) for term in query]
+    target_score = _score_at(index, levels, target)
     if target_score <= 0.0:
         return index.sentinel_rank
-    # The target's pass cached every term the index holds.
-    levels = {term: index.impacts.get(term, _ABSENT) for term in terms}
-    bounded: set[str] = set()
-    for term in sorted(terms, key=lambda t: len(levels[t][0][0]), reverse=True):
-        para_bound = article_bound = 0.0
-        for q in query:
-            if q == term or q in bounded:
-                (_, _, para_max), (_, _, article_max) = levels[q]
-                para_bound += para_max
-                article_bound += article_max
-        if para_bound + article_bound >= target_score:
-            break
-        bounded.add(term)
-    if not bounded:
-        # Every paragraph is a candidate, so the list is counted as it is.
-        values, below = _accumulate(index, query), target
+    terms = dict(zip(query, levels))
+    # The distinct terms, most postings first, and each query term's place among them.
+    order = sorted(terms, key=lambda t: len(terms[t][0][0]), reverse=True)
+    places = list(map(dict(zip(order, count())).__getitem__, query))
+    maxima = [[level[2] for level in part] for part in zip(*levels)]  # paragraph, article
+
+    def bound(k: int) -> float:  # with the first k terms of ``order`` bounded
+        chosen = list(map(k.__gt__, places))
+        para, article = (reduce(add, compress(part, chosen), 0.0) for part in maxima)
+        return para + article
+
+    n_bounded = bisect_left(range(1, len(order) + 1), target_score, key=bound)
+    members = index.article_members.__getitem__
+    reached: set[int] = set()
+    for term in order[n_bounded:]:
+        (para_ordinals, _, _), (article_ordinals, _, _) = terms[term]
+        reached.update(para_ordinals, chain.from_iterable(map(members, article_ordinals)))
+    reached.remove(target)
+    if not reached:
+        return 1
+    candidates = sorted(reached)
+    if _lookups_cost_less(index, levels, len(candidates)):
+        values = [_score_at(index, levels, i) for i in candidates]
     else:
-        members = index.article_members
-        reached: set[int] = set()
-        for term in terms.keys() - bounded:
-            (para_ordinals, _, _), (article_ordinals, _, _) = levels[term]
-            reached.update(
-                para_ordinals, chain.from_iterable(map(members.__getitem__, article_ordinals))
-            )
-        candidates = sorted(reached)
-        lookup = len(candidates) * _LOOKUP_FACTOR
-        bounded = {term for term in bounded if len(levels[term][0][0]) > lookup}
-        scores = _accumulate(index, query, bounded, candidates)
+        scores = _accumulate(index, query, candidates)
         values = list(map(scores.__getitem__, candidates))
-        below = bisect_left(candidates, target)
     # Ties count when their ordinal, and so their id, is below the target's.
     return (
         1 + sum(map(target_score.__lt__, values))
-        + countOf(islice(values, below), target_score)
+        + countOf(islice(values, bisect_left(candidates, target)), target_score)
     )
 
 

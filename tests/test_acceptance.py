@@ -104,7 +104,7 @@ def test_criterion_1_scoring_exactness():
             for hit, (_, score) in zip(hits, expected):
                 worst_score_gap = max(worst_score_gap, abs(hit.score - score))
     elapsed = time.time() - started
-    ok = order_mismatches == 0 and worst_score_gap <= 1e-9 and elapsed < 60.0
+    ok = order_mismatches == 0 and worst_score_gap == 0.0 and elapsed < 60.0
     _report(
         1, "scoring exactness", ok,
         f"{corpora} corpora x {queries_per_corpus} queries, "

@@ -1,9 +1,11 @@
 import json
 from dataclasses import astuple, replace
+from unittest import mock
 
 import pytest
 
 from conftest import BruteForceScorer, reference_bench
+import iterqa.bench as bench
 from iterqa.bench import (
     QuestionsFormatError,
     format_summary,
@@ -144,6 +146,36 @@ def test_run_benchmark_fixed_rows_equal_fixed_step_runs(bench_setup):
         fixed, _ = reference_bench(examples, corpus, factory, replace(config, fixed_steps=k), topk)
         expected.append((f"fixed-{k}", *fixed))
     assert report.dynamic_vs_fixed == expected
+
+
+def test_run_benchmark_calls_the_retriever_once_per_path(bench_setup):
+    corpus, index, factory = bench_setup
+    stray = QuestionExample(
+        qid="stray", question="which mill stands by the stream", answers=("quorind vale",)
+    )
+    examples = [ONE_HOP, TWO_HOP, stray]
+    grids = dict(fixed_k_grid=(1, 2), docs_grid=(1, 2, 6, 50))
+
+    def counting(calls, output):
+        def counting_factory(example):
+            models = factory(example)
+
+            def retriever(path):
+                calls.append((example.qid, path.step_ids()))
+                return output(models.retriever(path))
+
+            return replace(models, retriever=retriever)
+        return counting_factory
+
+    unshared = []
+    with mock.patch.object(bench, "_retrieving_once_per_path", lambda models: models):
+        expected = run_benchmark(examples, corpus, index, counting(unshared, list), **grids)
+    assert len(set(unshared)) < len(unshared)  # premise: trajectories share paths
+    # An iterator can be read only once, so it is kept as a list.
+    shared = []
+    report = run_benchmark(examples, corpus, index, counting(shared, iter), **grids)
+    assert sorted(shared) == sorted(set(unshared))
+    assert report == expected
 
 
 def test_run_benchmark_empty_rejected(bench_setup):

@@ -14,8 +14,10 @@ import iterqa.search as search
 from iterqa.corpus import ingest_corpus
 from iterqa.search import (
     IndexFormatError,
+    SearchHit,
     _accumulate,
     _impacts,
+    _score_at,
     build_index,
     idf_paragraph,
     load_index,
@@ -257,6 +259,22 @@ def test_topk_unique_match_ranks_first():
     hits = search_topk(index, ["needle"], 1)
     assert hits[0].paragraph_id == "a#0"
     assert hits[0].score > 0
+
+
+def test_search_hits_are_immutable_named_tuples():
+    corpus = corpus_from([
+        {"article_id": "a", "title": "A", "order": 0, "text": "owl night"},
+        {"article_id": "b", "title": "B", "order": 0, "text": "owl"},
+    ])
+    hits = search_topk(build_index(corpus), ["owl"], 2)
+    assert [h.rank for h in hits] == [1, 2] and all(type(h) is SearchHit for h in hits)
+    hit = hits[0]
+    assert hit == (hit.paragraph_id, hit.score, hit.rank) == tuple(hit)
+    assert repr(hit) == f"SearchHit(paragraph_id='b#0', score={hit.score!r}, rank=1)"
+    for name in ("paragraph_id", "score", "rank", "other"):
+        with pytest.raises(AttributeError):
+            setattr(hit, name, None)
+    assert SearchHit("b#0", hit.score, 1) == hit and hash(SearchHit(*hit)) == hash(hit)
 
 
 def test_topk_ties_break_by_ascending_id():
@@ -581,7 +599,8 @@ def test_topk_with_k_above_the_reached_paragraphs(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# rank_of's bound: exactness at its edge, on a built and on a reloaded index
+# rank_of's bound and its two ways of scoring the candidates, on a built and
+# on a reloaded index
 # ---------------------------------------------------------------------------
 
 def bound_sum(index, query, terms):
@@ -596,20 +615,48 @@ def bound_sum(index, query, terms):
     return para + article
 
 
-def rank_and_lookups(index, target_id, query):
-    """rank_of's rank, the terms its scoring pass looks up by bisection and
-    its candidates. Every other term of the query is added whole."""
-    calls = []
+def rank_and_way(index, target_id, query):
+    """rank_of's rank, the way it scored the candidates other than the
+    target, and every candidate, the target included.
 
-    def recording(index, query, bounded=(), candidates=()):
-        calls.append((set(bounded), list(candidates)))
-        return _accumulate(index, query, bounded, candidates)
+    The way is "lookup" (``_score_at`` at each candidate), "whole"
+    (``_accumulate``, which adds every term's levels whole) or "lone" (the
+    target is the only candidate and nothing else is scored). The target's
+    own score is always looked up, first."""
+    looked_up, accumulated = [], []
 
-    with mock.patch.object(search, "_accumulate", recording):
+    def score_at(index, levels, i):
+        looked_up.append(i)
+        return _score_at(index, levels, i)
+
+    def accumulate(index, query, candidates=()):
+        accumulated.append(list(candidates))
+        return _accumulate(index, query, candidates)
+
+    with mock.patch.object(search, "_score_at", score_at), \
+            mock.patch.object(search, "_accumulate", accumulate):
         rank = rank_of(index, target_id, query)
-    # The first pass scores the target alone; the second scores the candidates.
-    assert len(calls) == 2
-    return rank, *calls[1]
+    target = index.para_order.index(target_id)
+    assert looked_up[0] == target
+    others = looked_up[1:]
+    if accumulated:
+        assert not others and len(accumulated) == 1
+        return rank, "whole", sorted([target, *accumulated[0]])
+    return rank, "lookup" if others else "lone", sorted([target, *others])
+
+
+def forced(way):
+    """Make rank_of score every evaluation's candidates the given way."""
+    return mock.patch.object(search, "_lookups_cost_less", lambda *_: way == "lookup")
+
+
+def assert_ranks_either_way(searched, brute, pids, query):
+    """Every rank of ``pids`` under ``query``, by lookups and scored whole,
+    equals the brute-force rank."""
+    expected = [brute.rank_of(pid, query) for pid in pids]
+    for way in ("lookup", "whole"):
+        with forced(way):
+            assert [rank_of(searched, pid, query) for pid in pids] == expected
 
 
 def reloaded(index):
@@ -652,13 +699,13 @@ def test_bounded_rank_of_equals_brute_force(corpus, queries):
     brute = BruteForceScorer(corpus)
     expected = [[brute.rank_of(pid, q) for pid in corpus.paragraphs] for q in queries]
     index = build_index(corpus)
-    # Factor 0 looks every bounded term up by bisection, infinity adds every
-    # one whole; the default picks per term.
-    for factor in (0, search._LOOKUP_FACTOR, math.inf):
-        with mock.patch.object(search, "_LOOKUP_FACTOR", factor):
+    # Each example runs on both sides of the switch, and then as the rule picks.
+    for way in ("lookup", "whole"):
+        with forced(way):
             for searched in (index, reloaded(index)):
                 assert [[rank_of(searched, pid, q) for pid in corpus.paragraphs]
                         for q in queries] == expected
+    assert [[rank_of(index, pid, q) for pid in corpus.paragraphs] for q in queries] == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -667,7 +714,6 @@ def test_restricted_accumulate_equals_full_at_every_candidate(seed, data):
     rng = random.Random(seed)
     index = build_index(make_random_corpus(rng, n_articles=40, shuffled=True))
     query = make_random_query(rng) + make_random_query(rng)
-    bounded = data.draw(st.sets(st.sampled_from(query)), label="bounded")
     candidates = sorted(data.draw(
         st.sets(st.integers(min_value=0, max_value=index.n_para - 1), max_size=40),
         label="candidates",
@@ -678,10 +724,146 @@ def test_restricted_accumulate_equals_full_at_every_candidate(seed, data):
     assert zero_total  # premise: some article is reached by no unclamped term
     candidates = sorted({*candidates, data.draw(st.sampled_from(zero_total), label="zero")})
     full = _accumulate(index, query)
-    # An empty bounded set still spreads the article totals to the candidates only.
-    for restricted_terms in (bounded, set()):
-        restricted = _accumulate(index, query, restricted_terms, candidates)
-        assert [restricted[i] for i in candidates] == [full[i] for i in candidates]
+    restricted = _accumulate(index, query, candidates)
+    assert [restricted[i] for i in candidates] == [full[i] for i in candidates]
+    # A lookup gives every paragraph its full score too.
+    levels = [_impacts(index, term) for term in query]
+    assert [_score_at(index, levels, i) for i in index.ordinals] == full
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpus=edge_corpora(), data=st.data())
+def test_term_in_every_paragraph_adds_at_its_own_ordinal(corpus, data):
+    index = build_index(corpus)
+    assert len(index.postings["every"]) == index.n_para  # premise: "every" is everywhere
+    terms = data.draw(st.lists(st.sampled_from([*"abcdef", "every"]), max_size=5), label="terms")
+    query = data.draw(st.permutations([*terms, "every"]), label="query")
+    brute = BruteForceScorer(corpus)
+    full = _accumulate(index, query)
+    assert full == [brute.combined(pid, query) for pid in index.para_order]
+    hits = search_topk(index, query, index.n_para)
+    assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, index.n_para)
+    candidates = sorted(data.draw(st.sets(st.sampled_from(index.ordinals), min_size=1)))
+    restricted = _accumulate(index, query, candidates)
+    assert [restricted[i] for i in candidates] == [full[i] for i in candidates]
+
+
+def common_term_corpus(*triples):
+    """``triples`` plus 200 one-paragraph articles that hold "the" and a word
+    of their own, so that "the" is long enough for a few candidates to be
+    looked up rather than scored whole."""
+    return corpus_of(*triples, *((f"f{n:03d}", 0, f"the filler{n}") for n in range(200)))
+
+
+def test_bounded_rank_of_counts_only_the_twins_below_the_target(tmp_path):
+    twin = "the twin pine lake"
+    corpus = common_term_corpus(
+        ("x", 0, twin), ("m", 0, twin), ("c", 0, twin), ("k", 0, "the lake shore"),
+    )
+    brute = BruteForceScorer(corpus)
+    twins = ("c#0", "m#0", "x#0")
+    index, loaded = built_and_loaded(corpus, tmp_path)
+    for searched in (index, loaded):
+        for query in (["the", "lake"], ["the", "twin", "the"], ["pine", "the", "lake"]):
+            # "the" reaches every paragraph, and it alone stays below the twins' score.
+            assert bound_sum(searched, query, {"the"}) < brute.combined("m#0", query)
+            ranks = []
+            for pid in twins:
+                rank, way, candidates = rank_and_way(searched, pid, query)
+                assert way == "lookup"
+                assert set(twins) <= {searched.para_order[i] for i in candidates}
+                ranks.append(rank)
+            assert ranks == [brute.rank_of(pid, query) for pid in twins]
+            assert ranks[1] == ranks[0] + 1 and ranks[2] == ranks[0] + 2
+            assert_ranks_either_way(searched, brute, twins, query)
+
+
+def test_bounded_rank_of_target_reached_only_through_its_article(tmp_path):
+    corpus = common_term_corpus(
+        ("a", 0, "the rare bird"), ("a", 1, "quiet morning"), ("a", 2, "quiet evening"),
+    )
+    brute = BruteForceScorer(corpus)
+    index, loaded = built_and_loaded(corpus, tmp_path)
+    query = ["the", "rare"]
+    for pid in ("a#1", "a#2"):
+        assert brute.paragraph(pid, query) == 0.0 < brute.combined(pid, query)
+    assert bound_sum(index, query, {"the"}) < brute.combined("a#2", query)
+    for searched in (index, loaded):
+        # a#1 ties a#2 through the article alone and is counted, a#0 beats both.
+        rank, way, candidates = rank_and_way(searched, "a#2", query)
+        assert rank == brute.rank_of("a#2", query) == 3
+        assert way == "lookup"
+        assert [searched.para_order[i] for i in candidates] == ["a#0", "a#1", "a#2"]
+        assert_ranks_either_way(searched, brute, sorted(corpus.paragraphs), query)
+
+
+def near_tie_corpus():
+    """q#0 and t#0 hold terms of equal statistics (df 1, tfs 1, 2, 1, equal
+    lengths), so sums of their contributions differ only by rounding."""
+    return corpus_of(
+        ("q", 0, "y1 y2 y2 y3"), ("t", 0, "x1 x2 x2 x3"),
+        *((f"f{n}", 0, "filler") for n in range(4)),
+    )
+
+
+def test_bounded_rank_of_when_the_bound_equals_the_target_score(tmp_path):
+    corpus = near_tie_corpus()
+    brute = BruteForceScorer(corpus)
+    query = ["y1", "y2", "y3", "x1", "x2", "x3"]
+    target_score = brute.combined("t#0", query)
+    assert brute.combined("q#0", query) == target_score
+    index, loaded = built_and_loaded(corpus, tmp_path)
+    # y3 cannot be bounded: with it the bound reaches t exactly, and q#0 ties t#0.
+    assert bound_sum(index, query, {"y1", "y2"}) < target_score
+    assert bound_sum(index, query, {"y1", "y2", "y3"}) == target_score
+    for searched in (index, loaded):
+        # Six one-posting levels: adding them whole costs less than looking q#0 up.
+        rank, way, candidates = rank_and_way(searched, "t#0", query)
+        assert rank == brute.rank_of("t#0", query) == 2
+        assert way == "whole"
+        assert [searched.para_order[i] for i in candidates] == ["q#0", "t#0"]
+        assert_ranks_either_way(searched, brute, sorted(corpus.paragraphs), query)
+
+
+def test_bounded_rank_of_when_the_bound_is_one_ulp_below_the_target_score(tmp_path):
+    corpus = near_tie_corpus()
+    brute = BruteForceScorer(corpus)
+    query = ["y1", "y2", "y3", "x1", "x3", "x2"]
+    target_score = brute.combined("t#0", query)
+    index, loaded = built_and_loaded(corpus, tmp_path)
+    # The y terms are bounded one ulp below t, and q#0 scores exactly the bound.
+    bound = bound_sum(index, query, {"y1", "y2", "y3"})
+    assert bound == math.nextafter(target_score, 0.0) == brute.combined("q#0", query)
+    for searched in (index, loaded):
+        rank, way, candidates = rank_and_way(searched, "t#0", query)
+        assert rank == brute.rank_of("t#0", query) == 1
+        assert way == "lone" and [searched.para_order[i] for i in candidates] == ["t#0"]
+        assert rank_of(searched, "q#0", query) == brute.rank_of("q#0", query) == 2
+        assert_ranks_either_way(searched, brute, sorted(corpus.paragraphs), query)
+
+
+def test_bounded_rank_of_lone_target_and_ties_on_both_sides(tmp_path):
+    # "hapax" is in u#0 alone; c#0 < m#0 < x#0 tie under every query.
+    twin = "the twin pine lake"
+    corpus = common_term_corpus(
+        ("x", 0, twin), ("m", 0, twin), ("c", 0, twin), ("u", 0, "the hapax pine"),
+    )
+    brute = BruteForceScorer(corpus)
+    twins = ("c#0", "m#0", "x#0")
+    index, loaded = built_and_loaded(corpus, tmp_path)
+    for searched in (index, loaded):
+        # Only "hapax" escapes the bound, so u#0 is its only candidate: rank 1.
+        query = ["the", "hapax", "the"]
+        rank, way, candidates = rank_and_way(searched, "u#0", query)
+        assert rank == brute.rank_of("u#0", query) == 1
+        assert way == "lone" and [searched.para_order[i] for i in candidates] == ["u#0"]
+        # m#0's candidates are the twins, one tie on each side of its id.
+        query = ["the", "twin", "lake"]
+        rank, way, candidates = rank_and_way(searched, "m#0", query)
+        assert way == "lookup" and [searched.para_order[i] for i in candidates] == list(twins)
+        assert rank == brute.rank_of("m#0", query) == 2
+        assert [rank_of(searched, pid, query) for pid in twins] == [1, 2, 3]
+        assert_ranks_either_way(searched, brute, [*twins, "u#0"], query)
 
 
 # ---------------------------------------------------------------------------
@@ -723,100 +905,6 @@ def test_one_term_rank_of_reads_its_table_on_a_second_call():
         assert [rank_of(index, pid, [term]) for pid in pids] == first
     assert index.rank_tables[term] is table
     assert index == build_index(corpus) and "rank_tables" not in repr(index)
-
-
-def common_term_corpus(*triples):
-    """``triples`` plus 80 one-paragraph articles that hold "the" and a word
-    of their own, so that "the" is long enough to be looked up by bisection
-    at up to 5 candidates."""
-    return corpus_of(*triples, *((f"f{n:02d}", 0, f"the filler{n}") for n in range(80)))
-
-
-def test_bounded_rank_of_counts_only_the_twins_below_the_target(tmp_path):
-    twin = "the twin pine lake"
-    corpus = common_term_corpus(
-        ("x", 0, twin), ("m", 0, twin), ("c", 0, twin), ("k", 0, "the lake shore"),
-    )
-    brute = BruteForceScorer(corpus)
-    index, loaded = built_and_loaded(corpus, tmp_path)
-    for searched in (index, loaded):
-        for query in (["the", "lake"], ["the", "twin", "the"], ["pine", "the", "lake"]):
-            # "the" reaches every paragraph, and it alone stays below the twins' score.
-            assert bound_sum(searched, query, {"the"}) < brute.combined("m#0", query)
-            ranks = []
-            for pid in ("c#0", "m#0", "x#0"):
-                rank, looked_up, _ = rank_and_lookups(searched, pid, query)
-                assert looked_up == {"the"}
-                ranks.append(rank)
-            assert ranks == [brute.rank_of(pid, query) for pid in ("c#0", "m#0", "x#0")]
-            assert ranks[1] == ranks[0] + 1 and ranks[2] == ranks[0] + 2
-
-
-def test_bounded_rank_of_target_reached_only_through_its_article(tmp_path):
-    corpus = common_term_corpus(
-        ("a", 0, "the rare bird"), ("a", 1, "quiet morning"), ("a", 2, "quiet evening"),
-    )
-    brute = BruteForceScorer(corpus)
-    index, loaded = built_and_loaded(corpus, tmp_path)
-    query = ["the", "rare"]
-    for pid in ("a#1", "a#2"):
-        assert brute.paragraph(pid, query) == 0.0 < brute.combined(pid, query)
-    assert bound_sum(index, query, {"the"}) < brute.combined("a#2", query)
-    for searched in (index, loaded):
-        # a#1 ties a#2 through the article alone and is counted, a#0 beats both.
-        rank, looked_up, candidates = rank_and_lookups(searched, "a#2", query)
-        assert rank == brute.rank_of("a#2", query) == 3
-        assert looked_up == {"the"} and len(candidates) == 3
-        for pid in corpus.paragraphs:
-            assert rank_of(searched, pid, query) == brute.rank_of(pid, query)
-
-
-def near_tie_corpus():
-    """q#0 and t#0 hold terms of equal statistics (df 1, tfs 1, 2, 1, equal
-    lengths), so sums of their contributions differ only by rounding."""
-    return corpus_of(
-        ("q", 0, "y1 y2 y2 y3"), ("t", 0, "x1 x2 x2 x3"),
-        *((f"f{n}", 0, "filler") for n in range(4)),
-    )
-
-
-def test_bounded_rank_of_when_the_bound_equals_the_target_score(tmp_path):
-    corpus = near_tie_corpus()
-    brute = BruteForceScorer(corpus)
-    query = ["y1", "y2", "y3", "x1", "x2", "x3"]
-    target_score = brute.combined("t#0", query)
-    assert brute.combined("q#0", query) == target_score
-    index, loaded = built_and_loaded(corpus, tmp_path)
-    # y3 cannot be bounded: with it the bound reaches t exactly, and q#0 ties t#0.
-    assert bound_sum(index, query, {"y1", "y2"}) < target_score
-    assert bound_sum(index, query, {"y1", "y2", "y3"}) == target_score
-    for searched in (index, loaded):
-        # y1 and y2 are bounded, and their one-posting levels are added whole.
-        rank, looked_up, candidates = rank_and_lookups(searched, "t#0", query)
-        assert rank == brute.rank_of("t#0", query) == 2
-        assert looked_up == set()
-        assert [searched.para_order[i] for i in candidates] == ["q#0", "t#0"]
-        for pid in corpus.paragraphs:
-            assert rank_of(searched, pid, query) == brute.rank_of(pid, query)
-
-
-def test_bounded_rank_of_when_the_bound_is_one_ulp_below_the_target_score(tmp_path):
-    corpus = near_tie_corpus()
-    brute = BruteForceScorer(corpus)
-    query = ["y1", "y2", "y3", "x1", "x3", "x2"]
-    target_score = brute.combined("t#0", query)
-    index, loaded = built_and_loaded(corpus, tmp_path)
-    # The y terms are bounded one ulp below t, and q#0 scores exactly the bound.
-    bound = bound_sum(index, query, {"y1", "y2", "y3"})
-    assert bound == math.nextafter(target_score, 0.0) == brute.combined("q#0", query)
-    for searched in (index, loaded):
-        rank, looked_up, candidates = rank_and_lookups(searched, "t#0", query)
-        assert rank == brute.rank_of("t#0", query) == 1
-        assert looked_up == set()
-        assert [searched.para_order[i] for i in candidates] == ["t#0"]
-        assert rank_of(searched, "q#0", query) == brute.rank_of("q#0", query) == 2
-        for pid in corpus.paragraphs:
-            assert rank_of(searched, pid, query) == brute.rank_of(pid, query)
 
 
 # ---------------------------------------------------------------------------
