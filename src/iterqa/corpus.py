@@ -114,9 +114,10 @@ def ingest_corpus(source: Iterable[str]) -> Corpus:
     """Build a Corpus from UTF-8 line-delimited JSON records.
 
     Each line is an object with fields article_id, title, order, text.
-    Paragraph ids are assigned as ``"article_id#order"``. Blank lines are
-    skipped; any malformed or duplicate record raises IngestError with its
-    line number.
+    Paragraph ids are assigned as ``"article_id#order"``. Every paragraph
+    of an article carries the article's title. Blank lines are skipped; any
+    malformed or duplicate record, or a title that differs from its
+    article's earlier records, raises IngestError with its line number.
     """
     by_article: dict[str, dict[int, dict]] = {}
     for line_no, line in enumerate(source, start=1):
@@ -128,6 +129,13 @@ def ingest_corpus(source: Iterable[str]) -> Corpus:
             raise IngestError(
                 line_no,
                 f"duplicate (article_id, order) = ({record['article_id']!r}, {record['order']})",
+            )
+        first = next(iter(orders.values()), record)
+        if record["title"] != first["title"]:
+            raise IngestError(
+                line_no,
+                f"title {record['title']!r} differs from {first['title']!r}, "
+                f"the title of article {record['article_id']!r}",
             )
         orders[record["order"]] = record
 

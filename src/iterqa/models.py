@@ -17,6 +17,7 @@ import json
 import math
 from collections.abc import Sized
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
@@ -381,6 +382,18 @@ _DEFAULT_ROLES = {"retriever": "oracle", "reader": "gold", "reranker": "baseline
 _LEXICAL_OPTIONS = ("keep_fraction", "max_query_len")
 
 
+def _external_role(role: str, make: Callable, index: InvertedIndex, corpus: Corpus, example):
+    """The role callable an external constructor returns for ``example``, refused
+    when it is not callable."""
+    model = make(example, index, corpus)
+    if not callable(model):
+        raise ManifestError(
+            f"{role} for question {example.question!r}: the external constructor returned "
+            f"{type(model).__name__}, not a callable"
+        )
+    return model
+
+
 def build_model_factory(
     manifest: dict, index: InvertedIndex, corpus: Corpus
 ) -> Callable[[object], ModelBundle]:
@@ -393,7 +406,9 @@ def build_model_factory(
     default one); any other key is refused. A missing role takes its
     default, so ``{}`` is the oracle retriever, the gold reader and the
     baseline reranker. External attributes are called with (example,
-    index, corpus) and must return the role callable. Gold-aware roles read
+    index, corpus) and must return the role callable; one that returns
+    anything else raises ManifestError for that question, before the role is
+    first called. Built-in roles are not checked. Gold-aware roles read
     ``gold_ids``, ``answers``, and ``answer_kind`` off the example passed
     to the factory. Every role is resolved here, so a bad manifest raises
     ManifestError before any question runs.
@@ -421,8 +436,9 @@ def build_model_factory(
         if not isinstance(name, str):
             raise ManifestError(f"{role} must be a string, got {name!r}")
         if name.startswith("external:"):
-            make = _load_external(name[len("external:"):])
-            constructors[role] = lambda ex, make=make: make(ex, index, corpus)
+            constructors[role] = partial(
+                _external_role, role, _load_external(name[len("external:"):]), index, corpus
+            )
         elif (role, name) in builtin:
             constructors[role] = builtin[role, name]
         else:

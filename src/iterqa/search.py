@@ -38,14 +38,18 @@ Top-k pruning of this kind learns its threshold only as the scan ends, and
 common terms reach most articles, so ``search_topk`` scores every reached
 paragraph.
 
-A one-term query is ranked from a table instead. On a term's first use as
-a whole query, ``rank_of`` scores every paragraph under it once, and
-stores each paragraph's position in the ``_ranked`` order, by ordinal,
-with the sentinel for paragraphs the term does not reach
-(``InvertedIndex.rank_tables``). That position is 1 + the paragraphs above
-the target + its ties with a lower id, which is the rank ``rank_of``
-counts, so the table is exact. The oracle's importance estimates ask for
-the same few one-term queries (a span of one word) many times over.
+A query that ``rank_of`` asks for again is ranked from a table instead.
+The second time a query would have its candidates scored whole,
+``rank_of`` scores every paragraph under it once, and stores each
+paragraph's position in the ``_ranked`` order, by ordinal, with the
+sentinel for paragraphs the query does not reach
+(``InvertedIndex.rank_tables``, keyed by the ordered query, so a repeated
+term stays in its key). That position is 1 + the paragraphs above the
+target + its ties with a lower id, which is the rank ``rank_of`` counts,
+so the table is exact and no rank depends on what the cache holds. The
+oracle's importance estimates ask for the same queries (template phrases,
+one-word spans) against many targets. The tables and the queries seen
+once share one byte budget, a fixed number of bytes per posting.
 
 The index holds the paragraph level only. An article's text is its
 paragraphs' tokens in order, so a term's article tfs (sums over the
@@ -64,6 +68,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
@@ -86,6 +91,12 @@ INDEX_MAGIC = "iterqa-index"
 INDEX_FORMAT_VERSION = 2
 _CONSTANTS = {"k1": K1, "b": B, "article_k1": ARTICLE_K1, "article_b": ARTICLE_B}
 
+# The bytes per posting of the index that the rank tables and sighted keys of
+# ``rank_of`` may hold together, the sighted keys at most 1/_SIGHTED_SHARE.
+_RANK_BYTES_PER_POSTING = 16
+_SIGHTED_SHARE = 8
+_ADMISSION = threading.Lock()  # held while a query's admission is decided
+
 # A query is an ordered multiset of normalized tokens (tokenize() output).
 Query = Sequence[str]
 
@@ -104,21 +115,29 @@ class InvertedIndex:
     tokens, so the scorer derives a term's article tfs and df from the
     term's paragraph postings on its first use.
 
-    Immutable after build_index or load_index except two lazily filled
-    caches, both left out of ``==`` and ``repr``:
+    Immutable after build_index or load_index except the lazily filled
+    caches below, all left out of ``==`` and ``repr``:
 
     - ``impacts``: term -> (paragraph level, article level), each level the
       ascending ordinals and the contributions of the paragraphs or articles
       the term occurs in, and their maximum;
-    - ``rank_tables``: term -> every paragraph's rank under the one-term
-      query, by ordinal (an ``array("i")`` of ``n_para`` entries, so 4 bytes
-      per paragraph for each term ever ranked alone; about 175 KB for the
-      53 such terms of the seed-13 oracle benchmark).
+    - ``rank_tables``: ordered query -> every paragraph's rank under it, by
+      ordinal (an ``array("i")`` of ``n_para`` entries, 4 bytes per
+      paragraph);
+    - ``sighted``: the queries ``rank_of`` scored whole once, since the set
+      was last cleared, and ``sighted_bytes``, their tuples' sizes.
 
-    Neither holds a term the index lacks. Concurrent reads stay safe: each
-    entry is an idempotent value, derived from the immutable postings,
-    built whole and set with one dict assignment under the GIL, so a reader
-    never sees a partial entry.
+    ``rank_tables`` and ``sighted`` hold at most ``rank_budget`` bytes, 16
+    per posting (see ``_admit``): 203 KB, or 54 tables, at the 12,706
+    postings of the seed-13 oracle benchmark, and 1.08 MB, or 48 tables, at
+    4,867 paragraphs. ``impacts`` holds no term the index lacks, and the
+    other caches no query that reaches no paragraph.
+
+    Concurrent reads stay safe: each ``impacts`` and ``rank_tables`` entry
+    is an idempotent value, derived from the immutable postings, built
+    whole and set with one dict assignment under the GIL, so a reader
+    never sees a partial entry. ``sighted`` and ``sighted_bytes`` only
+    decide when a table is built, and change under ``_admit``'s lock.
     """
 
     postings: dict[str, dict[str, int]]          # term -> {paragraph_id: tf}
@@ -132,12 +151,17 @@ class InvertedIndex:
     article_members: tuple[tuple[int, ...], ...]  # article ordinal -> paragraph ordinals
     article_of: tuple[int, ...]                  # paragraph ordinal -> article ordinal
     ordinals: tuple[int, ...]                    # tuple(range(n_para)), shared ints
+    rank_budget: int                             # bytes for rank tables and sighted keys
     impacts: dict[str, tuple[_Level, _Level]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    rank_tables: dict[str, array] = field(
+    rank_tables: dict[tuple[str, ...], array] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    sighted: set[tuple[str, ...]] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+    sighted_bytes: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def sentinel_rank(self) -> int:
@@ -185,6 +209,7 @@ def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedI
         article_members=tuple(map(tuple, members.values())),
         article_of=tuple(article_of),
         ordinals=ordinals,
+        rank_budget=_RANK_BYTES_PER_POSTING * sum(map(len, postings.values())),
     )
 
 
@@ -339,13 +364,42 @@ def _ranked(index: InvertedIndex, scores: list[float]) -> list[int]:
     return ranked
 
 
-def _rank_table(index: InvertedIndex, term: str) -> array:
-    """Every paragraph's position in the ``_ranked`` order of the query
-    ``(term,)``, by ordinal; the sentinel where the term does not reach."""
+def _rank_table(index: InvertedIndex, query: Query) -> array:
+    """Every paragraph's position in the ``_ranked`` order of ``query``, by
+    ordinal; the sentinel where the query does not reach."""
     table = array("i", [index.sentinel_rank]) * index.n_para
-    for rank, i in enumerate(_ranked(index, _accumulate(index, (term,))), start=1):
+    for rank, i in enumerate(_ranked(index, _accumulate(index, query)), start=1):
         table[i] = rank
     return table
+
+
+def _admit(index: InvertedIndex, key: tuple[str, ...]) -> array | None:
+    """The rank table of the whole-scored query ``key``, built and stored if
+    the query is admitted now, else None.
+
+    A query is admitted on its second whole-scored sighting, first come,
+    first served, while the tables fit in what ``rank_budget`` leaves after
+    the sighted keys' share; no table is evicted. A table costs 4 bytes per
+    paragraph and a sighted key its tuple's ``sys.getsizeof``. The sighted
+    keys are forgotten together when the next one would overflow their
+    share, and none is recorded once no further table fits. One lock
+    serializes admissions, so the budget holds under concurrent calls.
+    """
+    with _ADMISSION:
+        share = index.rank_budget // _SIGHTED_SHARE
+        if (len(index.rank_tables) + 1) * 4 * index.n_para > index.rank_budget - share:
+            return None
+        if key in index.sighted:
+            table = index.rank_tables[key] = _rank_table(index, key)
+            return table
+        size = sys.getsizeof(key)
+        if index.sighted_bytes + size > share:
+            index.sighted.clear()
+            index.sighted_bytes = 0
+        if size <= share:
+            index.sighted.add(key)
+            index.sighted_bytes += size
+        return None
 
 
 def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
@@ -373,33 +427,28 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     An empty query, or a target the query does not reach, yields the
     sentinel rank N_para + 1 ("not retrieved").
 
-    A one-term query reads the target's rank off the term's rank table,
-    built on the term's first use as a whole query; a term the index lacks
-    gets the sentinel and no table.
-
-    Otherwise only the paragraphs that could reach the target's score t
-    are scored. Terms are bounded, most postings first, while the bounded
-    terms' paragraph maxima summed in query order from 0.0, plus their
-    article maxima summed the same way, stay strictly below t. A paragraph
-    that no other term reaches, directly or through its article, gets at
-    most those maxima at the same places of the same two sums, and
-    p + 0.0 == p for the terms that miss it. Rounding is monotone in each
+    A query with a rank table reads the target's rank off it. Otherwise
+    only the paragraphs that could reach the target's score t are scored.
+    Terms are bounded, most postings first, while the bounded terms'
+    paragraph maxima summed in query order from 0.0, plus their article
+    maxima summed the same way, stay strictly below t. A paragraph that no
+    other term reaches, directly or through its article, gets at most
+    those maxima at the same places of the same two sums, and p + 0.0 == p
+    for the terms that miss it. Rounding is monotone in each
     operand, so it neither beats nor ties the target. The bound grows with
     each term added, so the longest prefix below t is found by bisection.
     The rest are the candidates, the target among them; a lone target has
     rank 1. The others are scored exactly, by ``_score_at`` or
-    ``_accumulate``, whichever ``_lookups_cost_less`` picks.
+    ``_accumulate``, whichever ``_lookups_cost_less`` picks. Where it picks
+    ``_accumulate`` and ``_admit`` admits the query, the query's rank table
+    is built instead and read.
     """
     if target_paragraph_id not in index.doc_lengths:
         raise KeyError(f"unknown paragraph id {target_paragraph_id!r}")
     target = bisect_left(index.para_order, target_paragraph_id)
-    if len(query) == 1:
-        term = query[0]
-        table = index.rank_tables.get(term)
-        if table is None:
-            if term not in index.postings:
-                return index.sentinel_rank
-            table = index.rank_tables[term] = _rank_table(index, term)
+    key = tuple(query)
+    table = index.rank_tables.get(key)
+    if table is not None:
         return table[target]
     levels = [index.impacts.get(term) or _impacts(index, term) for term in query]
     target_score = _score_at(index, levels, target)
@@ -428,6 +477,8 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     candidates = sorted(reached)
     if _lookups_cost_less(index, levels, len(candidates)):
         values = [_score_at(index, levels, i) for i in candidates]
+    elif (table := _admit(index, key)) is not None:
+        return table[target]
     else:
         scores = _accumulate(index, query, candidates)
         values = list(map(scores.__getitem__, candidates))

@@ -471,6 +471,10 @@ def nan_class_reader_factory(example, index, corpus):
     return reader
 
 
+def int_role_factory(example, index, corpus):
+    return 42
+
+
 def far_span_reader_factory(example, index, corpus):
     gold = GoldReader(example.answers, example.gold_ids, example.answer_kind)
 

@@ -273,6 +273,18 @@ def test_cli_reports_bad_question_record(workspace, capsys):
     assert message == "iterqa oracle: line 1: record is not an object"
 
 
+def test_cli_refuses_an_article_whose_paragraphs_disagree_on_its_title(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in [
+        {"article_id": "a", "title": "T", "order": 0, "text": "red stone"},
+        {"article_id": "a", "title": "U", "order": 1, "text": "blue stone"},
+    ]))
+    message = cli_error(
+        ["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "index.jsonl")], capsys
+    )
+    assert message == "iterqa index: line 2: title 'U' differs from 'T', the title of article 'a'"
+
+
 def test_cli_reports_bad_manifest(workspace, capsys):
     tmp_path, corpus_path, questions_path = workspace
     manifest = tmp_path / "models.json"
@@ -338,6 +350,24 @@ def test_cli_refuses_a_model_output_outside_its_contract(
     assert re.fullmatch(
         f"iterqa {command}: {role} output for question '{question}': {problem}", message
     ), message
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("role", ["retriever", "reader", "reranker"])
+def test_cli_refuses_an_external_role_that_is_not_callable(workspace, capsys, command, role):
+    tmp_path, corpus_path, questions_path = workspace
+    manifest = tmp_path / "models.json"
+    manifest.write_text(json.dumps({role: "external:conftest:int_role_factory"}))
+    # A two-hop question, so every role would be called.
+    record = next(r for r in read_jsonl(questions_path) if len(r["gold_paragraph_ids"]) == 2)
+    one = tmp_path / "one.jsonl"
+    one.write_text(json.dumps(record) + "\n")
+    argv = [command, "--corpus", str(corpus_path), "--models", str(manifest)]
+    argv += ["--question-file" if command == "run" else "--questions", str(one)]
+    assert cli_error(argv, capsys) == (
+        f"iterqa {command}: {role} for question {record['question']!r}: "
+        "the external constructor returned int, not a callable"
+    )
 
 
 @pytest.mark.parametrize("command", ["oracle", "traces", "bench"])

@@ -121,6 +121,22 @@ def test_ingest_missing_title_reports_line():
         ]))
 
 
+def test_ingest_refuses_a_title_that_differs_from_its_articles():
+    records = [
+        {"article_id": "b", "title": "B", "order": 0, "text": "w"},
+        {"article_id": "a", "title": "T", "order": 1, "text": "x"},
+        {"article_id": "b", "title": "B", "order": 1, "text": "y"},
+        {"article_id": "a", "title": "U", "order": 0, "text": "z"},
+    ]
+    with pytest.raises(IngestError, match="^line 4: title 'U' differs from 'T', "
+                                          "the title of article 'a'$"):
+        ingest_corpus(lines(records))
+    records[3]["title"] = "T"
+    corpus = ingest_corpus(lines(records))
+    assert {p.title for p in corpus.paragraphs.values()} == {"B", "T"}
+    assert corpus.articles["a"].title == "T"
+
+
 def test_ingest_duplicate_order_rejected():
     with pytest.raises(IngestError, match="duplicate"):
         ingest_corpus(lines([

@@ -1,8 +1,12 @@
+import contextlib
 import json
 import math
 import os
 import random
+import sys
 import tempfile
+import threading
+import time
 from unittest import mock
 
 import pytest
@@ -645,9 +649,13 @@ def rank_and_way(index, target_id, query):
     return rank, "lookup" if others else "lone", sorted([target, *others])
 
 
+@contextlib.contextmanager
 def forced(way):
-    """Make rank_of score every evaluation's candidates the given way."""
-    return mock.patch.object(search, "_lookups_cost_less", lambda *_: way == "lookup")
+    """Make rank_of score every evaluation's candidates the given way, with
+    no rank table admitted."""
+    with mock.patch.object(search, "_lookups_cost_less", lambda *_: way == "lookup"), \
+            mock.patch.object(search, "_admit", lambda *_: None):
+        yield
 
 
 def assert_ranks_either_way(searched, brute, pids, query):
@@ -867,8 +875,24 @@ def test_bounded_rank_of_lone_target_and_ties_on_both_sides(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# rank_of's per-term rank tables for one-term queries
+# rank_of's rank tables, keyed by the ordered query, within one byte budget
 # ---------------------------------------------------------------------------
+
+def cache_bytes(index):
+    """The bytes the rank tables and the sighted keys hold, as ``_admit`` counts them."""
+    tables = sum(table.itemsize * len(table) for table in index.rank_tables.values())
+    return tables + sum(map(sys.getsizeof, index.sighted))
+
+
+def assert_tables_equal_brute_force(index, brute):
+    for key, table in index.rank_tables.items():
+        assert list(table) == [brute.rank_of(pid, key) for pid in index.para_order], key
+
+
+def scored_whole():
+    """Make rank_of score every query's candidates whole, the branch that admits tables."""
+    return mock.patch.object(search, "_lookups_cost_less", lambda *_: False)
+
 
 @settings(max_examples=50, deadline=None)
 @given(corpus=edge_corpora(), terms=st.lists(
@@ -881,14 +905,19 @@ def test_one_term_rank_of_equals_brute_force(corpus, terms):
     pids = sorted(corpus.paragraphs)
     index = build_index(corpus)
     for searched in (index, reloaded(index)):
+        searched.rank_budget = 1 << 30  # room for every table of a small corpus
         for term in terms:
             expected = [brute.rank_of(pid, [term]) for pid in pids]
-            assert [rank_of(searched, pid, [term]) for pid in pids] == expected  # cold
-            assert [rank_of(searched, pid, (term,)) for pid in pids] == expected  # cached
-        assert set(searched.rank_tables) == {t for t in terms if t in searched.postings}
+            assert [rank_of(searched, pid, [term]) for pid in pids] == expected  # cold, then a table
+            assert [rank_of(searched, pid, (term,)) for pid in pids] == expected  # the same key
+        assert set(searched.rank_tables) <= {(t,) for t in terms if t in searched.postings}
+        # Adding "every" whole costs less than looking up every other paragraph.
+        assert ("every",) in searched.rank_tables or "every" not in terms or len(pids) == 1
+        assert_tables_equal_brute_force(searched, brute)
         assert all(rank_of(searched, pid, ["zzqabsent"]) == searched.sentinel_rank
                    for pid in pids)
-        assert "zzqabsent" not in searched.rank_tables
+        assert ("zzqabsent",) not in searched.rank_tables
+        assert ("zzqabsent",) not in searched.sighted
 
 
 def test_one_term_rank_of_reads_its_table_on_a_second_call():
@@ -896,15 +925,140 @@ def test_one_term_rank_of_reads_its_table_on_a_second_call():
     index = build_index(corpus)
     term = max(sorted(index.postings), key=lambda t: len(index.postings[t]))
     pids = sorted(index.doc_lengths)
+    expected = [BruteForceScorer(corpus).rank_of(pid, [term]) for pid in pids]
+    reached = [(pid, rank) for pid, rank in zip(pids, expected) if rank != index.sentinel_rank]
+    first, second = reached[:2]
     with mock.patch.object(search, "_accumulate", wraps=_accumulate) as scoring:
-        first = [rank_of(index, pid, [term]) for pid in pids]
-        assert scoring.call_count == 1  # the table's one scoring pass
-    table = index.rank_tables[term]
-    assert list(table) == first
+        assert rank_of(index, first[0], [term]) == first[1]
+        assert scoring.call_args.args[2]  # scored at its candidates, and sighted
+        assert index.sighted == {(term,)} and not index.rank_tables
+        assert rank_of(index, second[0], [term]) == second[1]
+        assert scoring.call_count == 2 and len(scoring.call_args.args) == 2  # the table's pass
+    table = index.rank_tables[(term,)]
+    assert list(table) == expected
     with mock.patch.object(search, "_accumulate", side_effect=AssertionError("scored")):
-        assert [rank_of(index, pid, [term]) for pid in pids] == first
-    assert index.rank_tables[term] is table
-    assert index == build_index(corpus) and "rank_tables" not in repr(index)
+        assert [rank_of(index, pid, [term]) for pid in pids] == expected
+    assert index.rank_tables[(term,)] is table
+    assert index == build_index(corpus)
+    assert "rank_tables" not in repr(index) and "sighted" not in repr(index)
+
+
+MULTI_TERM_QUERIES = st.lists(
+    st.lists(st.sampled_from([*"abcdef", "every", "zzqabsent"]), min_size=2, max_size=6),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=edge_corpora(), drawn=MULTI_TERM_QUERIES)
+def test_multi_term_ranks_from_tables_equal_brute_force(corpus, drawn):
+    # Each query also comes with its first term repeated at its end. A
+    # repeated term counts twice, so the two are different keys.
+    queries = [q for query in drawn for q in (query, [*query, query[0]])]
+    brute = BruteForceScorer(corpus)
+    pids = sorted(corpus.paragraphs)
+    expected = [[brute.rank_of(pid, q) for pid in pids] for q in queries]
+    index = build_index(corpus)
+    index.rank_budget = 1 << 30
+    with scored_whole():
+        cold = [[rank_of(index, pid, q) for pid in pids] for q in queries]
+        cached = [[rank_of(index, pid, q) for pid in pids] for q in queries]
+    assert cold == expected and cached == expected
+    assert set(index.rank_tables) <= {tuple(q) for q in queries}
+    # A query that reaches two paragraphs scores its lowest target whole, so
+    # the second round at the latest admits its table.
+    reaching_two = {tuple(q) for q, ranks in zip(queries, expected)
+                    if sum(rank <= len(pids) for rank in ranks) > 1}
+    assert reaching_two <= set(index.rank_tables)
+    assert_tables_equal_brute_force(index, brute)
+    # A budget that the tables already fill: new queries are scored, and not admitted.
+    tables = dict(index.rank_tables)
+    index.rank_budget = 4 * index.n_para * len(tables) * search._SIGHTED_SHARE // (
+        search._SIGHTED_SHARE - 1)
+    more = [[*reversed(q), "every"] for q in queries]
+    with scored_whole():
+        for _ in range(2):
+            assert [[rank_of(index, pid, q) for pid in pids] for q in queries] == expected
+            assert [[rank_of(index, pid, q) for pid in pids] for q in more] == [
+                [brute.rank_of(pid, q) for pid in pids] for q in more]
+    assert index.rank_tables == tables
+
+
+def test_rank_tables_and_sighted_keys_stay_within_the_budget():
+    corpus = make_random_corpus(random.Random(7), n_articles=8)
+    index = build_index(corpus)
+    brute = BruteForceScorer(corpus)
+    pids = sorted(index.doc_lengths)
+    budget = index.rank_budget
+    assert budget == 16 * sum(map(len, index.postings.values()))
+    share = budget // search._SIGHTED_SHARE
+    room = (budget - share) // (4 * index.n_para)  # tables that fit
+    common = max(sorted(index.postings), key=lambda t: len(index.postings[t]))
+    cleared = False
+    with scored_whole():
+        for term in sorted(index.postings)[:room + 10]:
+            # Ranked at every paragraph, so sighted and then admitted while there is room.
+            query = [common, term]
+            assert [rank_of(index, pid, query) for pid in pids] == [
+                brute.rank_of(pid, query) for pid in pids]
+            # Ranked at one paragraph: sighted once, never admitted.
+            before = len(index.sighted)
+            once = [term, common, common]
+            assert rank_of(index, pids[-1], once) == brute.rank_of(pids[-1], once)
+            cleared |= len(index.sighted) < before
+            assert cache_bytes(index) <= budget
+            assert index.sighted_bytes == sum(map(sys.getsizeof, index.sighted)) <= share
+    assert cleared
+    assert len(index.rank_tables) == room
+    assert_tables_equal_brute_force(index, brute)
+    # Full: a query seen at every paragraph is scored each time, and gets no table.
+    query = [common, common, "zzqabsent"]
+    with scored_whole(), \
+            mock.patch.object(search, "_rank_table", side_effect=AssertionError("admitted")):
+        assert [rank_of(index, pid, query) for pid in pids] == [
+            brute.rank_of(pid, query) for pid in pids]
+
+
+def test_admission_holds_the_budget_under_concurrent_calls():
+    corpus = make_random_corpus(random.Random(7), n_articles=8)
+    index = build_index(corpus)
+    brute = BruteForceScorer(corpus)
+    pids = sorted(index.doc_lengths)
+    common = max(sorted(index.postings), key=lambda t: len(index.postings[t]))
+    terms = sorted(index.postings)[:40]
+    queries = [[common, term] for term in terms] + [[term, common, common] for term in terms]
+    expected = [[brute.rank_of(pid, q) for pid in pids] for q in queries]
+    results = {}
+
+    def worker(n):
+        order = random.Random(n).sample(queries, len(queries))
+        results[n] = [[rank_of(index, pid, q) for pid in pids] for q in order], order
+
+    def slow_rank_table(index, query):  # other calls run while a table is built
+        time.sleep(0.001)
+        return rank_table(index, query)
+
+    rank_table = search._rank_table
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with scored_whole(), mock.patch.object(search, "_rank_table", slow_rank_table):
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(results) == 4
+    for ranks, order in results.values():
+        assert ranks == [expected[queries.index(q)] for q in order]
+    share = index.rank_budget // search._SIGHTED_SHARE
+    assert len(index.rank_tables) == (index.rank_budget - share) // (4 * index.n_para)
+    assert cache_bytes(index) <= index.rank_budget
+    assert index.sighted_bytes == sum(map(sys.getsizeof, index.sighted)) <= share
+    assert_tables_equal_brute_force(index, brute)
 
 
 # ---------------------------------------------------------------------------
