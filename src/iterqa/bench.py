@@ -30,7 +30,11 @@ def load_examples(path) -> list[QuestionExample]:
     examples = []
     id_lines: dict[str, int] = {}  # question id -> line it is first used on
     with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError:
+            raise QuestionsFormatError(f"questions file {path!r} is not UTF-8 text") from None
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -108,20 +112,15 @@ class PerQuestion:
     prediction: str
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Aggregate EM/F1 (means over scored questions) plus per-question rows."""
+@dataclass
+class BenchmarkReport:
+    """Aggregate EM/F1 (means over scored questions), per-question rows and the tables."""
 
     em: float
     f1: float
     per_question: tuple[PerQuestion, ...]
     n_scored: int
     n_unscored: int
-
-
-@dataclass
-class BenchmarkReport:
-    result: EvalResult
     step_histogram: dict[int, int] = field(default_factory=dict)
     # rows of (docs_per_step, mean paragraphs retrieved per question, em, f1)
     budget_table: list[tuple[int, float, float, float]] = field(default_factory=list)
@@ -243,7 +242,7 @@ def run_benchmark(
 
     em, f1 = _mean_scores([(r.em, r.f1) for r in rows])
     n_scored = sum(r.em is not None for r in rows)
-    report = BenchmarkReport(EvalResult(em, f1, tuple(rows), n_scored, len(rows) - n_scored))
+    report = BenchmarkReport(em, f1, tuple(rows), n_scored, len(rows) - n_scored)
     for row in rows:
         report.step_histogram[row.steps_used] = report.step_histogram.get(row.steps_used, 0) + 1
     for docs, table in zip(docs_grid, budget_rows):
@@ -263,22 +262,21 @@ def write_reports(report: BenchmarkReport, directory) -> None:
 
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "per_question.jsonl"), "w", encoding="utf-8") as out:
-        for row in report.result.per_question:
+        for row in report.per_question:
             out.write(json.dumps(row.__dict__) + "\n")
     with open(os.path.join(directory, "summary.txt"), "w", encoding="utf-8") as out:
         out.write(format_summary(report))
 
 
 def format_summary(report: BenchmarkReport) -> str:
-    result = report.result
     lines = [
-        f"questions scored: {result.n_scored} (unscored: {result.n_unscored})",
-        f"exact match: {result.em:.4f}",
-        f"unigram F1:  {result.f1:.4f}",
+        f"questions scored: {report.n_scored} (unscored: {report.n_unscored})",
+        f"exact match: {report.em:.4f}",
+        f"unigram F1:  {report.f1:.4f}",
         "",
         "steps-per-question histogram:",
     ]
-    total = len(result.per_question) or 1
+    total = len(report.per_question) or 1
     for steps in sorted(report.step_histogram):
         count = report.step_histogram[steps]
         lines.append(f"  {steps} steps: {count:5d}  ({100.0 * count / total:.1f}%)")

@@ -162,9 +162,12 @@ def ingest_corpus(source: Iterable[str]) -> Corpus:
 
 
 def load_corpus(path) -> Corpus:
-    """Ingest a corpus from a file path."""
+    """Ingest a corpus from a file path; a file that is not UTF-8 raises IngestError."""
     with open(path, encoding="utf-8") as handle:
-        return ingest_corpus(handle)
+        try:
+            return ingest_corpus(handle)
+        except UnicodeDecodeError:
+            raise IngestError(None, f"corpus {path!r} is not UTF-8 text") from None
 
 
 @dataclass(frozen=True)

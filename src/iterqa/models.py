@@ -213,23 +213,14 @@ class LexicalRetriever:
     """Query generator: keep the highest-idf fraction of the path's tokens.
 
     Stopwords are dropped, path order is preserved, and the query is capped
-    at ``max_query_len`` tokens (highest idf first). Lowering the keep
-    fraction only ever removes terms; raising it only ever adds them.
+    at ``MAX_QUERY_LEN`` tokens (highest idf first).
     """
 
-    def __init__(
-        self,
-        index: InvertedIndex,
-        keep_fraction: float = 0.4,
-        max_query_len: int = 20,
-    ):
-        if not 0.0 < keep_fraction <= 1.0:
-            raise ValueError("keep_fraction must be in (0, 1]")
-        if type(max_query_len) is not int or max_query_len < 1:
-            raise ValueError(f"max_query_len must be an integer >= 1, got {max_query_len!r}")
+    KEEP_FRACTION = 0.4
+    MAX_QUERY_LEN = 20
+
+    def __init__(self, index: InvertedIndex):
         self.index = index
-        self.keep_fraction = keep_fraction
-        self.max_query_len = max_query_len
 
     def __call__(self, path: ReasoningPath) -> list[str]:
         tokens = [t for t in path.path_tokens() if t not in STOPWORDS]
@@ -237,11 +228,11 @@ class LexicalRetriever:
             return []
         idfs = [idf_paragraph(self.index, t) for t in tokens]
         ordered = sorted(idfs, reverse=True)
-        keep_n = max(1, math.ceil(self.keep_fraction * len(ordered)))
+        keep_n = max(1, math.ceil(self.KEEP_FRACTION * len(ordered)))
         threshold = ordered[keep_n - 1]
         kept = [i for i, v in enumerate(idfs) if v >= threshold]
-        if len(kept) > self.max_query_len:
-            by_value = sorted(kept, key=lambda i: (-idfs[i], i))[: self.max_query_len]
+        if len(kept) > self.MAX_QUERY_LEN:
+            by_value = sorted(kept, key=lambda i: (-idfs[i], i))[: self.MAX_QUERY_LEN]
             kept = sorted(by_value)
         return [tokens[i] for i in kept]
 
@@ -379,7 +370,6 @@ def _load_external(ref: str):
 
 
 _DEFAULT_ROLES = {"retriever": "oracle", "reader": "gold", "reranker": "baseline"}
-_LEXICAL_OPTIONS = ("keep_fraction", "max_query_len")
 
 
 def _external_role(role: str, make: Callable, index: InvertedIndex, corpus: Corpus, example):
@@ -401,29 +391,20 @@ def build_model_factory(
 
     Manifest keys: ``retriever`` ("baseline", "oracle", or
     "external:module:attr"), ``reader`` ("gold" or external), ``reranker``
-    ("baseline" or external), plus optional ``keep_fraction`` and
-    ``max_query_len`` for the baseline retriever (the oracle's fallback is a
-    default one); any other key is refused. A missing role takes its
-    default, so ``{}`` is the oracle retriever, the gold reader and the
-    baseline reranker. External attributes are called with (example,
-    index, corpus) and must return the role callable; one that returns
-    anything else raises ManifestError for that question, before the role is
-    first called. Built-in roles are not checked. Gold-aware roles read
-    ``gold_ids``, ``answers``, and ``answer_kind`` off the example passed
-    to the factory. Every role is resolved here, so a bad manifest raises
-    ManifestError before any question runs.
+    ("baseline" or external); any other key is refused. A missing role
+    takes its default, so ``{}`` is the oracle retriever, the gold reader
+    and the baseline reranker. External attributes are called with
+    (example, index, corpus) and must return the role callable; one that
+    returns anything else raises ManifestError for that question, before
+    the role is first called. Built-in roles are not checked. Gold-aware
+    roles read ``gold_ids``, ``answers``, and ``answer_kind`` off the
+    example passed to the factory. Every role is resolved here, so a bad
+    manifest raises ManifestError before any question runs.
     """
-    unknown = sorted(manifest.keys() - _DEFAULT_ROLES.keys() - set(_LEXICAL_OPTIONS))
+    unknown = sorted(manifest.keys() - _DEFAULT_ROLES.keys())
     if unknown:
         raise ManifestError(f"unknown manifest key {unknown[0]!r}")
-    options = {key: manifest[key] for key in _LEXICAL_OPTIONS if key in manifest}
-    if options and manifest.get("retriever", _DEFAULT_ROLES["retriever"]) != "baseline":
-        raise ManifestError(f"{next(iter(options))} applies only to the baseline retriever")
-    try:
-        # Pure and the same for every question, so built once, here.
-        lexical = LexicalRetriever(index, **options)
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(f"baseline retriever: {exc}") from None
+    lexical = LexicalRetriever(index)  # pure and the same for every question, so built once
     builtin = {  # (role, name) -> constructor: example -> role callable
         ("retriever", "baseline"): lambda ex: lexical,
         ("retriever", "oracle"): lambda ex: OracleRetriever(index, corpus, ex.gold_ids, lexical),
@@ -456,6 +437,8 @@ def load_manifest(path) -> dict:
             manifest = json.load(handle)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"manifest is not JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise ManifestError(f"manifest {path!r} is not UTF-8 text") from None
     if not isinstance(manifest, dict):
         raise ManifestError("manifest must be a JSON object")
     return manifest

@@ -274,9 +274,8 @@ def test_criterion_4_oracle_recall(chain_benchmark, chain_index):
 
 def test_criterion_5_end_to_end_multi_hop(chain_benchmark, benchmark_run):
     report, elapsed = benchmark_run
-    result = report.result
     correct_by_hop: dict[int, list[float]] = {1: [], 2: [], 3: []}
-    for ex, row in zip(chain_benchmark.examples, result.per_question):
+    for ex, row in zip(chain_benchmark.examples, report.per_question):
         hops = len(ex.gold_ids)
         correct_by_hop[hops].append(row.em)
     rates = {h: sum(v) / len(v) for h, v in correct_by_hop.items()}
@@ -319,15 +318,15 @@ def fixed_runs(chain_benchmark, chain_index, model_factory):
 
 
 def test_criterion_6_dynamic_stopping(chain_benchmark, benchmark_run, fixed_runs):
-    dynamic_result = benchmark_run[0].result
+    dynamic = benchmark_run[0]
     fixed_f1 = {k: f1 for k, (_, f1) in fixed_runs.items()}
-    dominates = all(dynamic_result.f1 >= f1 - 1e-9 for f1 in fixed_f1.values())
+    dominates = all(dynamic.f1 >= f1 - 1e-9 for f1 in fixed_f1.values())
 
     concentration = {}
     for hops in (1, 2, 3):
         rows = [
             row
-            for ex, row in zip(chain_benchmark.examples, dynamic_result.per_question)
+            for ex, row in zip(chain_benchmark.examples, dynamic.per_question)
             if len(ex.gold_ids) == hops
         ]
         concentration[hops] = sum(1 for r in rows if r.steps_used == hops) / len(rows)
@@ -337,7 +336,7 @@ def test_criterion_6_dynamic_stopping(chain_benchmark, benchmark_run, fixed_runs
     fixed_text = ", ".join(f"K={k}: {f1:.4f}" for k, f1 in fixed_f1.items())
     _report(
         6, "dynamic stopping dominance", ok,
-        f"dynamic F1 {dynamic_result.f1:.4f} vs fixed ({fixed_text}); "
+        f"dynamic F1 {dynamic.f1:.4f} vs fixed ({fixed_text}); "
         f"step mass at true hop count: "
         + ", ".join(f"{h}-hop {concentration[h]:.1%}" for h in (1, 2, 3)),
     )
@@ -347,7 +346,7 @@ def test_run_benchmark_fixed_rows_equal_per_k_runs(benchmark_run, fixed_runs):
     # run_benchmark reads every fixed-K row off one trajectory per question;
     # the rows must equal the independent per-K runs of criterion 6 exactly.
     report = benchmark_run[0]
-    assert report.dynamic_vs_fixed == [("dynamic", report.result.em, report.result.f1)] + [
+    assert report.dynamic_vs_fixed == [("dynamic", report.em, report.f1)] + [
         (f"fixed-{k}", em, f1) for k, (em, f1) in fixed_runs.items()
     ]
 

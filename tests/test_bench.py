@@ -57,34 +57,34 @@ def bench_setup():
 
 def test_perfect_run_scores_one(bench_setup):
     corpus, index, factory = bench_setup
-    result = run_benchmark([ONE_HOP, TWO_HOP], corpus, index, factory).result
-    assert result.em == 1.0
-    assert result.f1 == 1.0
-    assert result.n_scored == 2
+    report = run_benchmark([ONE_HOP, TWO_HOP], corpus, index, factory)
+    assert report.em == 1.0
+    assert report.f1 == 1.0
+    assert report.n_scored == 2
 
 
 def test_aggregates_are_means_of_per_question(bench_setup):
     corpus, index, factory = bench_setup
-    result = run_benchmark([ONE_HOP, TWO_HOP], corpus, index, factory).result
-    scored = [r for r in result.per_question if r.em is not None]
-    assert abs(result.em - sum(r.em for r in scored) / len(scored)) < 1e-12
-    assert abs(result.f1 - sum(r.f1 for r in scored) / len(scored)) < 1e-12
+    report = run_benchmark([ONE_HOP, TWO_HOP], corpus, index, factory)
+    scored = [r for r in report.per_question if r.em is not None]
+    assert abs(report.em - sum(r.em for r in scored) / len(scored)) < 1e-12
+    assert abs(report.f1 - sum(r.f1 for r in scored) / len(scored)) < 1e-12
 
 
 def test_fixed_one_step_fails_two_hop(bench_setup):
     corpus, index, factory = bench_setup
-    result = run_benchmark([TWO_HOP], corpus, index, factory, PipelineConfig(fixed_steps=1)).result
-    assert result.em == 0.0
+    report = run_benchmark([TWO_HOP], corpus, index, factory, PipelineConfig(fixed_steps=1))
+    assert report.em == 0.0
 
 
 def test_question_without_gold_answers_counted_unscored(bench_setup):
     corpus, index, factory = bench_setup
     no_gold = QuestionExample(qid="ng", question="what does the river gate guard",
                               gold_ids=("solo#0",))
-    result = run_benchmark([ONE_HOP, no_gold], corpus, index, factory).result
-    assert result.n_scored == 1
-    assert result.n_unscored == 1
-    row = next(r for r in result.per_question if r.qid == "ng")
+    report = run_benchmark([ONE_HOP, no_gold], corpus, index, factory)
+    assert report.n_scored == 1
+    assert report.n_unscored == 1
+    row = next(r for r in report.per_question if r.qid == "ng")
     assert row.em is None and row.steps_used >= 1
 
 
@@ -94,9 +94,9 @@ def test_per_question_fixed_override(bench_setup):
         qid="two", question=TWO_HOP.question, answers=TWO_HOP.answers,
         gold_ids=TWO_HOP.gold_ids, fixed_steps=1,
     )
-    result = run_benchmark([overridden], corpus, index, factory).result
-    assert result.em == 0.0
-    assert result.per_question[0].steps_used == 1
+    report = run_benchmark([overridden], corpus, index, factory)
+    assert report.em == 0.0
+    assert report.per_question[0].steps_used == 1
 
 
 def test_run_benchmark_reports(bench_setup, tmp_path):
@@ -139,8 +139,8 @@ def test_run_benchmark_fixed_rows_equal_fixed_step_runs(bench_setup):
     assert calls == [example.qid for example in examples]  # one bundle per question
     topk = BruteForceScorer(corpus).topk
     (em, f1), rows = reference_bench(examples, corpus, factory, config, topk)
-    assert [astuple(row) for row in report.result.per_question] == rows
-    assert (report.result.em, report.result.f1) == (em, f1)
+    assert [astuple(row) for row in report.per_question] == rows
+    assert (report.em, report.f1) == (em, f1)
     expected = [("dynamic", em, f1)]
     for k in grid:
         fixed, _ = reference_bench(examples, corpus, factory, replace(config, fixed_steps=k), topk)

@@ -110,8 +110,8 @@ def test_run_benchmark_rows_equal_reference_runs_one_setting_at_a_time(
     report = run_benchmark(examples, corpus, index, factory, config, fixed_k_grid, docs_grid)
 
     (em, f1), rows = reference_bench(examples, corpus, factory, config, topk)
-    assert [astuple(row) for row in report.result.per_question] == rows
-    assert (report.result.em, report.result.f1) == (em, f1)
+    assert [astuple(row) for row in report.per_question] == rows
+    assert (report.em, report.f1) == (em, f1)
     histogram = {}
     for row in rows:
         histogram[row[3]] = histogram.get(row[3], 0) + 1

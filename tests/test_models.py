@@ -265,31 +265,10 @@ def test_retriever_stopword_only_path_yields_empty(fixture_index):
     assert retriever(initial_path("the of and")) == []
 
 
-def test_retriever_monotone_in_keep_fraction(fixture_corpus, fixture_index):
-    rng = random.Random(54)
-    words = ["orchid", "ridge", "marsh", "rain", "bloom", "north", "stones", "dry", "plains"]
-    for _ in range(30):
-        path = initial_path(" ".join(rng.choices(words, k=rng.randint(2, 14))))
-        kept_terms = None
-        for fraction in (0.2, 0.4, 0.6, 0.8, 1.0):
-            query = LexicalRetriever(fixture_index, keep_fraction=fraction)(path)
-            if kept_terms is not None:
-                # Raising the fraction keeps every previously kept occurrence.
-                it = iter(query)
-                assert all(term in it for term in kept_terms)
-            kept_terms = query
-
-
 def test_retriever_caps_query_length(fixture_index):
     long_question = " ".join(f"uniqword{i}" for i in range(40))
-    query = LexicalRetriever(fixture_index, max_query_len=20)(initial_path(long_question))
-    assert len(query) == 20
-
-
-@pytest.mark.parametrize("bad", [0, -3, 2.0, "20", True, None])
-def test_retriever_rejects_bad_max_query_len(fixture_index, bad):
-    with pytest.raises(ValueError, match="max_query_len must be an integer >= 1"):
-        LexicalRetriever(fixture_index, max_query_len=bad)
+    query = LexicalRetriever(fixture_index)(initial_path(long_question))
+    assert len(query) == LexicalRetriever.MAX_QUERY_LEN == 20
 
 
 def test_reranker_no_overlap_is_zero(fixture_corpus, fixture_index):
@@ -502,7 +481,7 @@ def test_factory_shares_one_lexical_retriever_as_the_oracle_fallback(fixture_cor
     factory = build_model_factory({"retriever": "oracle"}, fixture_index, fixture_corpus)
     first, second = (factory(example_for(fixture_corpus)).retriever for _ in range(2))
     assert first.fallback is second.fallback
-    assert (first.fallback.keep_fraction, first.fallback.max_query_len) == (0.4, 20)
+    assert (first.fallback.KEEP_FRACTION, first.fallback.MAX_QUERY_LEN) == (0.4, 20)
 
 
 def test_factory_unknown_role_rejected(fixture_corpus, fixture_index):
