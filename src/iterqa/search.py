@@ -32,11 +32,12 @@ ranking order. Hits are named tuples.
 ``rank_of`` pays for the paragraphs that can compete with its target, not
 for the corpus. A cached level is in ascending ordinal order and carries
 its largest contribution, so ``_score_at`` scores one paragraph by
-bisection, bit for bit as the lists do, and a bound on what the common
-terms alone can add leaves few paragraphs to score (see ``rank_of``).
-Top-k pruning of this kind learns its threshold only as the scan ends, and
-common terms reach most articles, so ``search_topk`` scores every reached
-paragraph.
+bisection, bit for bit as the lists do, and ``_bound``, what the common
+terms alone can add, leaves few paragraphs to score (see ``rank_of``).
+``rank_of`` knows its threshold, the target's score, before it scores.
+``search_topk`` takes one from the paragraphs the rarer terms reach when a
+query term is in every paragraph (see ``_bounded_top``), and otherwise
+scores every reached paragraph.
 
 A query that ``rank_of`` asks for again is ranked from a table instead.
 The second time a query would have its candidates scored whole,
@@ -73,7 +74,6 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain, compress, count, filterfalse, islice
 from operator import add, countOf
 from typing import Iterable, NamedTuple, Sequence
@@ -284,10 +284,17 @@ def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
     return levels
 
 
+def _levels(index: InvertedIndex, query: Query) -> list[tuple[_Level, _Level]]:
+    """Each query term's (paragraph, article) levels, in query order."""
+    cache = index.impacts
+    return [cache.get(term) or _impacts(index, term) for term in query]
+
+
 def _accumulate(
-    index: InvertedIndex, query: Query, candidates: Sequence[int] = ()
+    index: InvertedIndex, levels: _Levels, candidates: Sequence[int] = ()
 ) -> list[float]:
-    """Combined score of every paragraph, by ordinal, a term at a time.
+    """Combined score of every paragraph, by ordinal, under the query of
+    these ``levels``, a term at a time.
 
     Each term's cached contributions are added in query-term order, and
     0.0 + c == c and p + 0.0 == p, so every value is the paragraph part plus
@@ -296,18 +303,15 @@ def _accumulate(
     query does not reach score exactly 0.0.
 
     A term in every paragraph holds ordinal i's contribution at position i,
-    so it adds with ``map(add)``, or at the ``candidates`` alone. Given
+    so it adds with ``map(add)``, or at the ``candidates`` alone (those of
+    ``rank_of``, or the paragraphs ``_bounded_top`` reaches). Given
     candidates, each also gets its own article's total, 0.0 if the query
     does not reach the article (p + 0.0 == p), and no other paragraph does:
     their values are full scores, bit for bit, the others' mean nothing.
     """
     scores = [0.0] * index.n_para
     article_scores = [0.0] * index.n_article
-    cache = index.impacts
-    for term in query:
-        (para_ordinals, para, _), (article_ordinals, article, _) = (
-            cache.get(term) or _impacts(index, term)
-        )
+    for (para_ordinals, para, _), (article_ordinals, article, _) in levels:
         if len(para) < index.n_para:
             for i, c in zip(para_ordinals, para):
                 scores[i] += c
@@ -364,18 +368,18 @@ def _ranked(index: InvertedIndex, scores: list[float]) -> list[int]:
     return ranked
 
 
-def _rank_table(index: InvertedIndex, query: Query) -> array:
-    """Every paragraph's position in the ``_ranked`` order of ``query``, by
-    ordinal; the sentinel where the query does not reach."""
+def _rank_table(index: InvertedIndex, levels: _Levels) -> array:
+    """Every paragraph's position in the ``_ranked`` order of the query of
+    these ``levels``, by ordinal; the sentinel where the query does not reach."""
     table = array("i", [index.sentinel_rank]) * index.n_para
-    for rank, i in enumerate(_ranked(index, _accumulate(index, query)), start=1):
+    for rank, i in enumerate(_ranked(index, _accumulate(index, levels)), start=1):
         table[i] = rank
     return table
 
 
-def _admit(index: InvertedIndex, key: tuple[str, ...]) -> array | None:
-    """The rank table of the whole-scored query ``key``, built and stored if
-    the query is admitted now, else None.
+def _admit(index: InvertedIndex, key: tuple[str, ...], levels: _Levels) -> array | None:
+    """The rank table of the whole-scored query ``key``, of these ``levels``,
+    built and stored if the query is admitted now, else None.
 
     A query is admitted on its second whole-scored sighting, first come,
     first served, while the tables fit in what ``rank_budget`` leaves after
@@ -390,7 +394,7 @@ def _admit(index: InvertedIndex, key: tuple[str, ...]) -> array | None:
         if (len(index.rank_tables) + 1) * 4 * index.n_para > index.rank_budget - share:
             return None
         if key in index.sighted:
-            table = index.rank_tables[key] = _rank_table(index, key)
+            table = index.rank_tables[key] = _rank_table(index, levels)
             return table
         size = sys.getsizeof(key)
         if index.sighted_bytes + size > share:
@@ -402,21 +406,104 @@ def _admit(index: InvertedIndex, key: tuple[str, ...]) -> array | None:
         return None
 
 
+def _by_postings(query: Query, levels: _Levels) -> tuple[list[tuple[_Level, _Level]], list[int]]:
+    """The distinct terms' levels, most paragraph postings first, and each
+    query term's place in that order."""
+    terms = dict(zip(query, levels))
+    order = sorted(terms, key=lambda t: len(terms[t][0][0]), reverse=True)
+    places = list(map(dict(zip(order, count())).__getitem__, query))
+    return [terms[t] for t in order], places
+
+
+def _bound(levels: _Levels, places: list[int], n: int) -> float:
+    """What the first ``n`` terms of the ``_by_postings`` order can add to a
+    paragraph that no other term reaches, directly or through its article.
+
+    Their paragraph maxima summed in query order from 0.0, plus their
+    article maxima summed the same way, so a repeated term counts at each
+    of its places. Such a paragraph gets at most those maxima at the same
+    places of the same two sums, and p + 0.0 == p for the terms that miss
+    it. Rounding is monotone in each operand, so it scores at most the
+    bound.
+    """
+    para = article = 0.0
+    for ((_, _, para_max), (_, _, article_max)), place in zip(levels, places):
+        if place < n:
+            para += para_max
+            article += article_max
+    return para + article
+
+
+def _reach(
+    index: InvertedIndex, reached: set[int], distinct: Iterable[tuple[_Level, _Level]]
+) -> None:
+    """Add to ``reached`` the paragraph ordinals that these terms reach,
+    directly or through their articles."""
+    members = index.article_members.__getitem__
+    for (para_ordinals, _, _), (article_ordinals, _, _) in distinct:
+        reached.update(para_ordinals, chain.from_iterable(map(members, article_ordinals)))
+
+
+def _bounded_top(
+    index: InvertedIndex, query: Query, levels: _Levels, k: int
+) -> tuple[list[int], list[float]] | None:
+    """The top k ordinals, in ranking order, and the scores that rank them,
+    from the paragraphs the rarer terms reach; None where no bound proves
+    them exact.
+
+    Tried only for a query with a term in every paragraph, the one case
+    where the full path sorts the whole corpus. The distinct terms, fewest
+    postings first, reach paragraphs until at least k are reached. Those
+    alone are scored, by ``_accumulate`` at the candidates, and sorted by
+    (-score, ordinal). Any other paragraph scores at most the ``_bound`` of
+    the terms left, so where that is strictly below the k-th score, it
+    neither beats nor ties the k-th hit. None where it is not, where fewer
+    than k paragraphs are reached, or where no term is left to bound.
+    """
+    if index.n_para not in [len(para) for (_, para, _), _ in levels]:
+        return None
+    order, places = _by_postings(query, levels)
+    reached: set[int] = set()
+    n_bounded = len(order)
+    while len(reached) < k and n_bounded:
+        n_bounded -= 1
+        _reach(index, reached, order[n_bounded:n_bounded + 1])
+    if not n_bounded:
+        return None
+    top = sorted(reached)
+    scores = _accumulate(index, levels, top)
+    # Stable, so tied ordinals stay ascending, which is ascending id.
+    top.sort(key=scores.__getitem__, reverse=True)
+    del top[k:]
+    if _bound(levels, places, n_bounded) < scores[top[-1]]:
+        return top, scores
+    return None
+
+
 def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
     """The k highest-combined-score paragraphs, ties broken by ascending id.
 
     Returns min(k, N) hits; when fewer than k paragraphs score above zero,
     the remainder is filled with zero-score paragraphs in id order, so the
     result always matches a full brute-force sort of the corpus.
+
+    A query with a term in every paragraph scores only the paragraphs its
+    rarer terms reach, where ``_bounded_top`` proves that exact. Otherwise
+    every paragraph is scored and the reached ones sorted.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = _accumulate(index, query)
-    top = _ranked(index, scores)
-    del top[k:]
-    if len(top) < k and len(top) < index.n_para:
-        taken = set(top)
-        top += islice(filterfalse(taken.__contains__, index.ordinals), k - len(top))
+    levels = _levels(index, query)
+    found = _bounded_top(index, query, levels, k)
+    if found is not None:
+        top, scores = found
+    else:
+        scores = _accumulate(index, levels)
+        top = _ranked(index, scores)
+        del top[k:]
+        if len(top) < k and len(top) < index.n_para:
+            taken = set(top)
+            top += islice(filterfalse(taken.__contains__, index.ordinals), k - len(top))
     return list(map(SearchHit, map(index.para_order.__getitem__, top),
                     map(scores.__getitem__, top), count(1)))
 
@@ -429,16 +516,12 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
 
     A query with a rank table reads the target's rank off it. Otherwise
     only the paragraphs that could reach the target's score t are scored.
-    Terms are bounded, most postings first, while the bounded terms'
-    paragraph maxima summed in query order from 0.0, plus their article
-    maxima summed the same way, stay strictly below t. A paragraph that no
-    other term reaches, directly or through its article, gets at most
-    those maxima at the same places of the same two sums, and p + 0.0 == p
-    for the terms that miss it. Rounding is monotone in each
-    operand, so it neither beats nor ties the target. The bound grows with
-    each term added, so the longest prefix below t is found by bisection.
-    The rest are the candidates, the target among them; a lone target has
-    rank 1. The others are scored exactly, by ``_score_at`` or
+    Terms are bounded, most postings first, while their ``_bound`` stays
+    strictly below t, so a paragraph that no other term reaches neither
+    beats nor ties the target. The bound grows with each term added, so the
+    longest prefix below t is found by bisection. The paragraphs the other
+    terms reach are the candidates, the target among them; a lone target
+    has rank 1. The others are scored exactly, by ``_score_at`` or
     ``_accumulate``, whichever ``_lookups_cost_less`` picks. Where it picks
     ``_accumulate`` and ``_admit`` admits the query, the query's rank table
     is built instead and read.
@@ -450,37 +533,25 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     table = index.rank_tables.get(key)
     if table is not None:
         return table[target]
-    levels = [index.impacts.get(term) or _impacts(index, term) for term in query]
+    levels = _levels(index, query)
     target_score = _score_at(index, levels, target)
     if target_score <= 0.0:
         return index.sentinel_rank
-    terms = dict(zip(query, levels))
-    # The distinct terms, most postings first, and each query term's place among them.
-    order = sorted(terms, key=lambda t: len(terms[t][0][0]), reverse=True)
-    places = list(map(dict(zip(order, count())).__getitem__, query))
-    maxima = [[level[2] for level in part] for part in zip(*levels)]  # paragraph, article
-
-    def bound(k: int) -> float:  # with the first k terms of ``order`` bounded
-        chosen = list(map(k.__gt__, places))
-        para, article = (reduce(add, compress(part, chosen), 0.0) for part in maxima)
-        return para + article
-
-    n_bounded = bisect_left(range(1, len(order) + 1), target_score, key=bound)
-    members = index.article_members.__getitem__
+    order, places = _by_postings(query, levels)
+    n_bounded = bisect_left(range(1, len(order) + 1), target_score,
+                            key=lambda n: _bound(levels, places, n))
     reached: set[int] = set()
-    for term in order[n_bounded:]:
-        (para_ordinals, _, _), (article_ordinals, _, _) = terms[term]
-        reached.update(para_ordinals, chain.from_iterable(map(members, article_ordinals)))
+    _reach(index, reached, order[n_bounded:])
     reached.remove(target)
     if not reached:
         return 1
     candidates = sorted(reached)
     if _lookups_cost_less(index, levels, len(candidates)):
         values = [_score_at(index, levels, i) for i in candidates]
-    elif (table := _admit(index, key)) is not None:
+    elif (table := _admit(index, key, levels)) is not None:
         return table[target]
     else:
-        scores = _accumulate(index, query, candidates)
+        scores = _accumulate(index, levels, candidates)
         values = list(map(scores.__getitem__, candidates))
     # Ties count when their ordinal, and so their id, is below the target's.
     return (
@@ -510,9 +581,11 @@ def save_index(index: InvertedIndex, path) -> None:
 
 def load_index(path) -> InvertedIndex:
     """Load a persisted index, refusing headers with mismatched constants."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:  # lines are decoded one at a time, to name a bad one
         try:
-            header = json.loads(handle.readline())
+            header = json.loads(handle.readline().decode("utf-8"))
+        except UnicodeDecodeError:
+            raise IndexFormatError("index header is not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise IndexFormatError(f"unreadable index header: {exc.msg}") from exc
         if not isinstance(header, dict) or header.get("magic") != INDEX_MAGIC:
@@ -531,11 +604,14 @@ def load_index(path) -> InvertedIndex:
 
 
 def _records(handle, n_para: int):
-    """The paragraph lines of an index file as (id, article id, term counts), checked."""
+    """The paragraph lines of an index file, read as bytes, as (id, article id,
+    term counts), checked."""
     seen: set[str] = set()
     for line_no, line in enumerate(handle, start=2):
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise IndexFormatError(f"line {line_no}: record is not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise IndexFormatError(f"line {line_no}: unreadable record ({exc.msg})") from None
         if type(record) is not list or list(map(type, record)) != [str, str, dict]:

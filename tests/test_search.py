@@ -20,6 +20,7 @@ from iterqa.search import (
     IndexFormatError,
     SearchHit,
     _accumulate,
+    _bounded_top,
     _impacts,
     _score_at,
     build_index,
@@ -633,9 +634,9 @@ def rank_and_way(index, target_id, query):
         looked_up.append(i)
         return _score_at(index, levels, i)
 
-    def accumulate(index, query, candidates=()):
+    def accumulate(index, levels, candidates=()):
         accumulated.append(list(candidates))
-        return _accumulate(index, query, candidates)
+        return _accumulate(index, levels, candidates)
 
     with mock.patch.object(search, "_score_at", score_at), \
             mock.patch.object(search, "_accumulate", accumulate):
@@ -731,8 +732,8 @@ def test_restricted_accumulate_equals_full_at_every_candidate(seed, data):
     zero_total = [i for i in index.ordinals if index.article_of[i] not in reached]
     assert zero_total  # premise: some article is reached by no unclamped term
     candidates = sorted({*candidates, data.draw(st.sampled_from(zero_total), label="zero")})
-    full = _accumulate(index, query)
-    restricted = _accumulate(index, query, candidates)
+    full = _accumulate(index, search._levels(index, query))
+    restricted = _accumulate(index, search._levels(index, query), candidates)
     assert [restricted[i] for i in candidates] == [full[i] for i in candidates]
     # A lookup gives every paragraph its full score too.
     levels = [_impacts(index, term) for term in query]
@@ -747,12 +748,12 @@ def test_term_in_every_paragraph_adds_at_its_own_ordinal(corpus, data):
     terms = data.draw(st.lists(st.sampled_from([*"abcdef", "every"]), max_size=5), label="terms")
     query = data.draw(st.permutations([*terms, "every"]), label="query")
     brute = BruteForceScorer(corpus)
-    full = _accumulate(index, query)
+    full = _accumulate(index, search._levels(index, query))
     assert full == [brute.combined(pid, query) for pid in index.para_order]
     hits = search_topk(index, query, index.n_para)
     assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, index.n_para)
     candidates = sorted(data.draw(st.sets(st.sampled_from(index.ordinals), min_size=1)))
-    restricted = _accumulate(index, query, candidates)
+    restricted = _accumulate(index, search._levels(index, query), candidates)
     assert [restricted[i] for i in candidates] == [full[i] for i in candidates]
 
 
@@ -873,6 +874,147 @@ def test_bounded_rank_of_lone_target_and_ties_on_both_sides(tmp_path):
         assert [rank_of(searched, pid, query) for pid in twins] == [1, 2, 3]
         assert_ranks_either_way(searched, brute, [*twins, "u#0"], query)
 
+
+# ---------------------------------------------------------------------------
+# search_topk's bounded path: a query with a term in every paragraph scores
+# only the paragraphs its rarer terms reach
+# ---------------------------------------------------------------------------
+
+def topk_and_path(index, query, k):
+    """search_topk's hits, and whether ``_bounded_top`` returned them (True)
+    or search_topk fell back to scoring every paragraph (False)."""
+    returned = []
+
+    def bounded_top(*args):
+        found = _bounded_top(*args)
+        returned.append(found is not None)
+        return found
+
+    with mock.patch.object(search, "_bounded_top", bounded_top):
+        hits = search_topk(index, query, k)
+    assert len(returned) == 1
+    return hits, returned[0]
+
+
+def assert_topk_equals_brute_force(hits, brute, query, k):
+    assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, k)
+    assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
+
+
+@st.composite
+def common_term_corpora(draw):
+    """``common_term_corpus`` with up to four drawn articles, each paragraph
+    "the" and drawn words; returns the corpus, "the" and the words to query."""
+    words = ["twin", "pine", "lake", "hapax"]
+    articles = draw(st.lists(
+        st.lists(st.lists(st.sampled_from(words), max_size=4), min_size=1, max_size=3),
+        min_size=1,
+        max_size=4,
+    ))
+    corpus = common_term_corpus(*(
+        (f"{'cmx'[a % 3]}{a}", order, " ".join(["the", *tokens]))
+        for a, paras in enumerate(articles)
+        for order, tokens in enumerate(paras)
+    ))
+    return corpus, "the", [*words, "filler7", "zzqabsent"]
+
+
+COMMON_TERM_CASES = st.one_of(
+    edge_corpora().map(lambda corpus: (corpus, "every", [*"abcdef", "zzqabsent"])),
+    common_term_corpora(),
+)
+
+
+def test_bounded_topk_equals_brute_force():
+    paths = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=COMMON_TERM_CASES, data=st.data())
+    def check(case, data):
+        corpus, common, words = case
+        index = build_index(corpus)
+        assert len(index.postings[common]) == index.n_para  # premise: the gate is open
+        brute = BruteForceScorer(corpus)
+        for _ in range(3):
+            terms = data.draw(st.lists(st.sampled_from(words), max_size=4), label="terms")
+            repeats = data.draw(st.integers(min_value=1, max_value=3), label="repeats")
+            query = data.draw(st.permutations([*terms, *[common] * repeats]), label="query")
+            k = data.draw(st.one_of(st.integers(min_value=1, max_value=4),
+                                    st.integers(min_value=1, max_value=index.n_para + 1)),
+                          label="k")
+            for searched in (index, reloaded(index)):
+                hits, bounded = topk_and_path(searched, query, k)
+                assert_topk_equals_brute_force(hits, brute, query, k)
+                paths.append(bounded)
+
+    check()
+    # Both ways were taken, so neither can go dead unnoticed.
+    assert True in paths and False in paths
+
+
+def test_bounded_topk_falls_back_when_the_bound_equals_the_kth_score(tmp_path):
+    # "ra" and "rb" have equal statistics, and p#0, q#0 and every filler
+    # paragraph have the same length, so p#0 and q#0 tie exactly.
+    corpus = common_term_corpus(("p", 0, "the ra"), ("q", 0, "the rb"))
+    brute = BruteForceScorer(corpus)
+    query = ["ra", "rb", "the"]
+    assert brute.combined("p#0", query) == brute.combined("q#0", query)
+    for searched in built_and_loaded(corpus, tmp_path):
+        # "rb", last of the two rarest, reaches q#0 alone; bounding "ra" and
+        # "the" gives exactly p#0's score, which ties q#0 from below its id.
+        assert bound_sum(searched, query, {"ra", "the"}) == brute.combined("p#0", query)
+        hits, bounded = topk_and_path(searched, query, 1)
+        assert not bounded
+        assert [h.paragraph_id for h in hits] == ["p#0"]
+        assert_topk_equals_brute_force(hits, brute, query, 1)
+
+
+def test_bounded_topk_reaches_paragraphs_through_their_articles(tmp_path):
+    # a#1 holds no "rare", but its article holds it three times.
+    corpus = common_term_corpus(
+        ("a", 0, "the rare rare rare"), ("a", 1, "the"),
+        ("b", 0, "the rare wide long words words"),
+    )
+    brute = BruteForceScorer(corpus)
+    query = ["the", "rare"]
+    assert brute.paragraph("a#1", query) < brute.combined("b#0", query)
+    assert brute.combined("b#0", query) < brute.combined("a#1", query)
+    for searched in built_and_loaded(corpus, tmp_path):
+        hits, bounded = topk_and_path(searched, query, 2)
+        assert bounded
+        assert [h.paragraph_id for h in hits] == ["a#0", "a#1"]
+        assert_topk_equals_brute_force(hits, brute, query, 2)
+
+
+def test_bounded_topk_breaks_ties_by_ascending_id(tmp_path):
+    twin = "the twin pine lake"
+    corpus = common_term_corpus(("x", 0, twin), ("m", 0, twin), ("c", 0, twin))
+    brute = BruteForceScorer(corpus)
+    for searched in built_and_loaded(corpus, tmp_path):
+        for query, k in ((["the", "twin"], 2), (["lake", "the", "pine"], 3), (["the", "twin"], 1)):
+            hits, bounded = topk_and_path(searched, query, k)
+            assert bounded
+            assert [h.paragraph_id for h in hits] == ["c#0", "m#0", "x#0"][:k]
+            assert_topk_equals_brute_force(hits, brute, query, k)
+
+
+def test_bounded_topk_counts_a_repeated_term_at_each_place(tmp_path):
+    corpus = common_term_corpus(("h", 0, "the hapax"), *((a, 0, "the lake") for a in "lmn"))
+    brute = BruteForceScorer(corpus)
+    query = ["the", "lake", "hapax", "lake"]
+    for searched in built_and_loaded(corpus, tmp_path):
+        # "hapax" reaches h#0 alone. Counted once, "lake" would bound l#0
+        # below h#0; counted at both of its places, it does not.
+        assert bound_sum(searched, ["the", "lake"], {"the", "lake"}) < brute.combined("h#0", query)
+        assert brute.combined("h#0", query) < brute.combined("l#0", query)
+        hits, bounded = topk_and_path(searched, query, 1)
+        assert not bounded
+        assert [h.paragraph_id for h in hits] == ["l#0"]
+        assert_topk_equals_brute_force(hits, brute, query, 1)
+        # At k=3 "lake" is among the reaching terms, and only "the" is bounded.
+        hits, bounded = topk_and_path(searched, query, 3)
+        assert bounded
+        assert_topk_equals_brute_force(hits, brute, query, 3)
 
 # ---------------------------------------------------------------------------
 # rank_of's rank tables, keyed by the ordered query, within one byte budget
@@ -1306,5 +1448,20 @@ def test_load_rejects_bad_headers(tmp_path, rewrite, message):
     path = tmp_path / "index.jsonl"
     path.write_text("".join(rewrite(saved_lines(path))))
     with pytest.raises(IndexFormatError, match=message) as info:
+        load_index(path)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("line, message", [
+    (0, "index header is not UTF-8 text"),
+    (2, "line 3: record is not UTF-8 text"),
+], ids=["header", "record"])
+def test_load_rejects_an_index_that_is_not_utf8(tmp_path, line, message):
+    path = tmp_path / "index.jsonl"
+    lines = [text.encode() for text in saved_lines(path)]
+    # A Latin-1 e-acute opens the line's first string: valid JSON, but not UTF-8.
+    lines[line] = lines[line].replace(b'"', b'"\xe9', 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(IndexFormatError, match=f"^{message}$") as info:
         load_index(path)
     assert "\n" not in str(info.value)
