@@ -363,10 +363,12 @@ def _load_external(ref: str):
     if not module_name or not attr:
         raise ManifestError(f"external model must be 'module:attribute', got {ref!r}")
     try:
-        module = importlib.import_module(module_name)
-        return getattr(module, attr)
+        make = getattr(importlib.import_module(module_name), attr)
     except (ImportError, AttributeError) as exc:
         raise ManifestError(f"cannot load external model {ref!r}: {exc}") from exc
+    if not callable(make):
+        raise ManifestError(f"external model {ref!r} is {type(make).__name__}, not callable")
+    return make
 
 
 _DEFAULT_ROLES = {"retriever": "oracle", "reader": "gold", "reranker": "baseline"}
@@ -393,13 +395,14 @@ def build_model_factory(
     "external:module:attr"), ``reader`` ("gold" or external), ``reranker``
     ("baseline" or external); any other key is refused. A missing role
     takes its default, so ``{}`` is the oracle retriever, the gold reader
-    and the baseline reranker. External attributes are called with
-    (example, index, corpus) and must return the role callable; one that
-    returns anything else raises ManifestError for that question, before
-    the role is first called. Built-in roles are not checked. Gold-aware
-    roles read ``gold_ids``, ``answers``, and ``answer_kind`` off the
-    example passed to the factory. Every role is resolved here, so a bad
-    manifest raises ManifestError before any question runs.
+    and the baseline reranker. External attributes must be callable; they
+    are called with (example, index, corpus) and must return the role
+    callable; one that returns anything else raises ManifestError for that
+    question, before the role is first called. Built-in roles are not
+    checked. Gold-aware roles read ``gold_ids``, ``answers``, and
+    ``answer_kind`` off the example passed to the factory. Every role is
+    resolved here, so a bad manifest raises ManifestError before any
+    question runs.
     """
     unknown = sorted(manifest.keys() - _DEFAULT_ROLES.keys())
     if unknown:

@@ -21,10 +21,12 @@ Also generates training traces: oracle queries and reranker candidate sets
 along gold paths, optionally with "polluted" non-gold branches the oracle
 then recovers from.
 
-Runs only read the corpus and index, so questions can be processed
-concurrently; within a step, every choice breaks ties deterministically
-(score first, then paragraph id), so the outcome never depends on
-candidate evaluation order.
+Runs read the corpus and the index. They write only the index's caches,
+which ``search_topk`` and ``rank_of`` fill (``impacts``, ``rank_tables``
+and ``sighted``), and the ``InvertedIndex`` docstring says why concurrent
+calls stay safe; so questions can be processed concurrently. Within a
+step, every choice breaks ties deterministically (score first, then
+paragraph id), so the outcome never depends on candidate evaluation order.
 """
 
 from __future__ import annotations

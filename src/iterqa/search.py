@@ -52,8 +52,9 @@ oracle's importance estimates ask for the same queries (template phrases,
 one-word spans) against many targets. The tables and the queries seen
 once share one byte budget, a fixed number of bytes per posting.
 
-The index holds the paragraph level only. An article's text is its
-paragraphs' tokens in order, so a term's article tfs (sums over the
+The index holds the paragraph level only, and each paragraph's article
+once, as an ordinal (``InvertedIndex.article_of``). An article's text is
+its paragraphs' tokens in order, so a term's article tfs (sums over the
 article's paragraphs) and article df are derived from its paragraph
 postings on the term's first use, and cached with its contributions.
 build_index and load_index both feed (paragraph id, article id, term
@@ -75,7 +76,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, filterfalse, islice
-from operator import add, countOf
+from operator import countOf
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Corpus
@@ -125,7 +126,7 @@ class InvertedIndex:
       ordinal (an ``array("i")`` of ``n_para`` entries, 4 bytes per
       paragraph);
     - ``sighted``: the queries ``rank_of`` scored whole once, since the set
-      was last cleared, and ``sighted_bytes``, their tuples' sizes.
+      was last cleared.
 
     ``rank_tables`` and ``sighted`` hold at most ``rank_budget`` bytes, 16
     per posting (see ``_admit``): 203 KB, or 54 tables, at the 12,706
@@ -136,8 +137,8 @@ class InvertedIndex:
     Concurrent reads stay safe: each ``impacts`` and ``rank_tables`` entry
     is an idempotent value, derived from the immutable postings, built
     whole and set with one dict assignment under the GIL, so a reader
-    never sees a partial entry. ``sighted`` and ``sighted_bytes`` only
-    decide when a table is built, and change under ``_admit``'s lock.
+    never sees a partial entry. ``sighted`` only decides when a table is
+    built, and changes under ``_admit``'s lock.
     """
 
     postings: dict[str, dict[str, int]]          # term -> {paragraph_id: tf}
@@ -145,7 +146,6 @@ class InvertedIndex:
     avg_doc_length: float
     n_para: int
     n_article: int
-    para_article: dict[str, str]                 # paragraph_id -> parent article_id
     para_order: tuple[str, ...]                  # paragraph ids, ascending
     article_order: tuple[str, ...]               # article ids, ascending
     article_members: tuple[tuple[int, ...], ...]  # article ordinal -> paragraph ordinals
@@ -161,7 +161,6 @@ class InvertedIndex:
     sighted: set[tuple[str, ...]] = field(
         default_factory=set, init=False, repr=False, compare=False
     )
-    sighted_bytes: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def sentinel_rank(self) -> int:
@@ -176,38 +175,34 @@ class IndexFormatError(ValueError):
 def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedIndex:
     """Invert (paragraph id, article id, term counts) records and derive the rest.
 
-    Each article id is interned, so the index holds one string per article.
     Ordinals are positions in the sorted ``para_order`` and ``article_order``.
     """
     postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
     doc_lengths: dict[str, int] = {}
-    para_article: dict[str, str] = {}
+    article_ids: dict[str, str] = {}  # paragraph id -> article id
     for pid, aid, counts in records:
-        para_article[pid] = sys.intern(aid)
+        article_ids[pid] = aid
         doc_lengths[pid] = sum(counts.values())
         for term, tf in counts.items():
             postings[term][pid] = tf
     para_order = tuple(sorted(doc_lengths))
-    article_order = tuple(sorted(set(para_article.values())))
+    article_order = tuple(sorted(set(article_ids.values())))
     ordinals = tuple(range(len(para_order)))
-    members: dict[str, list[int]] = {aid: [] for aid in article_order}
-    for i, pid in zip(ordinals, para_order):
-        members[para_article[pid]].append(i)
-    article_of = [0] * len(para_order)
-    for a, paragraphs in zip(ordinals, members.values()):
-        for i in paragraphs:
-            article_of[i] = a
+    article_ordinal = dict(zip(article_order, ordinals))
+    article_of = tuple([article_ordinal[article_ids[pid]] for pid in para_order])
+    members: list[list[int]] = [[] for _ in article_order]
+    for i, a in zip(ordinals, article_of):
+        members[a].append(i)
     return InvertedIndex(
         postings=dict(postings),  # a plain dict, so a lookup never inserts
         doc_lengths=doc_lengths,
         avg_doc_length=sum(doc_lengths.values()) / len(doc_lengths),
         n_para=len(doc_lengths),
         n_article=len(article_order),
-        para_article=para_article,
         para_order=para_order,
         article_order=article_order,
-        article_members=tuple(map(tuple, members.values())),
-        article_of=tuple(article_of),
+        article_members=tuple(map(tuple, members)),
+        article_of=article_of,
         ordinals=ordinals,
         rank_budget=_RANK_BYTES_PER_POSTING * sum(map(len, postings.values())),
     )
@@ -235,12 +230,6 @@ class SearchHit(NamedTuple):
     rank: int
 
 
-def _ordinals(index: InvertedIndex, order: tuple[str, ...], ids) -> tuple[int, ...]:
-    """The positions of ``ids`` in the sorted ``order``, as ints of ``index.ordinals``."""
-    ordinals = index.ordinals
-    return tuple([ordinals[bisect_left(order, key)] for key in ids])
-
-
 # The levels of a term the index lacks.
 _NO_LEVEL: _Level = ((), array("d"), 0.0)
 _ABSENT = (_NO_LEVEL, _NO_LEVEL)
@@ -260,26 +249,26 @@ def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
     if entry is None:
         return _ABSENT
     postings = sorted(entry.items())
+    ordinals, order = index.ordinals, index.para_order
+    para_ordinals = tuple([ordinals[bisect_left(order, pid)] for pid, _ in postings])
     idf = idf_paragraph(index, term)
     lengths, avg = index.doc_lengths, index.avg_doc_length
     para = array("d", [
         idf * tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * lengths[pid] / avg))
         for pid, tf in postings
     ])
-    article_entry: dict[str, int] = {}
-    for pid, tf in postings:
-        aid = index.para_article[pid]
-        article_entry[aid] = article_entry.get(aid, 0) + tf
-    n = len(article_entry)
+    article_tfs: Counter[int] = Counter()
+    for i, (_, tf) in zip(para_ordinals, postings):
+        article_tfs[index.article_of[i]] += tf
+    n = len(article_tfs)
     idf = max(0.0, math.log((index.n_article - n + 0.5) / (n + 0.5)))
-    articles = sorted(article_entry.items()) if idf else []
+    articles = sorted(article_tfs.items()) if idf else []  # article ordinal order is id order
     article = array("d", [
         idf * idf * tf * (ARTICLE_K1 + 1.0) / (tf + ARTICLE_K1) for _, tf in articles
     ])
     levels = index.impacts[term] = (
-        (_ordinals(index, index.para_order, [pid for pid, _ in postings]), para, max(para)),
-        (_ordinals(index, index.article_order, [aid for aid, _ in articles]), article,
-         max(article, default=0.0)),
+        (para_ordinals, para, max(para)),
+        (tuple([a for a, _ in articles]), article, max(article, default=0.0)),
     )
     return levels
 
@@ -303,23 +292,21 @@ def _accumulate(
     query does not reach score exactly 0.0.
 
     A term in every paragraph holds ordinal i's contribution at position i,
-    so it adds with ``map(add)``, or at the ``candidates`` alone (those of
-    ``rank_of``, or the paragraphs ``_bounded_top`` reaches). Given
-    candidates, each also gets its own article's total, 0.0 if the query
-    does not reach the article (p + 0.0 == p), and no other paragraph does:
-    their values are full scores, bit for bit, the others' mean nothing.
+    so given ``candidates`` (those of ``rank_of``, or the paragraphs
+    ``_bounded_top`` reaches) it adds at them alone. Each candidate also
+    gets its own article's total, 0.0 if the query does not reach the
+    article (p + 0.0 == p), and no other paragraph does: their values are
+    full scores, bit for bit, the others' mean nothing.
     """
     scores = [0.0] * index.n_para
     article_scores = [0.0] * index.n_article
     for (para_ordinals, para, _), (article_ordinals, article, _) in levels:
-        if len(para) < index.n_para:
-            for i, c in zip(para_ordinals, para):
-                scores[i] += c
-        elif candidates:  # in every paragraph, so ordinal i's entry is para[i]
+        if candidates and len(para) == index.n_para:  # ordinal i's entry is para[i]
             for i in candidates:
                 scores[i] += para[i]
         else:
-            scores = list(map(add, scores, para))
+            for i, c in zip(para_ordinals, para):
+                scores[i] += c
         for a, c in zip(article_ordinals, article):
             article_scores[a] += c
     if candidates:
@@ -384,10 +371,11 @@ def _admit(index: InvertedIndex, key: tuple[str, ...], levels: _Levels) -> array
     A query is admitted on its second whole-scored sighting, first come,
     first served, while the tables fit in what ``rank_budget`` leaves after
     the sighted keys' share; no table is evicted. A table costs 4 bytes per
-    paragraph and a sighted key its tuple's ``sys.getsizeof``. The sighted
-    keys are forgotten together when the next one would overflow their
-    share, and none is recorded once no further table fits. One lock
-    serializes admissions, so the budget holds under concurrent calls.
+    paragraph and a sighted key its tuple's ``sys.getsizeof``, summed over
+    the set when a key is recorded. The sighted keys are forgotten together
+    when the next one would overflow their share, and none is recorded, or
+    summed, once no further table fits. One lock serializes admissions, so
+    the budget holds under concurrent calls.
     """
     with _ADMISSION:
         share = index.rank_budget // _SIGHTED_SHARE
@@ -397,12 +385,10 @@ def _admit(index: InvertedIndex, key: tuple[str, ...], levels: _Levels) -> array
             table = index.rank_tables[key] = _rank_table(index, levels)
             return table
         size = sys.getsizeof(key)
-        if index.sighted_bytes + size > share:
+        if sum(map(sys.getsizeof, index.sighted)) + size > share:
             index.sighted.clear()
-            index.sighted_bytes = 0
         if size <= share:
             index.sighted.add(key)
-            index.sighted_bytes += size
         return None
 
 
@@ -520,11 +506,11 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     strictly below t, so a paragraph that no other term reaches neither
     beats nor ties the target. The bound grows with each term added, so the
     longest prefix below t is found by bisection. The paragraphs the other
-    terms reach are the candidates, the target among them; a lone target
-    has rank 1. The others are scored exactly, by ``_score_at`` or
-    ``_accumulate``, whichever ``_lookups_cost_less`` picks. Where it picks
-    ``_accumulate`` and ``_admit`` admits the query, the query's rank table
-    is built instead and read.
+    terms reach are the candidates, the target among them. The others are
+    scored exactly, by ``_score_at`` or ``_accumulate``, whichever
+    ``_lookups_cost_less`` picks. Where it picks ``_accumulate`` and
+    ``_admit`` admits the query, the query's rank table is built instead
+    and read.
     """
     if target_paragraph_id not in index.doc_lengths:
         raise KeyError(f"unknown paragraph id {target_paragraph_id!r}")
@@ -543,8 +529,6 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     reached: set[int] = set()
     _reach(index, reached, order[n_bounded:])
     reached.remove(target)
-    if not reached:
-        return 1
     candidates = sorted(reached)
     if _lookups_cost_less(index, levels, len(candidates)):
         values = [_score_at(index, levels, i) for i in candidates]
@@ -573,9 +557,9 @@ def save_index(index: InvertedIndex, path) -> None:
               "n_para": index.n_para}
     with open(path, "w", encoding="utf-8") as out:
         out.write(json.dumps(header) + "\n")
-        for pid in index.para_order:
+        for pid, a in zip(index.para_order, index.article_of):
             items = flat.pop(pid)
-            record = [pid, index.para_article[pid], dict(zip(items[::2], items[1::2]))]
+            record = [pid, index.article_order[a], dict(zip(items[::2], items[1::2]))]
             out.write(json.dumps(record) + "\n")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import permutations
 
 from .corpus import Corpus, ingest_corpus
 from .pipeline import ConfigError, QuestionExample
@@ -49,12 +50,15 @@ class SyntheticBenchmark:
     corpus_records: tuple[dict, ...]
 
 
+_RESERVED = frozenset(_FILLER + _CATEGORIES + _SYLLABLES)
+
+
 class _Namer:
     """Unique pseudo-word factory; keeps planted tokens collision-free."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
-        self.used = set(_FILLER) | set(_CATEGORIES) | set(_SYLLABLES)
+        self.used = set(_RESERVED)
 
     def word(self) -> str:
         while True:
@@ -75,6 +79,15 @@ def make_chain_benchmark(
         raise ConfigError(
             f"counts must be >= 0 and ask for a question, "
             f"got per hop {list(n_per_hop)} and distractors {n_distractors}"
+        )
+    # A question names each hop's title and its answer, a distractor its title.
+    # _Namer makes runs of 2 or 3 distinct syllables that are not reserved.
+    names = sum(n * (hops + 1) for hops, n in zip((1, 2, 3), n_per_hop)) + n_distractors
+    capacity = len({"".join(r) for n in (2, 3) for r in permutations(_SYLLABLES, n)} - _RESERVED)
+    if names > capacity:
+        raise ConfigError(
+            f"per hop {list(n_per_hop)} and distractors {n_distractors} need {names} "
+            f"distinct names, more than the {capacity} the generator can make"
         )
     rng = random.Random(seed)
     namer = _Namer(rng)

@@ -362,6 +362,19 @@ def test_cli_refuses_an_external_role_that_is_not_callable(workspace, capsys, co
     )
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("role", ["retriever", "reader", "reranker"])
+def test_cli_refuses_an_external_reference_that_is_not_callable(workspace, capsys, command, role):
+    tmp_path, corpus_path, questions_path = workspace
+    manifest = tmp_path / "models.json"
+    manifest.write_text(json.dumps({role: "external:math:pi"}))
+    argv = [command, "--corpus", str(corpus_path), "--models", str(manifest)]
+    argv += ["--question-file" if command == "run" else "--questions", str(questions_path)]
+    assert cli_error(argv, capsys) == (
+        f"iterqa {command}: external model 'math:pi' is float, not callable"
+    )
+
+
 @pytest.mark.parametrize("command", ["oracle", "traces", "bench"])
 def test_cli_reports_unknown_gold_id_before_running(workspace, capsys, command):
     tmp_path, corpus_path, questions_path = workspace
@@ -556,6 +569,27 @@ def test_cli_synth_refuses_counts_that_make_no_benchmark(tmp_path, capsys, per_h
         f"got per hop [{', '.join(per_hop)}] and distractors {distractors}"
     )
     assert not corpus_out.exists() and not questions_out.exists()
+
+
+def test_cli_synth_refuses_counts_that_need_more_names_than_it_can_make(tmp_path, capsys):
+    corpus_out, questions_out = tmp_path / "corpus.jsonl", tmp_path / "questions.jsonl"
+    # The default 300 questions name 900 titles and answers; 7,220 names exist.
+    message = cli_error([
+        "synth", "--corpus-out", str(corpus_out), "--questions-out", str(questions_out),
+        "--distractors", "6321",
+    ], capsys)
+    assert message == (
+        "iterqa synth: per hop [100, 100, 100] and distractors 6321 need 7221 distinct "
+        "names, more than the 7220 the generator can make"
+    )
+    assert not corpus_out.exists() and not questions_out.exists()
+    # At the capacity it still finishes: 7,219 distinct titles and one answer.
+    assert main([
+        "synth", "--corpus-out", str(corpus_out), "--questions-out", str(questions_out),
+        "--per-hop", "0", "0", "1", "--distractors", "7216",
+    ]) == 0
+    titles = {r["title"] for r in read_jsonl(corpus_out)}
+    assert len(titles) == 7219
 
 
 @pytest.mark.parametrize("missing", ["corpus", "questions"])
