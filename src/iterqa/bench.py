@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, read_json_lines
 from .metrics import exact_match, unigram_f1
 from .models import ModelBundle
 from .pipeline import (
@@ -29,75 +29,62 @@ def load_examples(path) -> list[QuestionExample]:
     """
     examples = []
     id_lines: dict[str, int] = {}  # question id -> line it is first used on
-    with open(path, encoding="utf-8") as handle:
-        try:
-            lines = handle.readlines()
-        except UnicodeDecodeError:
-            raise QuestionsFormatError(f"questions file {path!r} is not UTF-8 text") from None
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise QuestionsFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise QuestionsFormatError(f"line {line_no}: record is not an object")
-            if "id" not in record or "question" not in record:
-                raise QuestionsFormatError(f"line {line_no}: needs id and question fields")
-            qid = record["id"]
-            if not isinstance(qid, str):
-                raise QuestionsFormatError(f"line {line_no}: id must be a string, got {qid!r}")
-            if id_lines.setdefault(qid, line_no) != line_no:
-                raise QuestionsFormatError(
-                    f"line {line_no}: id {qid!r} is already used on line {id_lines[qid]}"
-                )
-            if not isinstance(record["question"], str):
-                raise QuestionsFormatError(
-                    f"line {line_no}: question must be a string, got {record['question']!r}"
-                )
-            for name in ("answers", "gold_paragraph_ids"):
-                value = record.get(name, [])
-                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                    raise QuestionsFormatError(
-                        f"line {line_no}: {name} must be a list of strings, got {value!r}"
-                    )
-            gold_ids = tuple(record.get("gold_paragraph_ids", ()))
-            repeated = next((g for i, g in enumerate(gold_ids) if g in gold_ids[:i]), None)
-            if repeated is not None:
-                raise QuestionsFormatError(
-                    f"line {line_no}: gold paragraph {repeated!r} is listed twice"
-                )
-            fixed_steps = record.get("fixed_steps")
-            if fixed_steps is not None and (type(fixed_steps) is not int or fixed_steps < 1):
-                raise QuestionsFormatError(
-                    f"line {line_no}: fixed_steps must be null or an integer >= 1, "
-                    f"got {fixed_steps!r}"
-                )
-            dataset = record.get("dataset", "")
-            if not isinstance(dataset, str):
-                raise QuestionsFormatError(
-                    f"line {line_no}: dataset must be a string, got {dataset!r}"
-                )
-            answers = tuple(record.get("answers", ()))
-            kind = record.get("answer_kind")
-            if kind is None:
-                kind = answers[0] if tuple(answers) in (("yes",), ("no",)) else "span"
-            if kind not in ("span", "yes", "no"):
-                raise QuestionsFormatError(
-                    f"line {line_no}: answer_kind must be 'span', 'yes' or 'no', got {kind!r}"
-                )
-            examples.append(
-                QuestionExample(
-                    qid=qid,
-                    question=record["question"],
-                    answers=answers,
-                    gold_ids=gold_ids,
-                    answer_kind=kind,
-                    fixed_steps=fixed_steps,
-                    dataset=dataset,
-                )
+    for line_no, record in read_json_lines(path, QuestionsFormatError):
+        if not isinstance(record, dict):
+            raise QuestionsFormatError(f"line {line_no}: record is not an object")
+        if "id" not in record or "question" not in record:
+            raise QuestionsFormatError(f"line {line_no}: needs id and question fields")
+        qid = record["id"]
+        if not isinstance(qid, str):
+            raise QuestionsFormatError(f"line {line_no}: id must be a string, got {qid!r}")
+        if id_lines.setdefault(qid, line_no) != line_no:
+            raise QuestionsFormatError(
+                f"line {line_no}: id {qid!r} is already used on line {id_lines[qid]}"
             )
+        if not isinstance(record["question"], str):
+            raise QuestionsFormatError(
+                f"line {line_no}: question must be a string, got {record['question']!r}"
+            )
+        for name in ("answers", "gold_paragraph_ids"):
+            value = record.get(name, [])
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise QuestionsFormatError(
+                    f"line {line_no}: {name} must be a list of strings, got {value!r}"
+                )
+        gold_ids = tuple(record.get("gold_paragraph_ids", ()))
+        repeated = next((g for i, g in enumerate(gold_ids) if g in gold_ids[:i]), None)
+        if repeated is not None:
+            raise QuestionsFormatError(
+                f"line {line_no}: gold paragraph {repeated!r} is listed twice"
+            )
+        fixed_steps = record.get("fixed_steps")
+        if fixed_steps is not None and (type(fixed_steps) is not int or fixed_steps < 1):
+            raise QuestionsFormatError(
+                f"line {line_no}: fixed_steps must be null or an integer >= 1, "
+                f"got {fixed_steps!r}"
+            )
+        dataset = record.get("dataset", "")
+        if not isinstance(dataset, str):
+            raise QuestionsFormatError(f"line {line_no}: dataset must be a string, got {dataset!r}")
+        answers = tuple(record.get("answers", ()))
+        kind = record.get("answer_kind")
+        if kind is None:
+            kind = answers[0] if tuple(answers) in (("yes",), ("no",)) else "span"
+        if kind not in ("span", "yes", "no"):
+            raise QuestionsFormatError(
+                f"line {line_no}: answer_kind must be 'span', 'yes' or 'no', got {kind!r}"
+            )
+        examples.append(
+            QuestionExample(
+                qid=qid,
+                question=record["question"],
+                answers=answers,
+                gold_ids=gold_ids,
+                answer_kind=kind,
+                fixed_steps=fixed_steps,
+                dataset=dataset,
+            )
+        )
     return examples
 
 
@@ -165,6 +152,11 @@ def grid_configs(
     return docs_configs, [replace(config, fixed_steps=k) for k in fixed_k_grid]
 
 
+def question_config(config: PipelineConfig, example: QuestionExample) -> PipelineConfig:
+    """``config`` as it applies to ``example``: its own ``fixed_steps`` overrides the stop rule."""
+    return replace(config, fixed_steps=example.fixed_steps or config.fixed_steps)
+
+
 def _retrieving_once_per_path(models: ModelBundle) -> ModelBundle:
     """``models`` with the retriever called once per path (its step ids): a
     question's trajectories share paths, and the roles are pure. An iterator
@@ -222,9 +214,7 @@ def run_benchmark(
     fixed_scores: list[list[tuple[float | None, float | None]]] = [[] for _ in fixed_k_grid]
     for example in examples:
         models = _retrieving_once_per_path(factory(example))
-        policies = [config, *fixed_configs]
-        if example.fixed_steps is not None:
-            policies = [replace(config, fixed_steps=example.fixed_steps)] * len(policies)
+        policies = [question_config(policy, example) for policy in (config, *fixed_configs)]
         runs = {main_budget: run_policies(
             example.question, corpus, index, models, settings[main_budget], policies
         )}

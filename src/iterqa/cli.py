@@ -8,7 +8,8 @@ import os
 import sys
 
 from .bench import (
-    QuestionsFormatError, format_summary, grid_configs, load_examples, run_benchmark, write_reports
+    QuestionsFormatError, format_summary, grid_configs, load_examples, question_config,
+    run_benchmark, write_reports,
 )
 from .corpus import IngestError, load_corpus, map_paragraph
 from .models import ManifestError, build_model_factory, load_manifest
@@ -58,15 +59,21 @@ def _factory(args, index, corpus):
 
 def _load_corpus(path):
     """The corpus at ``path``, once it holds a paragraph."""
-    corpus = load_corpus(path)
+    try:
+        corpus = load_corpus(path)
+    except IngestError as exc:
+        raise IngestError(f"corpus {path!r}: {exc}") from None
     if not corpus.paragraphs:
-        raise IngestError(None, f"corpus {path!r} holds no paragraphs")
+        raise IngestError(f"corpus {path!r} holds no paragraphs")
     return corpus
 
 
 def _examples_for(path, corpus) -> list[QuestionExample]:
     """The questions in ``path``, once it holds one and every gold id is in the corpus."""
-    examples = load_examples(path)
+    try:
+        examples = load_examples(path)
+    except QuestionsFormatError as exc:
+        raise QuestionsFormatError(f"questions file {path!r}: {exc}") from None
     if not examples:
         raise QuestionsFormatError(f"questions file {path!r} holds no questions")
     for example in examples:
@@ -144,9 +151,8 @@ def cmd_run(args) -> int:
     else:
         example = QuestionExample(qid="cli", question=args.question)
     factory = _factory(args, index, corpus)
-    result = run_question(
-        example.question, corpus, index, factory(example), _pipeline_config(args)
-    )
+    config = question_config(_pipeline_config(args), example)
+    result = run_question(example.question, corpus, index, factory(example), config)
     for i, outcome in enumerate(result.steps, start=1):
         record = step_log_record(outcome)
         record["step"] = i

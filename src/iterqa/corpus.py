@@ -1,8 +1,9 @@
 """Paragraph-granular corpus: tokenization, ingestion, cross-version mapping.
 
-The tokenizer defined here is the single normalization used everywhere in
-the package (indexing, span overlap detection, token-level metrics), so
-term identity is consistent across modules.
+The tokenizer defined here is the normalization of indexing, queries and
+span overlap detection, so term identity is consistent across them (answer
+metrics use ``metrics.normalize_answer``, which also drops articles and all
+punctuation). ``read_json_lines`` reads every input file.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 # A paragraph maps onto a newer corpus version when the best 1-2 paragraph
 # window recovers more than 66% of its unigrams, or a common subsequence
@@ -78,64 +79,70 @@ class Corpus:
     articles: dict[str, Article]
 
 
-class IngestError(ValueError):
-    """A corpus input could not be ingested; carries the line at fault, if one is."""
+def read_json_lines(path, error: type[Exception]) -> Iterator[tuple[int, object]]:
+    """(line number, JSON value) for each non-blank line of ``path``. Each line is
+    decoded on its own, so one that is not UTF-8 text or not JSON raises
+    ``error("line N: ...")``."""
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            try:
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                value = json.loads(text)
+            except UnicodeDecodeError:
+                raise error(f"line {line_no}: not UTF-8 text") from None
+            except json.JSONDecodeError as exc:
+                raise error(f"line {line_no}: invalid JSON ({exc.msg})") from None
+            yield line_no, value
 
-    def __init__(self, line_no: int | None, message: str):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
+
+class IngestError(ValueError):
+    """A corpus input could not be ingested."""
 
 
 _REQUIRED_FIELDS = ("article_id", "title", "order", "text")
 
 
-def _parse_record(line_no: int, line: str) -> dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise IngestError(line_no, f"invalid JSON ({exc.msg})") from exc
+def _check_record(line_no: int, record) -> None:
     if not isinstance(record, dict):
-        raise IngestError(line_no, "record is not an object")
+        raise IngestError(f"line {line_no}: record is not an object")
     for name in _REQUIRED_FIELDS:
         if name not in record:
-            raise IngestError(line_no, f"missing field {name!r}")
+            raise IngestError(f"line {line_no}: missing field {name!r}")
     if not isinstance(record["article_id"], str) or not record["article_id"]:
-        raise IngestError(line_no, "article_id must be a non-empty string")
+        raise IngestError(f"line {line_no}: article_id must be a non-empty string")
     if not isinstance(record["title"], str):
-        raise IngestError(line_no, "title must be a string")
+        raise IngestError(f"line {line_no}: title must be a string")
     if not isinstance(record["order"], int) or isinstance(record["order"], bool) or record["order"] < 0:
-        raise IngestError(line_no, "order must be an integer >= 0")
+        raise IngestError(f"line {line_no}: order must be an integer >= 0")
     if not isinstance(record["text"], str):
-        raise IngestError(line_no, "text must be a string")
-    return record
+        raise IngestError(f"line {line_no}: text must be a string")
 
 
-def ingest_corpus(source: Iterable[str]) -> Corpus:
-    """Build a Corpus from UTF-8 line-delimited JSON records.
+def ingest_corpus(records: Iterable[tuple[int, object]]) -> Corpus:
+    """Build a Corpus from (line number, record) pairs.
 
-    Each line is an object with fields article_id, title, order, text.
+    Each record is an object with fields article_id, title, order, text.
     Paragraph ids are assigned as ``"article_id#order"``. Every paragraph
-    of an article carries the article's title. Blank lines are skipped; any
-    malformed or duplicate record, or a title that differs from its
-    article's earlier records, raises IngestError with its line number.
+    of an article carries the article's title. Any malformed or duplicate
+    record, or a title that differs from its article's earlier records,
+    raises IngestError with its line number.
     """
     by_article: dict[str, dict[int, dict]] = {}
-    for line_no, line in enumerate(source, start=1):
-        if not line.strip():
-            continue
-        record = _parse_record(line_no, line)
+    for line_no, record in records:
+        _check_record(line_no, record)
         orders = by_article.setdefault(record["article_id"], {})
         if record["order"] in orders:
             raise IngestError(
-                line_no,
-                f"duplicate (article_id, order) = ({record['article_id']!r}, {record['order']})",
+                f"line {line_no}: duplicate (article_id, order) = "
+                f"({record['article_id']!r}, {record['order']})"
             )
         first = next(iter(orders.values()), record)
         if record["title"] != first["title"]:
             raise IngestError(
-                line_no,
-                f"title {record['title']!r} differs from {first['title']!r}, "
-                f"the title of article {record['article_id']!r}",
+                f"line {line_no}: title {record['title']!r} differs from {first['title']!r}, "
+                f"the title of article {record['article_id']!r}"
             )
         orders[record["order"]] = record
 
@@ -162,12 +169,8 @@ def ingest_corpus(source: Iterable[str]) -> Corpus:
 
 
 def load_corpus(path) -> Corpus:
-    """Ingest a corpus from a file path; a file that is not UTF-8 raises IngestError."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return ingest_corpus(handle)
-        except UnicodeDecodeError:
-            raise IngestError(None, f"corpus {path!r} is not UTF-8 text") from None
+    """Ingest the JSON-lines corpus file at ``path``; blank lines are skipped."""
+    return ingest_corpus(read_json_lines(path, IngestError))
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,8 @@ build_index and load_index both feed (paragraph id, article id, term
 counts) records into ``_make_index``. An index file is a JSON header
 (magic, format version, the four constants, ``n_para``), then one line per
 paragraph in id order, ``["<paragraph id>", "<article id>", {"<term>": tf, ...}]``
-with sorted terms. No line refers to another, and a file with other than
-``n_para`` paragraph lines is refused.
+with sorted terms. No line refers to another. Blank lines are skipped, and
+a file with other than ``n_para`` paragraph lines is refused.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, filterfalse, islice
 from operator import countOf
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, read_json_lines
 
 # Scoring constants. Persisted indexes record them; loading an index built
 # with different constants is an error.
@@ -565,39 +565,27 @@ def save_index(index: InvertedIndex, path) -> None:
 
 def load_index(path) -> InvertedIndex:
     """Load a persisted index, refusing headers with mismatched constants."""
-    with open(path, "rb") as handle:  # lines are decoded one at a time, to name a bad one
-        try:
-            header = json.loads(handle.readline().decode("utf-8"))
-        except UnicodeDecodeError:
-            raise IndexFormatError("index header is not UTF-8 text") from None
-        except json.JSONDecodeError as exc:
-            raise IndexFormatError(f"unreadable index header: {exc.msg}") from exc
-        if not isinstance(header, dict) or header.get("magic") != INDEX_MAGIC:
-            raise IndexFormatError("not an index file (bad magic)")
-        if header.get("format_version") != INDEX_FORMAT_VERSION:
-            raise IndexFormatError(f"unsupported index format version {header.get('format_version')!r}")
-        for name, value in _CONSTANTS.items():
-            if header.get(name) != value:
-                raise IndexFormatError(
-                    f"index was built with {name}={header.get(name)!r}, this build uses {value!r}"
-                )
-        n_para = header.get("n_para")
-        if type(n_para) is not int or n_para < 1:
-            raise IndexFormatError(f"index header has n_para={n_para!r}, not an integer >= 1")
-        return _make_index(_records(handle, n_para))
+    lines = read_json_lines(path, IndexFormatError)
+    _, header = next(lines, (None, None))
+    if not isinstance(header, dict) or header.get("magic") != INDEX_MAGIC:
+        raise IndexFormatError("not an index file (bad magic)")
+    if header.get("format_version") != INDEX_FORMAT_VERSION:
+        raise IndexFormatError(f"unsupported index format version {header.get('format_version')!r}")
+    for name, value in _CONSTANTS.items():
+        if header.get(name) != value:
+            raise IndexFormatError(
+                f"index was built with {name}={header.get(name)!r}, this build uses {value!r}"
+            )
+    n_para = header.get("n_para")
+    if type(n_para) is not int or n_para < 1:
+        raise IndexFormatError(f"index header has n_para={n_para!r}, not an integer >= 1")
+    return _make_index(_records(lines, n_para))
 
 
-def _records(handle, n_para: int):
-    """The paragraph lines of an index file, read as bytes, as (id, article id,
-    term counts), checked."""
+def _records(lines: Iterator[tuple[int, object]], n_para: int):
+    """The paragraph lines of an index file as (id, article id, term counts), checked."""
     seen: set[str] = set()
-    for line_no, line in enumerate(handle, start=2):
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise IndexFormatError(f"line {line_no}: record is not UTF-8 text") from None
-        except json.JSONDecodeError as exc:
-            raise IndexFormatError(f"line {line_no}: unreadable record ({exc.msg})") from None
+    for line_no, record in lines:
         if type(record) is not list or list(map(type, record)) != [str, str, dict]:
             raise IndexFormatError(
                 f"line {line_no}: record is not [paragraph id, article id, {{term: tf}}]"

@@ -148,7 +148,7 @@ def make_chain_benchmark(
                 {"article_id": article_id, "title": title.title(), "order": order, "text": text}
             )
 
-    corpus = ingest_corpus(json.dumps(r) for r in records)
+    corpus = ingest_corpus(enumerate(records, start=1))
     return SyntheticBenchmark(
         corpus=corpus, examples=tuple(examples), corpus_records=tuple(records)
     )

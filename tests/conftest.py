@@ -14,7 +14,6 @@ but the model roles.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from collections import Counter
@@ -343,6 +342,11 @@ def random_chain_example(rng: random.Random, corpus: Corpus, qid: str) -> Questi
 # Corpus and query generators
 # ---------------------------------------------------------------------------
 
+def corpus_from(records) -> Corpus:
+    """The corpus of ``records``, numbered from line 1 as in a file."""
+    return ingest_corpus(enumerate(records, start=1))
+
+
 def zipf_vocab(size: int) -> tuple[list[str], list[float]]:
     words = [f"w{i:03d}" for i in range(size)]
     weights = [1.0 / (i + 1) for i in range(size)]
@@ -372,7 +376,7 @@ def make_random_corpus(
             )
     if shuffled:
         rng.shuffle(records)
-    return ingest_corpus(json.dumps(r) for r in records)
+    return corpus_from(records)
 
 
 def make_random_query(rng: random.Random, vocab_size: int = 300) -> list[str]:
@@ -420,7 +424,7 @@ TINY_CORPUS_RECORDS = [
 
 @pytest.fixture()
 def tiny_corpus() -> Corpus:
-    return ingest_corpus(json.dumps(r) for r in TINY_CORPUS_RECORDS)
+    return corpus_from(TINY_CORPUS_RECORDS)
 
 
 @pytest.fixture()

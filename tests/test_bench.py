@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import BruteForceScorer, reference_bench
+from conftest import BruteForceScorer, corpus_from, reference_bench
 import iterqa.bench as bench
 from iterqa.bench import (
     QuestionsFormatError,
@@ -13,14 +13,9 @@ from iterqa.bench import (
     run_benchmark,
     write_reports,
 )
-from iterqa.corpus import ingest_corpus
 from iterqa.models import build_model_factory
 from iterqa.pipeline import ConfigError, PipelineConfig, QuestionExample
 from iterqa.search import build_index
-
-
-def corpus_from(records):
-    return ingest_corpus(json.dumps(r) for r in records)
 
 
 BENCH_RECORDS = [

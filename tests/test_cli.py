@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from iterqa.cli import build_parser, main
+from iterqa.synth import write_benchmark
 
 
 @pytest.fixture()
@@ -171,6 +172,28 @@ def test_cli_run_single_question(workspace, capsys):
     assert steps and steps[0]["query"]
 
 
+def test_cli_run_and_bench_agree_on_a_questions_fixed_steps(chain_benchmark, tmp_path, capsys):
+    # q0101 is a two-hop question that both commands answer at step 2 when
+    # free to stop; its own fixed_steps must force the answer at step 1 in each.
+    corpus_path, questions_path = tmp_path / "corpus.jsonl", tmp_path / "questions.jsonl"
+    write_benchmark(chain_benchmark, corpus_path, questions_path)
+    record = next(r for r in read_jsonl(questions_path) if r["id"] == "q0101")
+    one = tmp_path / "one.jsonl"
+    one.write_text(json.dumps({**record, "fixed_steps": 1}) + "\n")
+    assert main(["run", "--corpus", str(corpus_path), "--question-file", str(one)]) == 0
+    captured = capsys.readouterr()
+    steps = [json.loads(line) for line in captured.out.splitlines()]
+    answer = re.fullmatch(r"answer: '(.*)' \(answerability \S+, (\d+) steps\)\n", captured.err)
+    report_dir = tmp_path / "reports"
+    assert main([
+        "bench", "--corpus", str(corpus_path), "--questions", str(one),
+        "--report-dir", str(report_dir),
+    ]) == 0
+    [row] = read_jsonl(report_dir / "per_question.jsonl")
+    assert (row["prediction"], row["steps_used"], row["em"]) == (answer[1], 1, 0.0)
+    assert len(steps) == int(answer[2]) == 1
+
+
 def test_cli_run_with_baseline_manifest(workspace, tmp_path, capsys):
     _, corpus_path, _ = workspace
     manifest = tmp_path / "models.json"
@@ -260,7 +283,7 @@ def test_cli_reports_bad_corpus_line(tmp_path, capsys):
     message = cli_error(
         ["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "i.jsonl")], capsys
     )
-    assert message == "iterqa index: line 1: missing field 'text'"
+    assert message == f"iterqa index: corpus {str(corpus_path)!r}: line 1: missing field 'text'"
 
 
 def test_cli_reports_bad_question_record(workspace, capsys):
@@ -270,7 +293,9 @@ def test_cli_reports_bad_question_record(workspace, capsys):
     message = cli_error([
         "oracle", "--corpus", str(corpus_path), "--questions", str(questions_path),
     ], capsys)
-    assert message == "iterqa oracle: line 1: record is not an object"
+    assert message == (
+        f"iterqa oracle: questions file {str(questions_path)!r}: line 1: record is not an object"
+    )
 
 
 def test_cli_refuses_an_article_whose_paragraphs_disagree_on_its_title(tmp_path, capsys):
@@ -282,7 +307,10 @@ def test_cli_refuses_an_article_whose_paragraphs_disagree_on_its_title(tmp_path,
     message = cli_error(
         ["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "index.jsonl")], capsys
     )
-    assert message == "iterqa index: line 2: title 'U' differs from 'T', the title of article 'a'"
+    assert message == (
+        f"iterqa index: corpus {str(corpus_path)!r}: "
+        "line 2: title 'U' differs from 'T', the title of article 'a'"
+    )
 
 
 def test_cli_reports_bad_manifest(workspace, capsys):
@@ -429,7 +457,8 @@ def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
         "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
     ], capsys)
     assert message == (
-        "iterqa bench: line 4: fixed_steps must be null or an integer >= 1, got 0"
+        f"iterqa bench: questions file {str(questions_path)!r}: "
+        "line 4: fixed_steps must be null or an integer >= 1, got 0"
     )
 
 
@@ -453,7 +482,7 @@ def test_cli_reports_bad_question_field(workspace, capsys, field, value, expecte
     message = cli_error([
         "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
     ], capsys)
-    assert message == f"iterqa bench: line 3: {expected}"
+    assert message == f"iterqa bench: questions file {str(questions_path)!r}: line 3: {expected}"
 
 
 def test_cli_reports_duplicate_question_id(workspace, capsys):
@@ -464,7 +493,10 @@ def test_cli_reports_duplicate_question_id(workspace, capsys):
     message = cli_error([
         "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
     ], capsys)
-    assert message == f"iterqa bench: line 5: id {records[1]['id']!r} is already used on line 2"
+    assert message == (
+        f"iterqa bench: questions file {str(questions_path)!r}: "
+        f"line 5: id {records[1]['id']!r} is already used on line 2"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--corpus", "--questions", "--models"])
@@ -480,10 +512,12 @@ def test_cli_reports_missing_input_file(workspace, capsys, flag):
     assert message.startswith("iterqa bench: ") and str(missing) in message
 
 
-@pytest.mark.parametrize("flag, kind", [
-    ("--corpus", "corpus"), ("--questions", "questions file"), ("--models", "manifest")
+@pytest.mark.parametrize("flag, kind, fault", [
+    ("--corpus", "corpus", ": line 1: not UTF-8 text"),
+    ("--questions", "questions file", ": line 1: not UTF-8 text"),
+    ("--models", "manifest", " is not UTF-8 text"),
 ], ids=["corpus", "questions", "manifest"])
-def test_cli_refuses_an_input_that_is_not_utf8(workspace, capsys, flag, kind):
+def test_cli_refuses_an_input_that_is_not_utf8(workspace, capsys, flag, kind, fault):
     tmp_path, corpus_path, questions_path = workspace
     manifest_path = tmp_path / "models.json"
     manifest_path.write_text(json.dumps({"retriever": "baseline"}))
@@ -492,7 +526,7 @@ def test_cli_refuses_an_input_that_is_not_utf8(workspace, capsys, flag, kind):
     paths[flag].write_bytes(paths[flag].read_bytes().replace(b'": "', b'": "\xe9', 1))
     argv = ["bench"] + [part for name, path in paths.items() for part in (name, str(path))]
     message = cli_error(argv, capsys)
-    assert message == f"iterqa bench: {kind} {str(paths[flag])!r} is not UTF-8 text"
+    assert message == f"iterqa bench: {kind} {str(paths[flag])!r}{fault}"
 
 
 def empty_input_argv(command, tmp_path, corpus_path, questions_path):
@@ -549,7 +583,10 @@ def test_cli_refuses_a_repeated_gold_id(workspace, capsys, command):
     records[0]["gold_paragraph_ids"] = [gold_id, gold_id]
     questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
     message = cli_error(empty_input_argv(command, tmp_path, corpus_path, questions_path), capsys)
-    assert message == f"iterqa {command}: line 1: gold paragraph {gold_id!r} is listed twice"
+    assert message == (
+        f"iterqa {command}: questions file {str(questions_path)!r}: "
+        f"line 1: gold paragraph {gold_id!r} is listed twice"
+    )
     assert not (tmp_path / "out.jsonl").exists()
 
 

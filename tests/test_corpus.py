@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iterqa.corpus import (
-    IngestError,
-    ingest_corpus,
-    map_paragraph,
-    tokenize,
-)
+from conftest import TINY_CORPUS_RECORDS, corpus_from
+from iterqa.bench import QuestionsFormatError, load_examples
+from iterqa.corpus import IngestError, load_corpus, map_paragraph, tokenize
+from iterqa.search import IndexFormatError, build_index, load_index, save_index
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +97,11 @@ def test_no_code_point_is_alphanumeric_punctuation():
 # ingest_corpus
 # ---------------------------------------------------------------------------
 
-def lines(records):
-    return [json.dumps(r) for r in records]
-
-
 def test_ingest_counts():
-    corpus = ingest_corpus(lines([
+    corpus = corpus_from([
         {"article_id": "a", "title": "A", "order": 0, "text": "one two"},
         {"article_id": "a", "title": "A", "order": 1, "text": "three"},
-    ]))
+    ])
     assert len(corpus.paragraphs) == 2
     assert len(corpus.articles) == 1
     assert set(corpus.paragraphs) == {"a#0", "a#1"}
@@ -115,10 +109,10 @@ def test_ingest_counts():
 
 def test_ingest_missing_title_reports_line():
     with pytest.raises(IngestError, match="line 2"):
-        ingest_corpus(lines([
+        corpus_from([
             {"article_id": "a", "title": "A", "order": 0, "text": "x"},
             {"article_id": "a", "order": 1, "text": "y"},
-        ]))
+        ])
 
 
 def test_ingest_refuses_a_title_that_differs_from_its_articles():
@@ -130,37 +124,32 @@ def test_ingest_refuses_a_title_that_differs_from_its_articles():
     ]
     with pytest.raises(IngestError, match="^line 4: title 'U' differs from 'T', "
                                           "the title of article 'a'$"):
-        ingest_corpus(lines(records))
+        corpus_from(records)
     records[3]["title"] = "T"
-    corpus = ingest_corpus(lines(records))
+    corpus = corpus_from(records)
     assert {p.title for p in corpus.paragraphs.values()} == {"B", "T"}
     assert corpus.articles["a"].title == "T"
 
 
 def test_ingest_duplicate_order_rejected():
     with pytest.raises(IngestError, match="duplicate"):
-        ingest_corpus(lines([
+        corpus_from([
             {"article_id": "a", "title": "A", "order": 0, "text": "x"},
             {"article_id": "a", "title": "A", "order": 0, "text": "y"},
-        ]))
-
-
-def test_ingest_invalid_json_reports_line():
-    with pytest.raises(IngestError, match="line 1"):
-        ingest_corpus(["{not json"])
+        ])
 
 
 def test_ingest_negative_order_rejected():
     with pytest.raises(IngestError):
-        ingest_corpus(lines([{"article_id": "a", "title": "A", "order": -1, "text": "x"}]))
+        corpus_from([{"article_id": "a", "title": "A", "order": -1, "text": "x"}])
 
 
 def test_article_tokens_concatenate_members():
-    corpus = ingest_corpus(lines([
+    corpus = corpus_from([
         {"article_id": "a", "title": "A", "order": 1, "text": "Three four."},
         {"article_id": "a", "title": "A", "order": 0, "text": "One two"},
         {"article_id": "b", "title": "B", "order": 0, "text": "five"},
-    ]))
+    ])
     article = corpus.articles["a"]
     assert [p.id for p in article.paragraphs] == ["a#0", "a#1"]
     expected = tokenize("One two") + tokenize("Three four.")
@@ -169,23 +158,76 @@ def test_article_tokens_concatenate_members():
 
 
 def test_paragraph_tokens_match_retokenization():
-    corpus = ingest_corpus(lines([
+    corpus = corpus_from([
         {"article_id": "a", "title": "A", "order": 0, "text": "The Great Gatsby (1925)."},
-    ]))
+    ])
     para = corpus.paragraphs["a#0"]
     assert list(para.tokens) == tokenize(para.text)
 
 
 def test_ingest_shares_one_string_per_word():
-    corpus = ingest_corpus(lines([
+    corpus = corpus_from([
         {"article_id": "a", "title": "A", "order": 0, "text": "Gatsby waits in West Egg."},
         {"article_id": "b", "title": "B", "order": 0, "text": "Nick visits gatsby there"},
-    ]))
+    ])
     first, second = corpus.paragraphs["a#0"], corpus.paragraphs["b#0"]
     assert first.tokens[0] == second.tokens[2] == "gatsby"
     assert first.tokens[0] is second.tokens[2]
     for para in (first, second):
         assert list(para.tokens) == tokenize(para.text)
+
+
+# ---------------------------------------------------------------------------
+# read_json_lines, through each loader of an input file
+# ---------------------------------------------------------------------------
+
+def corpus_lines(path):
+    return [json.dumps(r) for r in TINY_CORPUS_RECORDS]
+
+
+def question_lines(path):
+    return [json.dumps({"id": f"q{i}", "question": f"question {i}"}) for i in range(4)]
+
+
+def index_lines(path):
+    save_index(build_index(corpus_from(TINY_CORPUS_RECORDS)), path)
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+LOADERS = {
+    "corpus": (corpus_lines, load_corpus, IngestError),
+    "questions": (question_lines, load_examples, QuestionsFormatError),
+    "index": (index_lines, load_index, IndexFormatError),
+}
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_loaders_skip_blank_lines(tmp_path, kind):
+    make_lines, load, _ = LOADERS[kind]
+    path = tmp_path / "input.jsonl"
+    lines = make_lines(path)
+    path.write_text("".join(line + "\n" for line in lines))
+    expected = load(path)
+    spaced = ["", *lines[:2], " \t", "\r", *lines[2:], ""]
+    path.write_text("".join(line + "\n" for line in spaced))
+    assert load(path) == expected
+
+
+@pytest.mark.parametrize("fault, message", [
+    # A Latin-1 e-acute opens the line's first string: valid JSON, but not UTF-8.
+    (lambda line: line.replace(b'"', b'"\xe9', 1), "not UTF-8 text"),
+    (lambda line: b"{not json", "invalid JSON \\(Expecting property name .*\\)"),
+], ids=["not-utf8", "invalid-json"])
+@pytest.mark.parametrize("kind", LOADERS)
+def test_loaders_name_a_bad_line(tmp_path, kind, fault, message):
+    make_lines, load, error = LOADERS[kind]
+    path = tmp_path / "input.jsonl"
+    lines = [line.encode() for line in make_lines(path)]
+    lines[2] = fault(lines[2])
+    path.write_bytes(b"\n".join([lines[0], b"", *lines[1:]]) + b"\n")  # line 4 is lines[2]
+    with pytest.raises(error, match=f"^line 4: {message}$") as info:
+        load(path)
+    assert "\n" not in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +241,7 @@ def corpus_of(texts_by_article):
             records.append(
                 {"article_id": article_id, "title": article_id, "order": order, "text": text}
             )
-    return ingest_corpus(lines(records))
+    return corpus_from(records)
 
 
 def test_map_identity_matches_fully():

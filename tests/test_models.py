@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import random
@@ -7,7 +6,8 @@ import sys
 
 import pytest
 
-from iterqa.corpus import ingest_corpus, tokenize
+from conftest import corpus_from
+from iterqa.corpus import tokenize
 from iterqa.models import (
     CLS,
     CONT,
@@ -33,10 +33,6 @@ from iterqa.models import (
 from iterqa.pipeline import QuestionExample, initial_path
 from iterqa.search import build_index, idf_paragraph
 from iterqa.synth import make_chain_benchmark
-
-
-def corpus_from(records):
-    return ingest_corpus(json.dumps(r) for r in records)
 
 
 FIXTURE_RECORDS = [

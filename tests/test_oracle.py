@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingRank, exhaustive_best_rank, make_random_corpus, oracle_ranks
-from iterqa.corpus import ingest_corpus
+from conftest import (
+    CountingRank, corpus_from, exhaustive_best_rank, make_random_corpus, oracle_ranks
+)
 from iterqa.oracle import (
     OracleQuery,
     UntrainableExample,
@@ -18,10 +19,6 @@ from iterqa.oracle import (
 )
 from iterqa.search import build_index, rank_of, search_topk
 from test_search import GENERATED_ARTICLES, generated_corpus
-
-
-def corpus_from(records):
-    return ingest_corpus(json.dumps(r) for r in records)
 
 
 def make_target(text, corpus=None):

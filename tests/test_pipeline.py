@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from iterqa.corpus import ingest_corpus
+from conftest import corpus_from
 from iterqa.metrics import normalize_answer
 from iterqa.models import (
     NO, NOANSWER, SPAN, YES, GoldReader, LexicalReranker, ModelBundle, OracleRetriever,
@@ -28,10 +28,6 @@ from iterqa.pipeline import (
     trace_record,
 )
 from iterqa.search import SearchHit, build_index
-
-
-def corpus_from(records):
-    return ingest_corpus(json.dumps(r) for r in records)
 
 
 TOAD_RECORDS = [

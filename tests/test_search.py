@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BruteForceScorer, article_level, make_random_corpus, make_random_query
+from conftest import (
+    BruteForceScorer, article_level, corpus_from, make_random_corpus, make_random_query
+)
 import iterqa.search as search
-from iterqa.corpus import ingest_corpus
 from iterqa.search import (
     IndexFormatError,
     SearchHit,
@@ -30,10 +31,6 @@ from iterqa.search import (
     save_index,
     search_topk,
 )
-
-
-def corpus_from(records):
-    return ingest_corpus(json.dumps(r) for r in records)
 
 
 def single_para_corpus(text="a b a"):
@@ -1402,7 +1399,7 @@ def with_tf(tf):
 
 
 @pytest.mark.parametrize("rewrite, message", [
-    (with_record(lambda record: json.dumps(record)[:-5]), "line 2: unreadable record"),
+    (with_record(lambda record: json.dumps(record)[:-5]), "line 2: invalid JSON"),
     (with_record(lambda record: json.dumps(dict(enumerate(record)))),
      "line 2: record is not \\[paragraph id, article id, {term: tf}\\]"),
     (with_record(lambda record: json.dumps(record[:2])), "line 2: record is not \\["),
@@ -1414,9 +1411,11 @@ def with_tf(tf):
     (with_tf(True), "line 2: term '\\w+' has a term frequency that is not an integer >= 1 \\(True\\)"),
     (lambda lines: lines[:2] + lines[1:], "line 3: paragraph '[^']+' appears twice"),
     (lambda lines: lines[:-1], "index file has \\d+ paragraph records, not the \\d+ its header names"),
-    (lambda lines: lines[:-1] + [lines[-1][:9]], "line \\d+: unreadable record"),
+    (lambda lines: lines[:1] + ["\n"] + lines[2:],
+     "index file has \\d+ paragraph records, not the \\d+ its header names"),
+    (lambda lines: lines[:-1] + [lines[-1][:9]], "line \\d+: invalid JSON"),
 ], ids=["unreadable", "object", "two-items", "id-not-a-string", "tf-0", "tf-negative", "tf-string",
-        "tf-float", "tf-bool", "duplicate-id", "truncated", "cut-mid-line"])
+        "tf-float", "tf-bool", "duplicate-id", "truncated", "blank-record", "cut-mid-line"])
 def test_load_rejects_malformed_records(tmp_path, rewrite, message):
     path = tmp_path / "index.jsonl"
     path.write_text("".join(rewrite(saved_lines(path))))
@@ -1435,7 +1434,7 @@ def with_header(**changes):
 
 
 @pytest.mark.parametrize("rewrite, message", [
-    (lambda lines: [lines[0][:-5] + "\n"] + lines[1:], "unreadable index header"),
+    (lambda lines: [lines[0][:-5] + "\n"] + lines[1:], "line 1: invalid JSON"),
     (with_header(format_version=1), "unsupported index format version 1"),
     (with_header(n_para=0), "index header has n_para=0, not an integer >= 1"),
     (with_header(n_para="809"), "index header has n_para='809', not an integer >= 1"),
@@ -1451,8 +1450,8 @@ def test_load_rejects_bad_headers(tmp_path, rewrite, message):
 
 
 @pytest.mark.parametrize("line, message", [
-    (0, "index header is not UTF-8 text"),
-    (2, "line 3: record is not UTF-8 text"),
+    (0, "line 1: not UTF-8 text"),
+    (2, "line 3: not UTF-8 text"),
 ], ids=["header", "record"])
 def test_load_rejects_an_index_that_is_not_utf8(tmp_path, line, message):
     path = tmp_path / "index.jsonl"
