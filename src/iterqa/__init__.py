@@ -51,7 +51,6 @@ from .search import (
     SearchHit,
     build_index,
     rank_of,
-    save_index,
     search_topk,
 )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
@@ -184,11 +185,10 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Run every question, aggregate EM/F1 over the scored ones, and add the reports.
 
-    ``fixed_k_grid`` adds a dynamic-vs-fixed-steps table (a question's own
-    ``fixed_steps`` overrides K) and ``docs_grid`` a retrieval-budget-vs-F1
-    table. Each question runs one trajectory per budget class, for all the
-    stop policies read at that budget at once (``run_policies``), and every
-    row is read off those.
+    ``fixed_k_grid`` adds a dynamic-vs-fixed-steps table and ``docs_grid`` a
+    retrieval-budget-vs-F1 table (see ``question_config``). Each question
+    runs one trajectory per budget class, for all the stop policies read at
+    that budget at once (``run_policies``), and every row is read off those.
 
     A step reads the first RERANKER_CANDIDATES positive hits not on the path,
     with at most k_cap - 1 paragraphs on it, and ``search_topk(d)`` is a
@@ -197,7 +197,7 @@ def run_benchmark(
     the same way, as the largest budget: they share its trajectory, and
     budget d counts min(d, len(hits)) paragraphs per step. A budget below
     the bound runs its own. One model bundle per question serves every
-    trajectory, retrieving once per path, so the roles must be pure.
+    trajectory (see ``_retrieving_once_per_path``).
     """
     if not examples:
         raise ValueError("no questions to run")
@@ -248,8 +248,6 @@ def run_benchmark(
 
 def write_reports(report: BenchmarkReport, directory) -> None:
     """Emit per-question records (JSONL) and a human-readable summary."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "per_question.jsonl"), "w", encoding="utf-8") as out:
         for row in report.per_question:

@@ -1,4 +1,4 @@
-"""Command-line interface: index, oracle, traces, run, bench, map, synth."""
+"""Command-line interface: oracle, traces, run, bench, map, synth."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from .bench import (
     QuestionsFormatError, format_summary, grid_configs, load_examples, question_config,
     run_benchmark, write_reports,
 )
-from .corpus import IngestError, load_corpus, map_paragraph
+from .corpus import IngestError, load_corpus, map_paragraph, read_json_lines
 from .models import ManifestError, build_model_factory, load_manifest
 from .oracle import UntrainableExample, oracle_trace_record, recall_curve
 from .pipeline import (
@@ -25,7 +25,7 @@ from .pipeline import (
     trace_record,
     walk_gold_path,
 )
-from .search import build_index, save_index
+from .search import build_index
 from .synth import make_chain_benchmark, write_benchmark
 
 
@@ -79,17 +79,11 @@ def _examples_for(path, corpus) -> list[QuestionExample]:
     for example in examples:
         for gold_id in example.gold_ids:
             if gold_id not in corpus.paragraphs:
-                raise QuestionsFormatError(
-                    f"question {example.qid!r}: gold paragraph {gold_id!r} is not in the corpus"
-                )
+                line_no = next(n for n, record in read_json_lines(path, QuestionsFormatError)
+                               if record["id"] == example.qid)
+                raise QuestionsFormatError(f"questions file {path!r}: line {line_no}: "
+                                           f"gold paragraph {gold_id!r} is not in the corpus")
     return examples
-
-
-def cmd_index(args) -> int:
-    index = build_index(_load_corpus(args.corpus))
-    save_index(index, args.out)
-    print(f"indexed {index.n_para} paragraphs / {index.n_article} articles -> {args.out}")
-    return 0
 
 
 def cmd_oracle(args) -> int:
@@ -242,11 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("index", help="build and persist an inverted index")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_index)
-
     p = sub.add_parser("oracle", help="emit oracle queries along gold paths")
     p.add_argument("--corpus", required=True)
     p.add_argument("--questions", required=True)
@@ -302,7 +291,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed standard output shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # Standard output's reader is gone (`iterqa bench ... | head`): not an input
+        # fault. Devnull takes the flush at exit (Python's signal docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, IngestError, QuestionsFormatError, ManifestError, ConfigError,
             ModelOutputError) as exc:
         print(f"iterqa {args.command}: {exc}", file=sys.stderr)

@@ -177,9 +177,8 @@ def load_corpus(path) -> Corpus:
 class MappingVerdict:
     """Outcome of matching one paragraph against a candidate article.
 
-    ``matched`` is true iff unigram_recall > 0.66 or lcs_coverage > 0.50
-    (strict comparisons). ``target_paragraph_ids`` holds the 1 or 2 ids of
-    the best window when matched, and is empty otherwise.
+    ``matched`` applies the thresholds above. ``target_paragraph_ids`` holds
+    the 1 or 2 ids of the best window when matched, and is empty otherwise.
     """
 
     matched: bool

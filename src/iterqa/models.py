@@ -265,8 +265,8 @@ class OracleRetriever:
     Targets the first gold paragraph not yet on the path and builds the
     oracle query against it. Needs the question's gold paragraph ids, so it
     only exists for training-data generation and gold-annotated evaluation.
-    Falls back to the lexical baseline when the gold set is exhausted or
-    shares no token with the path.
+    Falls back to ``fallback``, the lexical baseline in every manifest, when
+    the gold set is exhausted or shares no token with the path.
     """
 
     def __init__(
@@ -274,12 +274,12 @@ class OracleRetriever:
         index: InvertedIndex,
         corpus: Corpus,
         gold_ids: Sequence[str],
-        fallback: Callable[[ReasoningPath], list[str]] | None = None,
+        fallback: Callable[[ReasoningPath], list[str]],
     ):
         self.index = index
         self.corpus = corpus
         self.gold_ids = tuple(gold_ids)
-        self.fallback = fallback if fallback is not None else LexicalRetriever(index)
+        self.fallback = fallback
 
     def __call__(self, path: ReasoningPath) -> list[str]:
         on_path = set(path.step_ids())
@@ -376,7 +376,7 @@ _DEFAULT_ROLES = {"retriever": "oracle", "reader": "gold", "reranker": "baseline
 
 def _external_role(role: str, make: Callable, index: InvertedIndex, corpus: Corpus, example):
     """The role callable an external constructor returns for ``example``, refused
-    when it is not callable."""
+    (ManifestError, before the role is first called) when it is not callable."""
     model = make(example, index, corpus)
     if not callable(model):
         raise ManifestError(
@@ -393,16 +393,12 @@ def build_model_factory(
 
     Manifest keys: ``retriever`` ("baseline", "oracle", or
     "external:module:attr"), ``reader`` ("gold" or external), ``reranker``
-    ("baseline" or external); any other key is refused. A missing role
-    takes its default, so ``{}`` is the oracle retriever, the gold reader
-    and the baseline reranker. External attributes must be callable; they
-    are called with (example, index, corpus) and must return the role
-    callable; one that returns anything else raises ManifestError for that
-    question, before the role is first called. Built-in roles are not
-    checked. Gold-aware roles read ``gold_ids``, ``answers``, and
-    ``answer_kind`` off the example passed to the factory. Every role is
-    resolved here, so a bad manifest raises ManifestError before any
-    question runs.
+    ("baseline" or external); any other key is refused, and a missing one
+    takes its ``_DEFAULT_ROLES`` name. An external attribute must be
+    callable, and is called with (example, index, corpus) for the role
+    callable (see ``_external_role``). Gold-aware roles read ``gold_ids``,
+    ``answers`` and ``answer_kind`` off the example. Every role is resolved
+    here, so a bad manifest raises ManifestError before any question runs.
     """
     unknown = sorted(manifest.keys() - _DEFAULT_ROLES.keys())
     if unknown:

@@ -3,8 +3,7 @@
 Given a reasoning path and the gold target paragraph, find the maximal
 token spans the two share, estimate each span's importance from two search
 ranks, and greedily assemble a query that pushes the target as high as
-possible in the ranking - in a number of rank evaluations linear in the
-span count, instead of enumerating all 2^N span subsets.
+possible in the ranking, in at most 3N+1 rank evaluations, not all 2^N subsets.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ class UntrainableExample(ValueError):
 class OverlapSpan:
     """A maximal contiguous token run common to the path and the target.
 
-    Extending the run by one token on either side breaks the match.
     ``importance`` is filled in by build_oracle_query: the target's rank
     under every other span minus its rank under this span alone.
     """
@@ -36,7 +34,6 @@ class OverlapSpan:
 
 @dataclass(frozen=True)
 class OracleQuery:
-    spans_included: tuple[OverlapSpan, ...]
     terms: tuple[str, ...]
     achieved_rank: int
     # Every extracted span, in path order, with its importance filled in.
@@ -47,10 +44,8 @@ def extract_overlap_spans(path_tokens: Sequence[str], target: Paragraph) -> list
     """All maximal contiguous runs of path tokens occurring in the target.
 
     Spans are deduplicated by token content and ordered by first occurrence
-    in the path. No overlap yields an empty list.
+    in the path. No overlap, an empty path's included, yields an empty list.
     """
-    if not path_tokens:
-        raise ValueError("path_tokens must be non-empty")
     target_tokens = target.tokens
     positions: dict[str, list[int]] = {}
     for idx, token in enumerate(target_tokens):
@@ -97,19 +92,16 @@ def build_oracle_query(
 ) -> OracleQuery:
     """Greedily build an oracle query from the path/target overlap spans.
 
-    Every span's importance is estimated first, from the target's rank
-    under the span alone and under every other span. Then spans are
-    appended in descending-importance order for as long as the target's
-    rank keeps strictly improving; the first, alone, always beats the
-    sentinel, since span tokens occur in the target.
+    Every span's importance (see ``OverlapSpan``) is estimated first. Then
+    spans are appended in descending-importance order for as long as the
+    target's rank keeps strictly improving; the first, alone, always beats
+    the sentinel, since span tokens occur in the target.
 
     ``rank_fn`` must be pure: a rank depends only on the target and the
     ordered query. Each distinct query is evaluated once per call and its
     rank reused, so the singletons serve both passes, and at N = 2 each
     leave-one-out query is the other span's singleton. At most 3N+1
     distinct rank evaluations for N spans.
-
-    Raises UntrainableExample when the path and target share no tokens.
     """
     spans = extract_overlap_spans(path_tokens, target)
     if not spans:
@@ -129,27 +121,19 @@ def build_oracle_query(
         span.importance = float(evaluate(others) - evaluate(list(span.tokens)))
 
     # Ties in importance resolve to the earlier path position.
-    order = sorted(range(len(spans)), key=lambda i: (-spans[i].importance, spans[i].path_offset))
+    order = sorted(spans, key=lambda span: (-span.importance, span.path_offset))
 
-    included: list[OverlapSpan] = []
     terms: list[str] = []
     best_rank = index.sentinel_rank
-    for i in order:
-        span = spans[i]
+    for span in order:
         rank = evaluate(terms + list(span.tokens))
         if rank >= best_rank:
             break
-        included.append(span)
         terms.extend(span.tokens)
         best_rank = rank
         if best_rank == 1:
             break
-    return OracleQuery(
-        spans_included=tuple(included),
-        terms=tuple(terms),
-        achieved_rank=best_rank,
-        spans=tuple(spans),
-    )
+    return OracleQuery(terms=tuple(terms), achieved_rank=best_rank, spans=tuple(spans))
 
 
 def recall_curve(ranks: Sequence[int | None], ks: Sequence[int]) -> dict[int, float]:
@@ -168,11 +152,7 @@ def recall_curve(ranks: Sequence[int | None], ks: Sequence[int]) -> dict[int, fl
 def oracle_trace_record(
     path_tokens: Sequence[str], target: Paragraph, query: OracleQuery
 ) -> dict:
-    """JSON-serializable record of one oracle query, for line-delimited output.
-
-    Lists every extracted span with its importance, not just the spans the
-    greedy pass kept.
-    """
+    """JSON-serializable record of one oracle query, every span with its importance."""
     return {
         "path_tokens": list(path_tokens),
         "target_id": target.id,

@@ -4,29 +4,15 @@ A reasoning path starts as just the question. Each step generates a query
 from the path, retrieves paragraphs, and lets the reader try every
 candidate extension; when the best answerability clears the stop
 threshold the answer is emitted, otherwise the reranker's argmax extends
-the path and the loop continues, up to a cap of K paragraphs.
+the path and the loop continues, up to a cap of K paragraphs. There is one
+loop, ``run_policies``; ``run_question`` is it with one stop policy.
 
-There is one loop, ``run_policies``. It runs one trajectory for several
-stop policies at once: a policy stays live until ``stops`` says it answers,
-and the reranker extends the path only while some policy is live. A stop
-rule never changes what the roles or the search see, so each policy gets
-the run it would get alone. ``run_question`` is the loop with its own
-config as the only policy. A path's serialization is built once
-(``ReasoningPath.serialized``), and an extension's extends its prefix's
-(``serialize_path``'s ``prefix`` argument). So a step serializes its path
-once for all its candidates, and each candidate's reader output is checked
-against the candidate's serialization, which the gold reader reads too.
+Also generates training traces along gold paths (``generate_training_traces``).
 
-Also generates training traces: oracle queries and reranker candidate sets
-along gold paths, optionally with "polluted" non-gold branches the oracle
-then recovers from.
-
-Runs read the corpus and the index. They write only the index's caches,
-which ``search_topk`` and ``rank_of`` fill (``impacts``, ``rank_tables``
-and ``sighted``), and the ``InvertedIndex`` docstring says why concurrent
-calls stay safe; so questions can be processed concurrently. Within a
-step, every choice breaks ties deterministically (score first, then
-paragraph id), so the outcome never depends on candidate evaluation order.
+Runs write only the index's caches, which stay safe under concurrent calls
+(see ``InvertedIndex``), so questions can be processed concurrently. Within
+a step, every choice breaks ties by score, then paragraph id, so the
+outcome never depends on candidate evaluation order.
 """
 
 from __future__ import annotations
@@ -166,11 +152,8 @@ class RunResult:
     @property
     def prediction(self) -> str:
         """Answer text for scoring: the accepted answer, else the best attempt."""
-        if self.answer is not None:
-            return self.answer.text
-        if self.best_attempt is not None:
-            return self.best_attempt.text
-        return ""
+        record = self.answer or self.best_attempt
+        return record.text if record is not None else ""
 
 
 def _answer_record(kind: str, answerability: float, ext: ReasoningPath, span) -> AnswerRecord:
@@ -279,11 +262,7 @@ def run_question(
     models: ModelBundle,
     config: PipelineConfig = PipelineConfig(),
 ) -> RunResult:
-    """Iterate until an answer clears the threshold or the path cap is hit.
-
-    Exhausted runs carry the best low-confidence candidate seen, so they
-    can still be inspected and scored.
-    """
+    """Iterate until an answer clears the threshold or the path cap is hit."""
     return run_policies(question, corpus, index, models, config, (config,))[0]
 
 

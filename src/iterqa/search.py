@@ -9,60 +9,53 @@ length normalization:
 A paragraph's relevance to a query is the sum of both parts. Natural log
 throughout; queries are multisets, so repeated terms contribute repeatedly.
 
-``search_topk`` scores a whole query term at a time. A paragraph's ordinal
-is its position in ``para_order``, so ascending ordinal is ascending id; an
-article's ordinal is its position in ``article_order``. Each query gets one
-dense float list indexed by paragraph ordinal and one by article ordinal.
-Each term's contributions are added into them, then each reached article's
-total into its paragraphs. A term's ordinals and contributions are
-computed on its first use and cached on the index
-(``InvertedIndex.impacts``), so build and load pay nothing for terms no
-query uses; ``_impacts`` is the one place where both formulas are written.
-A paragraph's contributions are added in query-term order from 0.0, and
-then its article's total, summed the same way. Since 0.0 + c == c and
-p + 0.0 == p, every score equals the paragraph part plus the article part,
-each summed left to right over the query, bit for bit; the brute-force
-scorer in ``tests/conftest.py`` computes exactly that from its own
-statistics and is the reference. (Merged per-span sums would reassociate
-the additions and break that equality.) Contributions are positive, so a
-paragraph the query reaches scores above 0.0 and any other exactly 0.0;
-``_ranked`` sorts the reached ordinals by (-score, ordinal), the one
-ranking order. Hits are named tuples.
+Tie order. A paragraph's ordinal is its position in ``para_order``, so
+ascending ordinal is ascending id; an article's is its position in
+``article_order``. Every ranking is by (-score, ordinal), so ties go to the
+lower id; a stable sort by descending score keeps it.
 
-``rank_of`` pays for the paragraphs that can compete with its target, not
-for the corpus. A cached level is in ascending ordinal order and carries
-its largest contribution, so ``_score_at`` scores one paragraph by
-bisection, bit for bit as the lists do, and ``_bound``, what the common
-terms alone can add, leaves few paragraphs to score (see ``rank_of``).
-``rank_of`` knows its threshold, the target's score, before it scores.
-``search_topk`` takes one from the paragraphs the rarer terms reach when a
-query term is in every paragraph (see ``_bounded_top``), and otherwise
-scores every reached paragraph.
+Exactness. ``_impacts``, the one place where both formulas are written,
+computes a term's contributions on its first use and caches them
+(``impacts``). Every scorer adds a paragraph's contributions in query-term order
+from 0.0, and its article's the same way, then the two. Since 0.0 + c == c
+and p + 0.0 == p, every score is the paragraph part plus the article part,
+each summed left to right over the query, bit for bit, whichever terms or
+paragraphs a scorer skips. The brute-force scorer in ``tests/conftest.py``
+computes exactly that and is the reference, and the tie order relies on
+it. (Merged per-span sums would reassociate the additions.) Contributions
+are positive, so a paragraph the query reaches scores above 0.0 and any
+other exactly 0.0.
 
-A query that ``rank_of`` asks for again is ranked from a table instead.
-The second time a query would have its candidates scored whole,
-``rank_of`` scores every paragraph under it once, and stores each
-paragraph's position in the ``_ranked`` order, by ordinal, with the
-sentinel for paragraphs the query does not reach
-(``InvertedIndex.rank_tables``, keyed by the ordered query, so a repeated
-term stays in its key). That position is 1 + the paragraphs above the
-target + its ties with a lower id, which is the rank ``rank_of`` counts,
-so the table is exact and no rank depends on what the cache holds. The
-oracle's importance estimates ask for the same queries (template phrases,
-one-word spans) against many targets. The tables and the queries seen
-once share one byte budget, a fixed number of bytes per posting.
+Bounds. ``search_topk`` scores every reached paragraph, but for a query
+with a term in every paragraph only those its rarer terms reach
+(``_bounded_top``); ``rank_of`` scores only the paragraphs that can compete
+with its target. Both skip a paragraph only where its ``_bound`` is below
+the score to beat.
 
-The index holds the paragraph level only, and each paragraph's article
-once, as an ordinal (``InvertedIndex.article_of``). An article's text is
-its paragraphs' tokens in order, so a term's article tfs (sums over the
-article's paragraphs) and article df are derived from its paragraph
-postings on the term's first use, and cached with its contributions.
-build_index and load_index both feed (paragraph id, article id, term
-counts) records into ``_make_index``. An index file is a JSON header
-(magic, format version, the four constants, ``n_para``), then one line per
-paragraph in id order, ``["<paragraph id>", "<article id>", {"<term>": tf, ...}]``
-with sorted terms. No line refers to another. Blank lines are skipped, and
-a file with other than ``n_para`` paragraph lines is refused.
+Rank tables. The second time ``rank_of`` would score a query's candidates
+whole, it scores every paragraph once and stores each one's position in
+the ranking, by ordinal, with the sentinel where the query does not reach
+(``rank_tables``, keyed by the ordered query, repeats kept). That
+position is 1 + the paragraphs above + the ties with a lower id, the
+rank ``rank_of`` counts, so a table is exact and no rank depends on what
+the cache holds. The oracle asks for the same queries (template phrases,
+one-word spans) against many targets.
+
+Rank-table budget. The tables and the queries scored whole once
+(``sighted``) share ``rank_budget``, 16 bytes per posting, of which the
+sighted keys may take an eighth. A table costs 4 bytes per paragraph and
+is never evicted (see ``_admit``). That is 203 KB, or 54 tables, at the
+12,706 postings of the seed-13 oracle benchmark, and 1.08 MB, or 48
+tables, at 4,867 paragraphs.
+
+Storage. The index holds the paragraph level only, and each paragraph's
+article ordinal (``article_of``). An article's text is its paragraphs'
+tokens in order, so a term's article tfs and df derive from its paragraph
+postings. An index file is a JSON header (magic, format version, the four
+constants, ``n_para``), then one line per paragraph in id order,
+``["<paragraph id>", "<article id>", {"<term>": tf, ...}]`` with sorted terms;
+no line refers to another. Blank lines are skipped, and a file with other
+than ``n_para`` paragraph lines is refused.
 """
 
 from __future__ import annotations
@@ -81,8 +74,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, read_json_lines
 
-# Scoring constants. Persisted indexes record them; loading an index built
-# with different constants is an error.
+# Scoring constants, recorded in persisted indexes (see ``load_index``).
 K1 = 1.2
 B = 0.75
 ARTICLE_K1 = 1.2
@@ -92,8 +84,7 @@ INDEX_MAGIC = "iterqa-index"
 INDEX_FORMAT_VERSION = 2
 _CONSTANTS = {"k1": K1, "b": B, "article_k1": ARTICLE_K1, "article_b": ARTICLE_B}
 
-# The bytes per posting of the index that the rank tables and sighted keys of
-# ``rank_of`` may hold together, the sighted keys at most 1/_SIGHTED_SHARE.
+# The rank-table budget (see the module docstring).
 _RANK_BYTES_PER_POSTING = 16
 _SIGHTED_SHARE = 8
 _ADMISSION = threading.Lock()  # held while a query's admission is decided
@@ -110,29 +101,12 @@ _Levels = Sequence[tuple[_Level, _Level]]  # a query's (paragraph, article) leve
 
 @dataclass
 class InvertedIndex:
-    """Paragraph-level postings over an ingested corpus.
-
-    The article level is not stored: an article's text is its paragraphs'
-    tokens, so the scorer derives a term's article tfs and df from the
-    term's paragraph postings on its first use.
+    """Paragraph-level postings over an ingested corpus (see the module docstring).
 
     Immutable after build_index or load_index except the lazily filled
-    caches below, all left out of ``==`` and ``repr``:
-
-    - ``impacts``: term -> (paragraph level, article level), each level the
-      ascending ordinals and the contributions of the paragraphs or articles
-      the term occurs in, and their maximum;
-    - ``rank_tables``: ordered query -> every paragraph's rank under it, by
-      ordinal (an ``array("i")`` of ``n_para`` entries, 4 bytes per
-      paragraph);
-    - ``sighted``: the queries ``rank_of`` scored whole once, since the set
-      was last cleared.
-
-    ``rank_tables`` and ``sighted`` hold at most ``rank_budget`` bytes, 16
-    per posting (see ``_admit``): 203 KB, or 54 tables, at the 12,706
-    postings of the seed-13 oracle benchmark, and 1.08 MB, or 48 tables, at
-    4,867 paragraphs. ``impacts`` holds no term the index lacks, and the
-    other caches no query that reaches no paragraph.
+    caches ``impacts``, ``rank_tables`` and ``sighted`` (see the module
+    docstring), left out of ``==`` and ``repr``. ``impacts`` holds no term
+    the index lacks, and the others no query that reaches no paragraph.
 
     Concurrent reads stay safe: each ``impacts`` and ``rank_tables`` entry
     is an idempotent value, derived from the immutable postings, built
@@ -173,10 +147,7 @@ class IndexFormatError(ValueError):
 
 
 def _make_index(records: Iterable[tuple[str, str, dict[str, int]]]) -> InvertedIndex:
-    """Invert (paragraph id, article id, term counts) records and derive the rest.
-
-    Ordinals are positions in the sorted ``para_order`` and ``article_order``.
-    """
+    """Invert (paragraph id, article id, term counts) records and derive the rest."""
     postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
     doc_lengths: dict[str, int] = {}
     article_ids: dict[str, str] = {}  # paragraph id -> article id
@@ -227,7 +198,6 @@ class SearchHit(NamedTuple):
 
     paragraph_id: str
     score: float
-    rank: int
 
 
 # The levels of a term the index lacks.
@@ -236,15 +206,8 @@ _ABSENT = (_NO_LEVEL, _NO_LEVEL)
 
 
 def _impacts(index: InvertedIndex, term: str) -> tuple[_Level, _Level]:
-    """The term's contribution to each paragraph and article it occurs in.
-
-    The one place where the two formulas are written. A term's article tfs
-    are sums over its paragraph postings, and its article df is the number
-    of articles they reach. A clamped article idf of 0.0 adds nothing, so
-    its article level is empty. Each level is in id order, which is
-    ascending ordinal. Terms the index lacks are not stored, so the cache
-    stays within the vocabulary.
-    """
+    """The term's contribution to each paragraph and article it occurs in (see
+    the module docstring); a clamped article idf of 0.0 leaves the article level empty."""
     entry = index.postings.get(term)
     if entry is None:
         return _ABSENT
@@ -283,20 +246,11 @@ def _accumulate(
     index: InvertedIndex, levels: _Levels, candidates: Sequence[int] = ()
 ) -> list[float]:
     """Combined score of every paragraph, by ordinal, under the query of
-    these ``levels``, a term at a time.
+    these ``levels``, a term at a time, exact (see the module docstring).
 
-    Each term's cached contributions are added in query-term order, and
-    0.0 + c == c and p + 0.0 == p, so every value is the paragraph part plus
-    the article part, each summed left to right, bit for bit. The tie-breaks
-    of search_topk and rank_of rely on that exact equality. Paragraphs the
-    query does not reach score exactly 0.0.
-
-    A term in every paragraph holds ordinal i's contribution at position i,
-    so given ``candidates`` (those of ``rank_of``, or the paragraphs
-    ``_bounded_top`` reaches) it adds at them alone. Each candidate also
-    gets its own article's total, 0.0 if the query does not reach the
-    article (p + 0.0 == p), and no other paragraph does: their values are
-    full scores, bit for bit, the others' mean nothing.
+    Given ``candidates``, only their values are full scores: a term in
+    every paragraph, which holds ordinal i's contribution at position i,
+    is added at them alone, and only they get their article's total.
     """
     scores = [0.0] * index.n_para
     article_scores = [0.0] * index.n_article
@@ -324,9 +278,8 @@ def _accumulate(
 
 
 def _score_at(index: InvertedIndex, levels: _Levels, i: int) -> float:
-    """Paragraph ``i``'s combined score under the query of these ``levels``:
-    each term's contributions to it and to its article, found by bisection,
-    summed as ``_accumulate`` sums them, bit for bit."""
+    """Paragraph ``i``'s score under the query of these ``levels``, each term's
+    contributions found by bisection and summed as ``_accumulate`` sums them."""
     a = index.article_of[i]
     para = article = 0.0
     for (para_ordinals, para_values, _), (article_ordinals, article_values, _) in levels:
@@ -348,16 +301,14 @@ def _lookups_cost_less(index: InvertedIndex, levels: _Levels, n_candidates: int)
 
 
 def _ranked(index: InvertedIndex, scores: list[float]) -> list[int]:
-    """The ordinals that score above 0.0, by descending score, ties by ascending ordinal."""
+    """The ordinals that score above 0.0, in ranking order."""
     ranked = list(compress(index.ordinals, scores))
-    # Stable, so tied ordinals stay ascending, which is ascending id.
     ranked.sort(key=scores.__getitem__, reverse=True)
     return ranked
 
 
 def _rank_table(index: InvertedIndex, levels: _Levels) -> array:
-    """Every paragraph's position in the ``_ranked`` order of the query of
-    these ``levels``, by ordinal; the sentinel where the query does not reach."""
+    """The rank table of the query of these ``levels`` (see the module docstring)."""
     table = array("i", [index.sentinel_rank]) * index.n_para
     for rank, i in enumerate(_ranked(index, _accumulate(index, levels)), start=1):
         table[i] = rank
@@ -366,16 +317,13 @@ def _rank_table(index: InvertedIndex, levels: _Levels) -> array:
 
 def _admit(index: InvertedIndex, key: tuple[str, ...], levels: _Levels) -> array | None:
     """The rank table of the whole-scored query ``key``, of these ``levels``,
-    built and stored if the query is admitted now, else None.
+    built and stored if the query is admitted now (see the module
+    docstring), else None: first come, first served, while the tables fit.
 
-    A query is admitted on its second whole-scored sighting, first come,
-    first served, while the tables fit in what ``rank_budget`` leaves after
-    the sighted keys' share; no table is evicted. A table costs 4 bytes per
-    paragraph and a sighted key its tuple's ``sys.getsizeof``, summed over
-    the set when a key is recorded. The sighted keys are forgotten together
-    when the next one would overflow their share, and none is recorded, or
-    summed, once no further table fits. One lock serializes admissions, so
-    the budget holds under concurrent calls.
+    A sighted key costs its tuple's ``sys.getsizeof``; the keys are
+    forgotten together when the next would overflow their share, and none
+    is recorded once no further table fits. One lock serializes
+    admissions, so the budget holds under concurrent calls.
     """
     with _ADMISSION:
         share = index.rank_budget // _SIGHTED_SHARE
@@ -405,12 +353,10 @@ def _bound(levels: _Levels, places: list[int], n: int) -> float:
     """What the first ``n`` terms of the ``_by_postings`` order can add to a
     paragraph that no other term reaches, directly or through its article.
 
-    Their paragraph maxima summed in query order from 0.0, plus their
-    article maxima summed the same way, so a repeated term counts at each
-    of its places. Such a paragraph gets at most those maxima at the same
-    places of the same two sums, and p + 0.0 == p for the terms that miss
-    it. Rounding is monotone in each operand, so it scores at most the
-    bound.
+    Their maxima, summed as the scorers sum (see the module docstring), with
+    a repeated term at each of its places. Such a paragraph gets at most
+    those at the same places, and rounding is monotone, so it scores at
+    most the bound.
     """
     para = article = 0.0
     for ((_, _, para_max), (_, _, article_max)), place in zip(levels, places):
@@ -433,19 +379,11 @@ def _reach(
 def _bounded_top(
     index: InvertedIndex, query: Query, levels: _Levels, k: int
 ) -> tuple[list[int], list[float]] | None:
-    """The top k ordinals, in ranking order, and the scores that rank them,
-    from the paragraphs the rarer terms reach; None where no bound proves
-    them exact.
-
-    Tried only for a query with a term in every paragraph, the one case
-    where the full path sorts the whole corpus. The distinct terms, fewest
-    postings first, reach paragraphs until at least k are reached. Those
-    alone are scored, by ``_accumulate`` at the candidates, and sorted by
-    (-score, ordinal). Any other paragraph scores at most the ``_bound`` of
-    the terms left, so where that is strictly below the k-th score, it
-    neither beats nor ties the k-th hit. None where it is not, where fewer
-    than k paragraphs are reached, or where no term is left to bound.
-    """
+    """The top k ordinals, in ranking order, and their scores, from the
+    paragraphs the distinct terms reach, fewest postings first, until at
+    least k are reached; None where the ``_bound`` of the terms left is not
+    strictly below the k-th score. Tried only for a query with a term in
+    every paragraph, the one case where the full path sorts the corpus."""
     if index.n_para not in [len(para) for (_, para, _), _ in levels]:
         return None
     order, places = _by_postings(query, levels)
@@ -458,7 +396,6 @@ def _bounded_top(
         return None
     top = sorted(reached)
     scores = _accumulate(index, levels, top)
-    # Stable, so tied ordinals stay ascending, which is ascending id.
     top.sort(key=scores.__getitem__, reverse=True)
     del top[k:]
     if _bound(levels, places, n_bounded) < scores[top[-1]]:
@@ -467,15 +404,11 @@ def _bounded_top(
 
 
 def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
-    """The k highest-combined-score paragraphs, ties broken by ascending id.
+    """The k highest-combined-score paragraphs, in ranking order.
 
     Returns min(k, N) hits; when fewer than k paragraphs score above zero,
     the remainder is filled with zero-score paragraphs in id order, so the
     result always matches a full brute-force sort of the corpus.
-
-    A query with a term in every paragraph scores only the paragraphs its
-    rarer terms reach, where ``_bounded_top`` proves that exact. Otherwise
-    every paragraph is scored and the reached ones sorted.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -490,8 +423,8 @@ def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
         if len(top) < k and len(top) < index.n_para:
             taken = set(top)
             top += islice(filterfalse(taken.__contains__, index.ordinals), k - len(top))
-    return list(map(SearchHit, map(index.para_order.__getitem__, top),
-                    map(scores.__getitem__, top), count(1)))
+    ids = map(index.para_order.__getitem__, top)
+    return list(map(SearchHit, ids, map(scores.__getitem__, top)))
 
 
 def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int:
@@ -500,17 +433,12 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     An empty query, or a target the query does not reach, yields the
     sentinel rank N_para + 1 ("not retrieved").
 
-    A query with a rank table reads the target's rank off it. Otherwise
-    only the paragraphs that could reach the target's score t are scored.
-    Terms are bounded, most postings first, while their ``_bound`` stays
-    strictly below t, so a paragraph that no other term reaches neither
-    beats nor ties the target. The bound grows with each term added, so the
-    longest prefix below t is found by bisection. The paragraphs the other
-    terms reach are the candidates, the target among them. The others are
-    scored exactly, by ``_score_at`` or ``_accumulate``, whichever
-    ``_lookups_cost_less`` picks. Where it picks ``_accumulate`` and
-    ``_admit`` admits the query, the query's rank table is built instead
-    and read.
+    A query with a rank table reads the target's rank off it. Otherwise the
+    longest prefix of terms, most postings first, whose ``_bound`` (growing
+    with each term) stays below the target's score is found by bisection.
+    The paragraphs the other terms reach are scored by ``_score_at`` where
+    ``_lookups_cost_less``, else by ``_accumulate``, or ranked from a new
+    table where ``_admit`` admits the query.
     """
     if target_paragraph_id not in index.doc_lengths:
         raise KeyError(f"unknown paragraph id {target_paragraph_id!r}")
@@ -537,7 +465,7 @@ def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int
     else:
         scores = _accumulate(index, levels, candidates)
         values = list(map(scores.__getitem__, candidates))
-    # Ties count when their ordinal, and so their id, is below the target's.
+    # Ties count when their ordinal is below the target's (the tie order).
     return (
         1 + sum(map(target_score.__lt__, values))
         + countOf(islice(values, bisect_left(candidates, target)), target_score)

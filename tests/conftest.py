@@ -23,7 +23,10 @@ import pytest
 
 from iterqa.corpus import Corpus, ingest_corpus
 from iterqa.metrics import exact_match, unigram_f1
-from iterqa.models import NO, NOANSWER, SPAN, YES, GoldReader, ReaderOutput, serialize_path
+from iterqa.models import (
+    NO, NOANSWER, SPAN, YES, GoldReader, LexicalRetriever, OracleRetriever, ReaderOutput,
+    serialize_path,
+)
 from iterqa.oracle import UntrainableExample, build_oracle_query
 from iterqa.pipeline import QuestionExample, ReasoningPath
 from iterqa.search import _impacts, build_index, rank_of
@@ -185,7 +188,7 @@ def reference_run(question: str, corpus: Corpus, models, config, topk) -> tuple:
 
     ``topk(query, d)`` lists the top d paragraphs as (id, score) by (-score,
     id). Returns (status, answer, final path ids, steps). A step is (query,
-    hits as (id, score, rank), chosen id, candidate answerabilities, best
+    hits as (id, score), chosen id, candidate answerabilities, best
     candidate, exhausted reason); an answer is (kind, text, answerability,
     path ids). A step that exhausts the run records the hits its search found.
     """
@@ -197,14 +200,13 @@ def reference_run(question: str, corpus: Corpus, models, config, topk) -> tuple:
         if not query:
             steps.append((query, (), None, (), None, "empty query"))
             break
-        positive = [(pid, score) for pid, score in topk(list(query), config.docs_per_step)
-                    if score > 0.0]
-        hits = tuple((pid, score, rank) for rank, (pid, score) in enumerate(positive, start=1))
+        hits = tuple((pid, score) for pid, score in topk(list(query), config.docs_per_step)
+                     if score > 0.0)
         if not hits:
             steps.append((query, (), None, (), None, "no results"))
             break
         on_path = set(_ids(paragraphs))
-        candidates = [corpus.paragraphs[pid] for pid, _, _ in hits if pid not in on_path]
+        candidates = [corpus.paragraphs[pid] for pid, _ in hits if pid not in on_path]
         candidates = candidates[:CANDIDATES_PER_STEP]
         if not candidates:
             steps.append((query, hits, None, (), None, "no new candidates"))
@@ -278,7 +280,7 @@ def run_record(result) -> tuple:
         return record.kind, record.text, record.answerability, record.path_snapshot
 
     steps = tuple(
-        (s.query_used, tuple((h.paragraph_id, h.score, h.rank) for h in s.retrieved),
+        (s.query_used, tuple((h.paragraph_id, h.score) for h in s.retrieved),
          s.chosen_paragraph, s.candidate_answerabilities, answer(s.best_candidate),
          s.exhausted_reason)
         for s in result.steps
@@ -341,6 +343,11 @@ def random_chain_example(rng: random.Random, corpus: Corpus, qid: str) -> Questi
 # ---------------------------------------------------------------------------
 # Corpus and query generators
 # ---------------------------------------------------------------------------
+
+def oracle_retriever(index, corpus, gold_ids) -> OracleRetriever:
+    """An OracleRetriever with the lexical fallback that the model factory gives it."""
+    return OracleRetriever(index, corpus, gold_ids, LexicalRetriever(index))
+
 
 def corpus_from(records) -> Corpus:
     """The corpus of ``records``, numbered from line 1 as in a file."""

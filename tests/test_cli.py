@@ -1,7 +1,12 @@
+import errno
 import hashlib
 import json
+import os
+import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,15 +32,6 @@ def workspace(tmp_path):
 
 def read_jsonl(path):
     return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-
-
-def test_cli_index(workspace, capsys):
-    tmp_path, corpus_path, _ = workspace
-    index_path = tmp_path / "index.jsonl"
-    assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
-    header = json.loads(index_path.read_text().splitlines()[0])
-    assert header["magic"] == "iterqa-index"
-    assert header["k1"] == 1.2 and header["b"] == 0.75
 
 
 def test_cli_oracle(workspace):
@@ -75,13 +71,6 @@ def test_cli_traces_output_is_pinned(workspace):
         "--questions", str(questions_path), "--out", str(out),
     ]) == 0
     assert sha256(out) == "215e36a842e44b42ade1b8884b692190f68fea8c6fd3025bbd859c99cf65d290"
-
-
-def test_cli_index_output_is_pinned(workspace):
-    tmp_path, corpus_path, _ = workspace
-    out = tmp_path / "index.jsonl"
-    assert main(["index", "--corpus", str(corpus_path), "--out", str(out)]) == 0
-    assert sha256(out) == "474d16f47576fa0c8573379359f637c99aad56b566f5a4a33de9f6020d1902a7"
 
 
 @pytest.fixture()
@@ -220,6 +209,31 @@ def test_cli_bench(workspace, capsys):
     assert len(rows) == 10
 
 
+def test_cli_bench_reports_do_not_depend_on_corpus_line_order(tmp_path, capsys):
+    corpus_path, questions_path = tmp_path / "corpus.jsonl", tmp_path / "questions.jsonl"
+    assert main([
+        "synth", "--corpus-out", str(corpus_path), "--questions-out", str(questions_path),
+        "--per-hop", "10", "10", "10", "--distractors", "40", "--seed", "29",
+    ]) == 0
+    lines = corpus_path.read_text().splitlines(keepends=True)
+    random.Random(5).shuffle(lines)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines))
+    for retriever in ("oracle", "baseline"):
+        manifest = tmp_path / f"{retriever}.json"
+        manifest.write_text(json.dumps({"retriever": retriever}))
+        reports = []
+        for corpus in (corpus_path, shuffled):
+            reports.append(tmp_path / f"{retriever}-{corpus.stem}")
+            assert main([
+                "bench", "--corpus", str(corpus), "--questions", str(questions_path),
+                "--models", str(manifest), "--report-dir", str(reports[-1]),
+                "--fixed-k-grid", "1", "2", "3", "--docs-grid", "3", "9", "50",
+            ]) == 0
+        for name in ("summary.txt", "per_question.jsonl"):
+            assert (reports[0] / name).read_bytes() == (reports[1] / name).read_bytes()
+
+
 def test_cli_map(workspace, tmp_path, capsys):
     _, corpus_path, _ = workspace
     # Map the corpus onto an edited copy of itself: every paragraph should match.
@@ -280,10 +294,8 @@ def cli_error(argv, capsys):
 def test_cli_reports_bad_corpus_line(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text('{"article_id": "a", "title": "A", "order": 0}\n')
-    message = cli_error(
-        ["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "i.jsonl")], capsys
-    )
-    assert message == f"iterqa index: corpus {str(corpus_path)!r}: line 1: missing field 'text'"
+    message = cli_error(["run", "--corpus", str(corpus_path), "--question", "where"], capsys)
+    assert message == f"iterqa run: corpus {str(corpus_path)!r}: line 1: missing field 'text'"
 
 
 def test_cli_reports_bad_question_record(workspace, capsys):
@@ -304,11 +316,9 @@ def test_cli_refuses_an_article_whose_paragraphs_disagree_on_its_title(tmp_path,
         {"article_id": "a", "title": "T", "order": 0, "text": "red stone"},
         {"article_id": "a", "title": "U", "order": 1, "text": "blue stone"},
     ]))
-    message = cli_error(
-        ["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "index.jsonl")], capsys
-    )
+    message = cli_error(["run", "--corpus", str(corpus_path), "--question", "where"], capsys)
     assert message == (
-        f"iterqa index: corpus {str(corpus_path)!r}: "
+        f"iterqa run: corpus {str(corpus_path)!r}: "
         "line 2: title 'U' differs from 'T', the title of article 'a'"
     )
 
@@ -407,7 +417,7 @@ def test_cli_refuses_an_external_reference_that_is_not_callable(workspace, capsy
 def test_cli_reports_unknown_gold_id_before_running(workspace, capsys, command):
     tmp_path, corpus_path, questions_path = workspace
     records = read_jsonl(questions_path)
-    records[-1]["gold_paragraph_ids"] = [records[-1]["gold_paragraph_ids"][0], "nope#0"]
+    records[3]["gold_paragraph_ids"] = [records[3]["gold_paragraph_ids"][0], "nope#0"]
     questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
     out = tmp_path / "out.jsonl"
     argv = [command, "--corpus", str(corpus_path), "--questions", str(questions_path)]
@@ -415,8 +425,8 @@ def test_cli_reports_unknown_gold_id_before_running(workspace, capsys, command):
         argv += ["--out", str(out)]
     message = cli_error(argv, capsys)
     assert message == (
-        f"iterqa {command}: question {records[-1]['id']!r}: "
-        "gold paragraph 'nope#0' is not in the corpus"
+        f"iterqa {command}: questions file {str(questions_path)!r}: "
+        "line 4: gold paragraph 'nope#0' is not in the corpus"
     )
     assert not out.exists() or out.read_text() == ""
 
@@ -529,23 +539,25 @@ def test_cli_refuses_an_input_that_is_not_utf8(workspace, capsys, flag, kind, fa
     assert message == f"iterqa bench: {kind} {str(paths[flag])!r}{fault}"
 
 
-def empty_input_argv(command, tmp_path, corpus_path, questions_path):
+def questions_argv(command, tmp_path, corpus_path, questions_path):
+    """The arguments that run ``command`` over these inputs, with oracle and
+    traces writing to ``out.jsonl``; ``run`` takes the first question."""
     argv = [command, "--corpus", str(corpus_path)]
     if command == "run":
         argv += ["--question-file", str(questions_path)]
-    elif command != "index":
+    else:
         argv += ["--questions", str(questions_path)]
-    if command in ("index", "oracle", "traces"):
+    if command in ("oracle", "traces"):
         argv += ["--out", str(tmp_path / "out.jsonl")]
     return argv
 
 
-@pytest.mark.parametrize("command", ["index", "oracle", "traces", "run", "bench"])
+@pytest.mark.parametrize("command", ["oracle", "traces", "run", "bench"])
 def test_cli_refuses_an_empty_corpus(workspace, capsys, command):
     tmp_path, _, questions_path = workspace
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")
-    message = cli_error(empty_input_argv(command, tmp_path, empty, questions_path), capsys)
+    message = cli_error(questions_argv(command, tmp_path, empty, questions_path), capsys)
     assert message == f"iterqa {command}: corpus {str(empty)!r} holds no paragraphs"
     assert not (tmp_path / "out.jsonl").exists()
 
@@ -570,7 +582,7 @@ def test_cli_refuses_a_questions_file_without_questions(workspace, capsys, comma
     tmp_path, corpus_path, _ = workspace
     empty = tmp_path / "empty.jsonl"
     empty.write_text("\n")
-    message = cli_error(empty_input_argv(command, tmp_path, corpus_path, empty), capsys)
+    message = cli_error(questions_argv(command, tmp_path, corpus_path, empty), capsys)
     assert message == f"iterqa {command}: questions file {str(empty)!r} holds no questions"
     assert not (tmp_path / "out.jsonl").exists()
 
@@ -582,12 +594,34 @@ def test_cli_refuses_a_repeated_gold_id(workspace, capsys, command):
     gold_id = records[0]["gold_paragraph_ids"][0]
     records[0]["gold_paragraph_ids"] = [gold_id, gold_id]
     questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    message = cli_error(empty_input_argv(command, tmp_path, corpus_path, questions_path), capsys)
+    message = cli_error(questions_argv(command, tmp_path, corpus_path, questions_path), capsys)
     assert message == (
         f"iterqa {command}: questions file {str(questions_path)!r}: "
         f"line 1: gold paragraph {gold_id!r} is listed twice"
     )
     assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["oracle", "traces", "run", "bench"])
+@pytest.mark.parametrize("question", ["", "?!"], ids=["empty", "punctuation"])
+def test_cli_runs_a_question_with_no_tokens(workspace, capsys, command, question):
+    # The oracle finds no overlap with an empty path, as with any untrainable
+    # step: oracle and traces skip the question, and the oracle retriever
+    # falls back to the lexical one, whose empty query exhausts the run.
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(questions_path)
+    records[0]["question"] = question
+    questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(questions_argv(command, tmp_path, corpus_path, questions_path)) == 0
+    captured = capsys.readouterr()
+    expected = {
+        "oracle": (captured.err, "oracle queries for 10 questions (1 skipped)"),
+        "traces": (captured.out, "(1 examples skipped: no path/target overlap)"),
+        "run": (captured.out, '"exhausted": "empty query"'),
+        "bench": (captured.out, "  0 steps:     1  (10.0%)"),
+    }
+    text, line = expected[command]
+    assert line in text
 
 
 @pytest.mark.parametrize("per_hop, distractors", [
@@ -649,10 +683,60 @@ def test_cli_readme_walkthrough_parses():
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("iterqa ")]
     assert [argv[0] for argv in commands] == [
-        "synth", "index", "run", "bench", "oracle", "traces", "map"
+        "synth", "run", "bench", "oracle", "traces", "map"
     ]
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+class ClosedPipe:
+    """A standard output whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_cli_exits_quietly_when_standard_output_is_closed(workspace, capsys, monkeypatch, command):
+    tmp_path, corpus_path, questions_path = workspace
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(questions_argv(command, tmp_path, corpus_path, questions_path)) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+        # What is left to flush at exit goes to devnull, not to the closed pipe.
+        devnull = os.stat(os.devnull)
+        assert (os.fstat(fd).st_dev, os.fstat(fd).st_ino) == (devnull.st_dev, devnull.st_ino)
+    finally:
+        os.close(fd)
+
+
+def test_cli_leaves_no_traceback_when_standard_output_is_closed(workspace):
+    # A pipe whose read end is closed before the command starts, so every
+    # write fails, the interpreter's own flush at exit included.
+    tmp_path, corpus_path, _ = workspace
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "iterqa.cli", "run", "--corpus", str(corpus_path),
+             "--question", "which secret is kept somewhere"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def must_not_run(*args, **kwargs):

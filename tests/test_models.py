@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import corpus_from
+from conftest import corpus_from, oracle_retriever
 from iterqa.corpus import tokenize
 from iterqa.models import (
     CLS,
@@ -438,18 +438,20 @@ def test_gold_reader_rejects_bad_kind():
 
 
 def test_oracle_retriever_targets_next_gold(fixture_corpus, fixture_index):
-    retriever = OracleRetriever(fixture_index, fixture_corpus, ["alpha#0", "beta#0"])
+    retriever = oracle_retriever(fixture_index, fixture_corpus, ["alpha#0", "beta#0"])
     query = retriever(initial_path("the alpha ridge"))
     # Oracle query comes from path/target overlap spans.
     assert "alpha" in query and "ridge" in query
 
 
 def test_oracle_retriever_falls_back_when_gold_exhausted(fixture_corpus, fixture_index):
-    retriever = OracleRetriever(fixture_index, fixture_corpus, ["alpha#0"])
+    retriever = oracle_retriever(fixture_index, fixture_corpus, ["alpha#0"])
     path = path_with(fixture_corpus, "where is the rare orchid", ["alpha#0"])
     query = retriever(path)
     assert query  # lexical fallback still produces terms
     assert "orchid" in query
+    with pytest.raises(TypeError):  # the fallback has no default
+        OracleRetriever(fixture_index, fixture_corpus, ["alpha#0"])
 
 
 # ---------------------------------------------------------------------------

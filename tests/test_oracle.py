@@ -76,9 +76,14 @@ def test_spans_order_follows_path():
     assert [s.tokens for s in spans] == [("alpha",), ("beta",)]
 
 
-def test_spans_empty_path_rejected():
-    with pytest.raises(ValueError):
-        extract_overlap_spans([], make_target("x"))
+def test_spans_empty_path_is_no_overlap():
+    # A question with no tokens gives an empty path, which shares nothing with
+    # the target: the oracle finds it untrainable, as any path with no overlap.
+    corpus = corpus_from([{"article_id": "t", "title": "T", "order": 0, "text": "x"}])
+    target = corpus.paragraphs["t#0"]
+    assert extract_overlap_spans([], target) == []
+    with pytest.raises(UntrainableExample):
+        build_oracle_query(build_index(corpus), [], target)
 
 
 def test_spans_maximality_property():
@@ -165,7 +170,6 @@ def test_single_span_is_the_query():
     query = build_oracle_query(index, ["veldrin"], target)
     assert query.terms == ("veldrin",)
     assert query.achieved_rank == rank_of(index, "t#0", ["veldrin"])
-    assert len(query.spans_included) == 1
 
 
 def test_rank_one_stops_greedy_immediately():
@@ -182,8 +186,9 @@ def test_terms_concatenate_included_spans():
     corpus, index = chain_case()
     target = corpus.paragraphs["t#0"]
     query = build_oracle_query(index, ["secret", "zz", "token"], target)
-    expected = tuple(t for span in query.spans_included for t in span.tokens)
-    assert query.terms == expected
+    included = sorted(query.spans, key=lambda span: (-span.importance, span.path_offset))
+    assert any(query.terms == tuple(t for span in included[:n] for t in span.tokens)
+               for n in range(1, len(included) + 1))
     assert query.achieved_rank == rank_of(index, "t#0", list(query.terms))
 
 
@@ -209,17 +214,16 @@ def plain_greedy(index, path_tokens, target, rank_fn):
         others = ask([t for j, other in enumerate(spans) if j != i for t in other.tokens])
         span.importance = float(others - alone)
     order = sorted(range(len(spans)), key=lambda i: (-spans[i].importance, spans[i].path_offset))
-    included, terms, best = [], [], index.sentinel_rank
+    terms, best = [], index.sentinel_rank
     for i in order:
         rank = ask(terms + list(spans[i].tokens))
         if rank >= best:
             break
-        included.append(spans[i])
         terms += spans[i].tokens
         best = rank
         if best == 1:
             break
-    return OracleQuery(tuple(included), tuple(terms), best, tuple(spans)), asked
+    return OracleQuery(tuple(terms), best, tuple(spans)), asked
 
 
 def test_rank_budget_within_linear_bound():
@@ -268,7 +272,8 @@ def test_achieved_rank_never_worse_than_first_sorted_span():
             query = build_oracle_query(index, path, target)
         except UntrainableExample:
             continue
-        first = query.spans_included[0]
+        first = min(query.spans, key=lambda span: (-span.importance, span.path_offset))
+        assert query.terms[:len(first.tokens)] == first.tokens
         assert query.achieved_rank <= rank_of(index, target.id, list(first.tokens))
 
 

@@ -5,10 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import corpus_from
+from conftest import corpus_from, oracle_retriever
 from iterqa.metrics import normalize_answer
 from iterqa.models import (
-    NO, NOANSWER, SPAN, YES, GoldReader, LexicalReranker, ModelBundle, OracleRetriever,
+    NO, NOANSWER, SPAN, YES, GoldReader, LexicalReranker, ModelBundle, build_model_factory,
     serialize_path,
 )
 from iterqa.pipeline import (
@@ -56,7 +56,7 @@ def toad_setup():
     index = build_index(corpus)
     gold = ("gollumtoad#0", "lotr#0")
     models = ModelBundle(
-        retriever=OracleRetriever(index, corpus, gold),
+        retriever=oracle_retriever(index, corpus, gold),
         reader=GoldReader(["150 million copies"], gold),
         reranker=LexicalReranker(index),
     )
@@ -74,7 +74,7 @@ def one_hop_setup():
     ])
     index = build_index(corpus)
     models = ModelBundle(
-        retriever=OracleRetriever(index, corpus, ("tower#0",)),
+        retriever=oracle_retriever(index, corpus, ("tower#0",)),
         reader=GoldReader(["bronze bell"], {"tower#0"}),
         reranker=LexicalReranker(index),
     )
@@ -340,7 +340,7 @@ def test_planted_two_hop_chain_takes_exactly_two_steps():
     index = build_index(corpus)
     gold = ("hop1#0", "hop2#0")
     models = ModelBundle(
-        retriever=OracleRetriever(index, corpus, gold),
+        retriever=oracle_retriever(index, corpus, gold),
         reader=GoldReader(["silver chalice"], gold),
         reranker=LexicalReranker(index),
     )
@@ -390,7 +390,7 @@ def test_run_result_reads_its_totals_off_the_steps():
         AnswerRecord("span", text, score, ())
         for text, score in (("a", -2.0), ("b", -1.0), ("c", -1.0), ("d", -3.0))
     ]
-    hits = tuple(SearchHit(f"p{i}", 1.0, i + 1) for i in range(3))
+    hits = tuple(SearchHit(f"p{i}", 1.0) for i in range(3))
     steps = tuple(
         StepOutcome(("q",), hits[:i], chosen_paragraph=f"p{i}", best_candidate=record)
         for i, record in enumerate(records)
@@ -425,7 +425,7 @@ def test_recovery_after_nongold_first_step():
 def test_yes_no_answer_text_matches_kind():
     corpus, index, _ = one_hop_setup()
     models = ModelBundle(
-        retriever=OracleRetriever(index, corpus, ("tower#0",)),
+        retriever=oracle_retriever(index, corpus, ("tower#0",)),
         reader=GoldReader(["yes"], {"tower#0"}, kind="yes"),
         reranker=LexicalReranker(index),
     )
@@ -470,6 +470,24 @@ def test_step_log_record_serializes():
     parsed = json.loads(json.dumps(record))
     assert parsed["query"] and parsed["retrieved"]
     assert "chosen" in parsed
+
+
+def test_runs_do_not_depend_on_what_the_index_caches(chain_benchmark):
+    # No rank depends on what the cache holds (the search module docstring),
+    # so every question runs the same on a fresh index, on one warmed by a
+    # full pass, and on one that admits no rank table.
+    corpus, examples = chain_benchmark.corpus, chain_benchmark.examples
+
+    def run_all(index):
+        factory = build_model_factory({}, index, corpus)
+        return [run_question(ex.question, corpus, index, factory(ex)) for ex in examples]
+
+    index = build_index(corpus)
+    fresh = run_all(index)
+    assert index.rank_tables
+    tableless = replace(index, rank_budget=0)
+    assert run_all(index) == fresh == run_all(tableless)
+    assert not tableless.rank_tables
 
 
 # ---------------------------------------------------------------------------

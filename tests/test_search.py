@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from iterqa.search import (
     save_index,
     search_topk,
 )
+from iterqa.synth import make_chain_benchmark
 
 
 def single_para_corpus(text="a b a"):
@@ -247,8 +249,7 @@ def test_topk_saturates_at_corpus_size():
     ])
     index = build_index(corpus)
     hits = search_topk(index, ["y"], 10)
-    assert len(hits) == 2
-    assert [h.rank for h in hits] == [1, 2]
+    assert [h.paragraph_id for h in hits] == ["a#0", "b#0"]
 
 
 def test_topk_unique_match_ranks_first():
@@ -269,14 +270,15 @@ def test_search_hits_are_immutable_named_tuples():
         {"article_id": "b", "title": "B", "order": 0, "text": "owl"},
     ])
     hits = search_topk(build_index(corpus), ["owl"], 2)
-    assert [h.rank for h in hits] == [1, 2] and all(type(h) is SearchHit for h in hits)
+    assert all(type(h) is SearchHit for h in hits)
+    assert SearchHit._fields == ("paragraph_id", "score")  # a hit's rank is its position + 1
     hit = hits[0]
-    assert hit == (hit.paragraph_id, hit.score, hit.rank) == tuple(hit)
-    assert repr(hit) == f"SearchHit(paragraph_id='b#0', score={hit.score!r}, rank=1)"
-    for name in ("paragraph_id", "score", "rank", "other"):
+    assert hit == (hit.paragraph_id, hit.score) == tuple(hit)
+    assert repr(hit) == f"SearchHit(paragraph_id='b#0', score={hit.score!r})"
+    for name in ("paragraph_id", "score", "other"):
         with pytest.raises(AttributeError):
             setattr(hit, name, None)
-    assert SearchHit("b#0", hit.score, 1) == hit and hash(SearchHit(*hit)) == hash(hit)
+    assert SearchHit("b#0", hit.score) == hit and hash(SearchHit(*hit)) == hash(hit)
 
 
 def test_topk_ties_break_by_ascending_id():
@@ -297,9 +299,9 @@ def test_topk_scores_nonincreasing_and_ranks_sequential():
     rng = random.Random(13)
     for _ in range(20):
         hits = search_topk(index, make_random_query(rng), rng.randint(1, 20))
-        assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
+        assert len({h.paragraph_id for h in hits}) == len(hits)
         for prev, cur in zip(hits, hits[1:]):
-            assert prev.score >= cur.score
+            assert (-prev.score, prev.paragraph_id) < (-cur.score, cur.paragraph_id)
 
 
 def test_topk_matches_brute_force_small():
@@ -895,7 +897,6 @@ def topk_and_path(index, query, k):
 
 def assert_topk_equals_brute_force(hits, brute, query, k):
     assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, k)
-    assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
 
 
 @st.composite
@@ -1342,6 +1343,17 @@ def test_save_load_round_trip(tmp_path):
         with pytest.raises(KeyError):
             postings["unknown-term"]
         assert "unknown-term" not in postings
+
+
+def test_save_index_output_is_pinned(tmp_path):
+    path = tmp_path / "index.jsonl"
+    benchmark = make_chain_benchmark(n_per_hop=(4, 4, 2), n_distractors=10, seed=7)
+    save_index(build_index(benchmark.corpus), path)
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["magic"] == "iterqa-index"
+    assert header["k1"] == 1.2 and header["b"] == 0.75
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "474d16f47576fa0c8573379359f637c99aad56b566f5a4a33de9f6020d1902a7"
 
 
 def test_load_rejects_bad_magic(tmp_path):
