@@ -5,14 +5,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .corpus import Corpus, read_json_lines
 from .metrics import exact_match, unigram_f1
 from .models import ModelBundle
-from .pipeline import (
-    RERANKER_CANDIDATES, PipelineConfig, QuestionExample, RunResult, run_policies
-)
+from .pipeline import PipelineConfig, QuestionExample, RunResult, run_policies
 from .search import InvertedIndex
 
 ModelFactory = Callable[[QuestionExample], ModelBundle]
@@ -135,13 +133,13 @@ def _mean_scores(scores: Sequence[tuple[float | None, float | None]]) -> tuple[f
     return em / len(scored), f1 / len(scored)
 
 
-def _row(example: QuestionExample, result: RunResult, docs: int) -> PerQuestion:
-    """The report row of ``result`` read at ``docs`` paragraphs per step."""
+def _row(example: QuestionExample, result: RunResult) -> PerQuestion:
+    """The report row of ``result``."""
     prediction = result.prediction
     em, f1 = _score(example, prediction)
-    retrieved = sum(min(docs, len(s.retrieved)) for s in result.steps)
     return PerQuestion(
-        example.qid, em, f1, len(result.final_path.steps), retrieved, result.status, prediction
+        example.qid, em, f1, len(result.final_path.steps), result.paragraphs_retrieved,
+        result.status, prediction,
     )
 
 
@@ -158,22 +156,6 @@ def question_config(config: PipelineConfig, example: QuestionExample) -> Pipelin
     return replace(config, fixed_steps=example.fixed_steps or config.fixed_steps)
 
 
-def _retrieving_once_per_path(models: ModelBundle) -> ModelBundle:
-    """``models`` with the retriever called once per path (its step ids): a
-    question's trajectories share paths, and the roles are pure. An iterator
-    output is kept as a list, since it can be read only once."""
-    outputs: dict[tuple[str, ...], object] = {}
-
-    def retriever(path):
-        key = path.step_ids()
-        if key not in outputs:
-            terms = models.retriever(path)
-            outputs[key] = list(terms) if isinstance(terms, Iterator) else terms
-        return outputs[key]
-
-    return replace(models, retriever=retriever)
-
-
 def run_benchmark(
     examples: Sequence[QuestionExample],
     corpus: Corpus,
@@ -187,48 +169,26 @@ def run_benchmark(
 
     ``fixed_k_grid`` adds a dynamic-vs-fixed-steps table and ``docs_grid`` a
     retrieval-budget-vs-F1 table (see ``question_config``). Each question
-    runs one trajectory per budget class, for all the stop policies read at
-    that budget at once (``run_policies``), and every row is read off those.
-
-    A step reads the first RERANKER_CANDIDATES positive hits not on the path,
-    with at most k_cap - 1 paragraphs on it, and ``search_topk(d)`` is a
-    prefix of ``search_topk(d')`` for d < d'. So every budget at or above the
-    bound RERANKER_CANDIDATES + k_cap - 1 reads the same candidates, and ends
-    the same way, as the largest budget: they share its trajectory, and
-    budget d counts min(d, len(hits)) paragraphs per step. A budget below
-    the bound runs its own. One model bundle per question serves every
-    trajectory (see ``_retrieving_once_per_path``).
+    makes one ``run_policies`` call over the main setting and every grid
+    setting, with one model bundle: each setting runs its own trajectory
+    through the question's memo of reads, so the roles must be pure.
     """
     if not examples:
         raise ValueError("no questions to run")
     # Built before any question runs, so a bad grid value fails at once.
-    _, fixed_configs = grid_configs(config, fixed_k_grid, docs_grid)
-    bound = RERANKER_CANDIDATES + config.k_cap - 1
-    largest = max((config.docs_per_step, *docs_grid))
-    budgets = {d: largest if d >= bound else d for d in (config.docs_per_step, *docs_grid)}
-    settings = {d: replace(config, docs_per_step=d) for d in budgets.values()}
-    main_budget = budgets[config.docs_per_step]
+    docs_configs, fixed_configs = grid_configs(config, fixed_k_grid, docs_grid)
 
     rows: list[PerQuestion] = []
     budget_rows: list[list[PerQuestion]] = [[] for _ in docs_grid]
     fixed_scores: list[list[tuple[float | None, float | None]]] = [[] for _ in fixed_k_grid]
     for example in examples:
-        models = _retrieving_once_per_path(factory(example))
-        policies = [question_config(policy, example) for policy in (config, *fixed_configs)]
-        runs = {main_budget: run_policies(
-            example.question, corpus, index, models, settings[main_budget], policies
-        )}
-        for docs in docs_grid:
-            if budgets[docs] not in runs:
-                runs[budgets[docs]] = run_policies(
-                    example.question, corpus, index, models, settings[budgets[docs]], policies[:1]
-                )
-        main, *fixed = runs[main_budget]
-        rows.append(_row(example, main, config.docs_per_step))
-        for table, docs in zip(budget_rows, docs_grid):
-            table.append(_row(example, runs[budgets[docs]][0], docs))
-        for scores, run in zip(fixed_scores, fixed):
+        configs = [question_config(c, example) for c in (config, *fixed_configs, *docs_configs)]
+        main, *others = run_policies(example.question, corpus, index, factory(example), configs)
+        rows.append(_row(example, main))
+        for scores, run in zip(fixed_scores, others):
             scores.append(_score(example, run.prediction))
+        for table, run in zip(budget_rows, others[len(fixed_configs):]):
+            table.append(_row(example, run))
 
     em, f1 = _mean_scores([(r.em, r.f1) for r in rows])
     n_scored = sum(r.em is not None for r in rows)

@@ -53,8 +53,11 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _factory(args, index, corpus):
-    manifest = load_manifest(args.models) if args.models else {}
-    return build_model_factory(manifest, index, corpus)
+    try:
+        manifest = load_manifest(args.models) if args.models else {}
+        return build_model_factory(manifest, index, corpus)
+    except ManifestError as exc:
+        raise ManifestError(f"manifest {args.models!r}: {exc}") from None
 
 
 def _load_corpus(path):
@@ -217,6 +220,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if os.path.realpath(args.corpus_out) == os.path.realpath(args.questions_out):
+        raise ConfigError(f"--corpus-out and --questions-out are one file, {args.corpus_out!r}")
     benchmark = make_chain_benchmark(
         n_per_hop=tuple(args.per_hop), n_distractors=args.distractors, seed=args.seed
     )

@@ -435,9 +435,9 @@ def load_manifest(path) -> dict:
         try:
             manifest = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise ManifestError(f"manifest is not JSON: {exc}") from None
+            raise ManifestError(f"not JSON: {exc}") from None
         except UnicodeDecodeError:
-            raise ManifestError(f"manifest {path!r} is not UTF-8 text") from None
+            raise ManifestError("not UTF-8 text") from None
     if not isinstance(manifest, dict):
-        raise ManifestError("manifest must be a JSON object")
+        raise ManifestError("not a JSON object")
     return manifest

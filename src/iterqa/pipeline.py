@@ -5,7 +5,8 @@ from the path, retrieves paragraphs, and lets the reader try every
 candidate extension; when the best answerability clears the stop
 threshold the answer is emitted, otherwise the reranker's argmax extends
 the path and the loop continues, up to a cap of K paragraphs. There is one
-loop, ``run_policies``; ``run_question`` is it with one stop policy.
+loop, ``run_policies``, which runs it for several settings at once through
+one memo of reads; ``run_question`` is it with one setting.
 
 Also generates training traces along gold paths (``generate_training_traces``).
 
@@ -179,80 +180,98 @@ def run_policies(
     corpus: Corpus,
     index: InvertedIndex,
     models: ModelBundle,
-    config: PipelineConfig,
-    policies: Sequence[PipelineConfig],
+    configs: Sequence[PipelineConfig],
 ) -> list[RunResult]:
-    """Run the loop once for every stop policy; one RunResult per policy.
+    """Run the loop once per config; each RunResult is the one ``run_question`` gives.
 
-    ``config`` sets k_cap and docs_per_step, and each policy only its stop
-    rule. Each step reads: the query, the search (zero-score hits count as not
+    Each step reads: the query, the search (zero-score hits count as not
     retrieved), the first RERANKER_CANDIDATES hits not on the path, a reader
-    call per candidate and the best candidate. Each live policy then asks
-    ``stops`` whether it answers here, and the reranker's argmax extends the
-    path only while some policy is still live. A stop rule never changes what
-    the roles or the search see, so each policy's RunResult is the one a run
-    of its own would give. A retriever output that is a ``str``, is not
-    iterable or holds a non-``str`` term, a reader output that
-    ``reader_problem`` refuses or whose answerability is NaN, and a reranker
-    score that is not a finite real number, raise ModelOutputError.
+    call per candidate and the best candidate. When ``stops`` says so, the run
+    answers; else the reranker's argmax extends the path. A retriever output that
+    is a ``str``, is not iterable or holds a non-``str`` term, a reader output
+    that ``reader_problem`` refuses or whose answerability is NaN, and a
+    reranker score that is not a finite real number, raise ModelOutputError.
+
+    Every config walks its own trajectory through one memo of reads, which
+    lives for this call. The query is kept by the path's step ids; the
+    positive hits by the query, searched once at the largest docs_per_step
+    and cut to each config's, since ``search_topk(d)`` is a prefix of
+    ``search_topk(d')`` for d < d', in ranking order; the read and the
+    reranker score by (step ids, candidate id). The roles are pure
+    (``ModelBundle``), so a memo hit is what a call would give.
     """
-    results: list[RunResult | None] = [None] * len(policies)
-    outcomes: list[StepOutcome] = []
-    path = initial_path(question)
-    while len(path.steps) < config.k_cap:
-        terms = models.retriever(path)
-        if isinstance(terms, str) or not isinstance(terms, Iterable):
-            raise ModelOutputError("retriever", path, f"{type(terms).__name__}, not a list of str")
-        query = tuple(terms)
-        for term in query:
-            if not isinstance(term, str):
-                raise ModelOutputError("retriever", path, f"term {term!r} is not a str")
-        hits = ()
-        if query:
-            found = search_topk(index, list(query), config.docs_per_step)
-            hits = tuple(h for h in found if h.score > 0.0)
-        on_path = set(path.step_ids())
-        candidates = [
-            corpus.paragraphs[h.paragraph_id] for h in hits if h.paragraph_id not in on_path
-        ][:RERANKER_CANDIDATES]
-        if not candidates:
-            reason = "no new candidates" if hits else "no results" if query else "empty query"
-            outcomes.append(StepOutcome(query, hits, exhausted_reason=reason))
-            break
+    largest = max(config.docs_per_step for config in configs)
+    queries: dict[tuple[str, ...], tuple[str, ...]] = {}
+    found: dict[tuple[str, ...], tuple[SearchHit, ...]] = {}
+    reads: dict[tuple[tuple[str, ...], str], tuple] = {}
+    scores: dict[tuple[tuple[str, ...], str], float] = {}
+    results = []
+    for config in configs:
+        result = None
+        outcomes: list[StepOutcome] = []
+        path = initial_path(question)
+        while len(path.steps) < config.k_cap:
+            ids = path.step_ids()
+            if ids not in queries:
+                terms = models.retriever(path)
+                if isinstance(terms, str) or not isinstance(terms, Iterable):
+                    problem = f"{type(terms).__name__}, not a list of str"
+                    raise ModelOutputError("retriever", path, problem)
+                queries[ids] = tuple(terms)
+                for term in queries[ids]:
+                    if not isinstance(term, str):
+                        raise ModelOutputError("retriever", path, f"term {term!r} is not a str")
+            query = queries[ids]
+            hits = ()
+            if query:
+                if query not in found:
+                    top = search_topk(index, list(query), largest)
+                    found[query] = tuple(h for h in top if h.score > 0.0)
+                hits = found[query][: config.docs_per_step]
+            fresh = (corpus.paragraphs[h.paragraph_id] for h in hits if h.paragraph_id not in ids)
+            candidates = list(islice(fresh, RERANKER_CANDIDATES))
+            if not candidates:
+                reason = "no new candidates" if hits else "no results" if query else "empty query"
+                outcomes.append(StepOutcome(query, hits, exhausted_reason=reason))
+                break
 
-        evaluated = []
-        for para in candidates:
-            ext = path.extended(para)
-            output = models.reader(ext)
-            problem = reader_problem(output, ext.serialized)
-            if problem is None:
-                kind, score = pick_answer(output)
-                problem = "its answerability is NaN" if math.isnan(score) else None
-            if problem is not None:
-                raise ModelOutputError("reader", path, f"{problem}, reading {para.id!r}")
-            evaluated.append((para, ext, output.best_span, kind, score))
-        _, best_ext, span, kind, best_score = min(evaluated, key=lambda e: (-e[4], e[0].id))
-        record = _answer_record(kind, best_score, best_ext, span)
-        answerabilities = tuple((e[0].id, e[4]) for e in evaluated)
-        for i, policy in enumerate(policies):
-            if results[i] is None and stops(policy, len(path.steps) + 1, best_score):
+            evaluated = []
+            for para in candidates:
+                key = ids, para.id
+                if key not in reads:
+                    ext = path.extended(para)
+                    output = models.reader(ext)
+                    problem = reader_problem(output, ext.serialized)
+                    if problem is None:
+                        kind, score = pick_answer(output)
+                        problem = "its answerability is NaN" if math.isnan(score) else None
+                    if problem is not None:
+                        raise ModelOutputError("reader", path, f"{problem}, reading {para.id!r}")
+                    reads[key] = (para, ext, output.best_span, kind, score)
+                evaluated.append(reads[key])
+            _, best_ext, span, kind, best_score = min(evaluated, key=lambda e: (-e[4], e[0].id))
+            record = _answer_record(kind, best_score, best_ext, span)
+            answerabilities = tuple((e[0].id, e[4]) for e in evaluated)
+            if stops(config, len(ids) + 1, best_score):
                 answered = StepOutcome(query, hits, None, answerabilities, record)
-                results[i] = RunResult(ANSWERED, record, (*outcomes, answered), best_ext)
-        if None not in results:
-            return results
+                result = RunResult(ANSWERED, record, (*outcomes, answered), best_ext)
+                break
 
-        scored = [(models.reranker(path, para), para, ext) for para, ext, *_ in evaluated]
-        for score, para, _ in scored:
-            if not (isinstance(score, Real) and math.isfinite(score)):
-                raise ModelOutputError(
-                    "reranker", path, f"{score!r} for {para.id!r} is not a finite real number"
-                )
-        _, chosen, chosen_path = min(scored, key=lambda item: (-item[0], item[1].id))
-        outcomes.append(StepOutcome(query, hits, chosen.id, answerabilities, record))
-        path = chosen_path
-
-    exhausted = RunResult(EXHAUSTED, None, tuple(outcomes), path)
-    return [exhausted if result is None else result for result in results]
+            scored = []
+            for para, ext, *_ in evaluated:
+                key = ids, para.id
+                if key not in scores:
+                    score = models.reranker(path, para)
+                    if not (isinstance(score, Real) and math.isfinite(score)):
+                        problem = f"{score!r} for {para.id!r} is not a finite real number"
+                        raise ModelOutputError("reranker", path, problem)
+                    scores[key] = score
+                scored.append((scores[key], para, ext))
+            _, chosen, chosen_path = min(scored, key=lambda item: (-item[0], item[1].id))
+            outcomes.append(StepOutcome(query, hits, chosen.id, answerabilities, record))
+            path = chosen_path
+        results.append(result or RunResult(EXHAUSTED, None, tuple(outcomes), path))
+    return results
 
 
 def run_question(
@@ -263,7 +282,7 @@ def run_question(
     config: PipelineConfig = PipelineConfig(),
 ) -> RunResult:
     """Iterate until an answer clears the threshold or the path cap is hit."""
-    return run_policies(question, corpus, index, models, config, (config,))[0]
+    return run_policies(question, corpus, index, models, (config,))[0]
 
 
 def step_log_record(outcome: StepOutcome) -> dict:

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import BruteForceScorer, corpus_from, reference_bench
 import iterqa.bench as bench
+import iterqa.pipeline
 from iterqa.bench import (
     QuestionsFormatError,
     format_summary,
@@ -13,9 +14,9 @@ from iterqa.bench import (
     run_benchmark,
     write_reports,
 )
-from iterqa.models import build_model_factory
-from iterqa.pipeline import ConfigError, PipelineConfig, QuestionExample
-from iterqa.search import build_index
+from iterqa.models import ModelBundle, build_model_factory
+from iterqa.pipeline import ConfigError, PipelineConfig, QuestionExample, run_question
+from iterqa.search import build_index, search_topk
 
 
 BENCH_RECORDS = [
@@ -143,34 +144,61 @@ def test_run_benchmark_fixed_rows_equal_fixed_step_runs(bench_setup):
     assert report.dynamic_vs_fixed == expected
 
 
-def test_run_benchmark_calls_the_retriever_once_per_path(bench_setup):
+def test_run_benchmark_calls_each_role_and_search_once_per_distinct_key(bench_setup):
     corpus, index, factory = bench_setup
     stray = QuestionExample(
         qid="stray", question="which mill stands by the stream", answers=("quorind vale",)
     )
     examples = [ONE_HOP, TWO_HOP, stray]
-    grids = dict(fixed_k_grid=(1, 2), docs_grid=(1, 2, 6, 50))
+    grids = dict(fixed_k_grid=(1, 2, 3), docs_grid=(1, 2, 6, 60))
+    calls = []  # (role, question id, step ids of the path, candidate id or "")
+    searches = []  # (question id, query, k)
+    qid = None
 
-    def counting(calls, output):
-        def counting_factory(example):
-            models = factory(example)
+    def counting_factory(example):
+        nonlocal qid
+        qid = example.qid
+        models = factory(example)
 
-            def retriever(path):
-                calls.append((example.qid, path.step_ids()))
-                return output(models.retriever(path))
+        def retriever(path):
+            calls.append(("retriever", qid, path.step_ids(), ""))
+            return iter(models.retriever(path))  # an iterator can be read only once
 
-            return replace(models, retriever=retriever)
-        return counting_factory
+        def reader(path):
+            calls.append(("reader", qid, path.step_ids()[:-1], path.step_ids()[-1]))
+            return models.reader(path)
 
-    unshared = []
-    with mock.patch.object(bench, "_retrieving_once_per_path", lambda models: models):
-        expected = run_benchmark(examples, corpus, index, counting(unshared, list), **grids)
-    assert len(set(unshared)) < len(unshared)  # premise: trajectories share paths
-    # An iterator can be read only once, so it is kept as a list.
-    shared = []
-    report = run_benchmark(examples, corpus, index, counting(shared, iter), **grids)
-    assert sorted(shared) == sorted(set(unshared))
+        def reranker(path, candidate):
+            calls.append(("reranker", qid, path.step_ids(), candidate.id))
+            return models.reranker(path, candidate)
+
+        return ModelBundle(retriever, reader, reranker)
+
+    def counting_search(index, query, k):
+        searches.append((qid, tuple(query), k))
+        return search_topk(index, query, k)
+
+    def one_setting_at_a_time(question, corpus, index, models, configs):
+        return [run_question(question, corpus, index, models, config) for config in configs]
+
+    with (
+        mock.patch.object(iterqa.pipeline, "search_topk", counting_search),
+        mock.patch.object(bench, "run_policies", one_setting_at_a_time),
+    ):
+        expected = run_benchmark(examples, corpus, index, counting_factory, **grids)
+    unshared_calls, unshared_searches = calls[:], searches[:]
+    for role in ("retriever", "reader", "reranker"):  # premise: the settings share reads
+        role_calls = [call for call in calls if call[0] == role]
+        assert len(set(role_calls)) < len(role_calls)
+    calls.clear()
+    searches.clear()
+    with mock.patch.object(iterqa.pipeline, "search_topk", counting_search):
+        report = run_benchmark(examples, corpus, index, counting_factory, **grids)
     assert report == expected
+    assert sorted(calls) == sorted(set(unshared_calls))
+    assert len(searches) == len(set(searches))
+    assert {s[:2] for s in searches} == {s[:2] for s in unshared_searches}
+    assert {s[2] for s in searches} == {60}
 
 
 def test_run_benchmark_empty_rejected(bench_setup):

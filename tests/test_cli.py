@@ -234,6 +234,31 @@ def test_cli_bench_reports_do_not_depend_on_corpus_line_order(tmp_path, capsys):
             assert (reports[0] / name).read_bytes() == (reports[1] / name).read_bytes()
 
 
+def test_cli_bench_reports_do_not_depend_on_question_order(tmp_path, capsys):
+    corpus_path, questions_path = tmp_path / "corpus.jsonl", tmp_path / "questions.jsonl"
+    assert main([
+        "synth", "--corpus-out", str(corpus_path), "--questions-out", str(questions_path),
+        "--per-hop", "10", "10", "10", "--distractors", "40", "--seed", "29",
+    ]) == 0
+    reversed_path = tmp_path / "reversed.jsonl"
+    reversed_path.write_text("".join(reversed(questions_path.read_text().splitlines(True))))
+    for retriever in ("oracle", "baseline"):
+        manifest = tmp_path / f"{retriever}.json"
+        manifest.write_text(json.dumps({"retriever": retriever}))
+        reports = []
+        for questions in (questions_path, reversed_path):
+            reports.append(tmp_path / f"{retriever}-{questions.stem}")
+            assert main([
+                "bench", "--corpus", str(corpus_path), "--questions", str(questions),
+                "--models", str(manifest), "--report-dir", str(reports[-1]),
+                "--fixed-k-grid", "1", "2", "3", "--docs-grid", "3", "9", "50",
+            ]) == 0
+        summaries = [(report / "summary.txt").read_bytes() for report in reports]
+        assert summaries[0] == summaries[1]
+        rows = [(report / "per_question.jsonl").read_text().splitlines() for report in reports]
+        assert rows[0] != rows[1] and sorted(rows[0]) == sorted(rows[1])
+
+
 def test_cli_map(workspace, tmp_path, capsys):
     _, corpus_path, _ = workspace
     # Map the corpus onto an edited copy of itself: every paragraph should match.
@@ -331,18 +356,19 @@ def test_cli_reports_bad_manifest(workspace, capsys):
         "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
         "--models", str(manifest),
     ], capsys)
-    assert message == "iterqa bench: unknown retriever 'psychic'"
+    assert message == f"iterqa bench: manifest {str(manifest)!r}: unknown retriever 'psychic'"
 
 
 @pytest.mark.parametrize("manifest, expected", [
     ({"retriever": ["x"]}, "retriever must be a string, got ['x']"),
-    ("{bad", "manifest is not JSON: Expecting property name enclosed in double quotes: "
+    ("{bad", "not JSON: Expecting property name enclosed in double quotes: "
              "line 1 column 2 (char 1)"),
+    ('["retriever"]', "not a JSON object"),
     ({"retriever": "baseline", "keep_fracton": 0.9}, "unknown manifest key 'keep_fracton'"),
     ({"retriever": "baseline", "keep_fraction": 0.4}, "unknown manifest key 'keep_fraction'"),
     ({"retriever": "baseline", "max_query_len": 20}, "unknown manifest key 'max_query_len'"),
-], ids=["role-not-a-string", "not-json", "misspelled-key", "keep-fraction-key",
-        "max-query-len-key"])
+], ids=["role-not-a-string", "not-json", "not-an-object", "misspelled-key",
+        "keep-fraction-key", "max-query-len-key"])
 def test_cli_reports_malformed_manifest(workspace, capsys, manifest, expected):
     tmp_path, corpus_path, questions_path = workspace
     manifest_path = tmp_path / "models.json"
@@ -351,7 +377,7 @@ def test_cli_reports_malformed_manifest(workspace, capsys, manifest, expected):
         "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
         "--models", str(manifest_path),
     ], capsys)
-    assert message == f"iterqa bench: {expected}"
+    assert message == f"iterqa bench: manifest {str(manifest_path)!r}: {expected}"
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
@@ -409,7 +435,8 @@ def test_cli_refuses_an_external_reference_that_is_not_callable(workspace, capsy
     argv = [command, "--corpus", str(corpus_path), "--models", str(manifest)]
     argv += ["--question-file" if command == "run" else "--questions", str(questions_path)]
     assert cli_error(argv, capsys) == (
-        f"iterqa {command}: external model 'math:pi' is float, not callable"
+        f"iterqa {command}: manifest {str(manifest)!r}: external model 'math:pi' is float, "
+        "not callable"
     )
 
 
@@ -525,7 +552,7 @@ def test_cli_reports_missing_input_file(workspace, capsys, flag):
 @pytest.mark.parametrize("flag, kind, fault", [
     ("--corpus", "corpus", ": line 1: not UTF-8 text"),
     ("--questions", "questions file", ": line 1: not UTF-8 text"),
-    ("--models", "manifest", " is not UTF-8 text"),
+    ("--models", "manifest", ": not UTF-8 text"),
 ], ids=["corpus", "questions", "manifest"])
 def test_cli_refuses_an_input_that_is_not_utf8(workspace, capsys, flag, kind, fault):
     tmp_path, corpus_path, questions_path = workspace
@@ -674,6 +701,18 @@ def test_cli_synth_writes_no_record_when_an_output_cannot_be_opened(tmp_path, ca
     ], capsys)
     assert message.startswith("iterqa synth: ") and str(outputs[missing]) in message
     assert all(not path.exists() or path.read_text() == "" for path in outputs.values())
+
+
+def test_cli_synth_refuses_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    same = tmp_path / "same.jsonl"
+    same.write_text("kept\n")
+    message = cli_error([
+        "synth", "--corpus-out", "same.jsonl", "--questions-out", str(same),
+        "--per-hop", "2", "2", "2", "--distractors", "3",
+    ], capsys)
+    assert message == "iterqa synth: --corpus-out and --questions-out are one file, 'same.jsonl'"
+    assert same.read_text() == "kept\n"
 
 
 def test_cli_readme_walkthrough_parses():

@@ -1,9 +1,10 @@
 """The pipeline against the reference loop in conftest, compared with ``==``.
 
 ``run_question`` must give the reference's steps, hit scores, status, answer
-and final path for any setting; ``run_benchmark`` must give, row for row,
-what the reference gives when each setting (the main one, every docs-grid
-budget, every fixed K) is run on its own.
+and final path for any setting; ``run_policies`` must give, for any list of
+settings, what ``run_question`` gives for each; ``run_benchmark`` must give,
+row for row, what the reference gives when each setting (the main one, every
+docs-grid budget, every fixed K) is run on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from iterqa.bench import run_benchmark
 from iterqa.models import (
     GoldReader, LexicalReranker, LexicalRetriever, ModelBundle, OracleRetriever,
 )
-from iterqa.pipeline import RERANKER_CANDIDATES, PipelineConfig, run_question
+from iterqa.pipeline import RERANKER_CANDIDATES, PipelineConfig, run_policies, run_question
 from iterqa.search import build_index
 
 # The gold reader scores 10.0 or -11.0; the tie reader multiples of 0.5 in [-3, 3].
@@ -86,6 +87,31 @@ def test_run_question_equals_the_reference_loop(seed, roles, k_cap, docs, thresh
         assert run_record(result) == expected
 
 
+configs = st.lists(
+    st.builds(
+        PipelineConfig,
+        k_cap=st.integers(1, 5),
+        docs_per_step=st.integers(1, 20),
+        stop_threshold=st.sampled_from(THRESHOLDS),
+        fixed_steps=st.one_of(st.none(), st.integers(1, 6)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), roles=roles, configs=configs)
+def test_run_policies_equals_run_question_per_config(seed, roles, configs):
+    corpus, index, examples, factory = setup(seed, roles, 4)
+    for example in examples:
+        results = run_policies(example.question, corpus, index, factory(example), configs)
+        assert results == [
+            run_question(example.question, corpus, index, factory(example), config)
+            for config in configs
+        ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -102,8 +128,8 @@ def test_run_benchmark_rows_equal_reference_runs_one_setting_at_a_time(
 ):
     corpus, index, examples, factory = setup(seed, roles, 5)
     topk = BruteForceScorer(corpus).topk
-    bound = RERANKER_CANDIDATES + k_cap - 1  # budgets at or above it share a trajectory
-    if docs == "bound - 1":  # the largest budget that runs its own trajectory
+    bound = RERANKER_CANDIDATES + k_cap - 1  # budgets at or above it read the same candidates
+    if docs == "bound - 1":  # the largest budget that can read fewer
         docs = bound - 1
     config = PipelineConfig(k_cap, docs, threshold, fixed_steps)
     docs_grid = [bound - 1, bound, *extra_docs]

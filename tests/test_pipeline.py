@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -28,6 +30,7 @@ from iterqa.pipeline import (
     trace_record,
 )
 from iterqa.search import SearchHit, build_index
+from iterqa.synth import make_chain_benchmark
 
 
 TOAD_RECORDS = [
@@ -488,6 +491,32 @@ def test_runs_do_not_depend_on_what_the_index_caches(chain_benchmark):
     tableless = replace(index, rank_budget=0)
     assert run_all(index) == fresh == run_all(tableless)
     assert not tableless.rank_tables
+
+
+@pytest.mark.parametrize("retriever", ["oracle", "baseline"])
+def test_questions_run_on_threads_as_they_run_one_by_one(retriever):
+    # Runs share only the index's caches (the module docstring). Four threads
+    # fill one fresh index's caches at once, with a thread switch forced
+    # about every bytecode, and every result equals a serial run's.
+    benchmark = make_chain_benchmark(n_per_hop=(10, 10, 10), n_distractors=40, seed=13)
+    corpus, examples = benchmark.corpus, benchmark.examples
+
+    def runner():
+        index = build_index(corpus)
+        factory = build_model_factory({"retriever": retriever}, index, corpus)
+        return lambda ex: run_question(ex.question, corpus, index, factory(ex))
+
+    serial = list(map(runner(), examples))
+    run = runner()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(run, ex) for ex in examples]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 # ---------------------------------------------------------------------------
