@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from .corpus import Corpus, read_json_lines
+from .corpus import REQUIRED, Corpus, check_fields, is_str, read_json_lines
 from .metrics import exact_match, unigram_f1
 from .models import ModelBundle
 from .pipeline import PipelineConfig, QuestionExample, RunResult, run_policies
@@ -20,70 +20,44 @@ class QuestionsFormatError(ValueError):
     pass
 
 
-def load_examples(path) -> list[QuestionExample]:
-    """Read a line-delimited questions file.
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
-    Each line is an object with id and question; answers, gold_paragraph_ids
-    (distinct), answer_kind, fixed_steps, and dataset are optional.
-    """
+
+_QUESTION_FIELDS = (
+    ("id", is_str, "a string", REQUIRED),
+    ("question", is_str, "a string", REQUIRED),
+    ("answers", _is_str_list, "a list of strings", []),
+    ("gold_paragraph_ids", _is_str_list, "a list of strings", []),
+    # null, or absent, infers the kind from the answers
+    ("answer_kind", lambda v: v in (None, "span", "yes", "no"), "'span', 'yes' or 'no'", None),
+    ("fixed_steps", lambda v: v is None or type(v) is int and v >= 1,
+     "null or an integer >= 1", None),
+    ("dataset", is_str, "a string", ""),
+)
+
+
+def load_examples(path) -> list[QuestionExample]:
+    """Read a line-delimited questions file: one object per line, with the fields of
+    ``_QUESTION_FIELDS``, a new id and distinct gold_paragraph_ids."""
     examples = []
     id_lines: dict[str, int] = {}  # question id -> line it is first used on
     for line_no, record in read_json_lines(path, QuestionsFormatError):
-        if not isinstance(record, dict):
-            raise QuestionsFormatError(f"line {line_no}: record is not an object")
-        if "id" not in record or "question" not in record:
-            raise QuestionsFormatError(f"line {line_no}: needs id and question fields")
-        qid = record["id"]
-        if not isinstance(qid, str):
-            raise QuestionsFormatError(f"line {line_no}: id must be a string, got {qid!r}")
+        qid, question, answers, gold_ids, kind, fixed_steps, dataset = check_fields(
+            record, _QUESTION_FIELDS, QuestionsFormatError, f"line {line_no}: "
+        )
         if id_lines.setdefault(qid, line_no) != line_no:
             raise QuestionsFormatError(
                 f"line {line_no}: id {qid!r} is already used on line {id_lines[qid]}"
             )
-        if not isinstance(record["question"], str):
-            raise QuestionsFormatError(
-                f"line {line_no}: question must be a string, got {record['question']!r}"
-            )
-        for name in ("answers", "gold_paragraph_ids"):
-            value = record.get(name, [])
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise QuestionsFormatError(
-                    f"line {line_no}: {name} must be a list of strings, got {value!r}"
-                )
-        gold_ids = tuple(record.get("gold_paragraph_ids", ()))
         repeated = next((g for i, g in enumerate(gold_ids) if g in gold_ids[:i]), None)
         if repeated is not None:
             raise QuestionsFormatError(
                 f"line {line_no}: gold paragraph {repeated!r} is listed twice"
             )
-        fixed_steps = record.get("fixed_steps")
-        if fixed_steps is not None and (type(fixed_steps) is not int or fixed_steps < 1):
-            raise QuestionsFormatError(
-                f"line {line_no}: fixed_steps must be null or an integer >= 1, "
-                f"got {fixed_steps!r}"
-            )
-        dataset = record.get("dataset", "")
-        if not isinstance(dataset, str):
-            raise QuestionsFormatError(f"line {line_no}: dataset must be a string, got {dataset!r}")
-        answers = tuple(record.get("answers", ()))
-        kind = record.get("answer_kind")
-        if kind is None:
-            kind = answers[0] if tuple(answers) in (("yes",), ("no",)) else "span"
-        if kind not in ("span", "yes", "no"):
-            raise QuestionsFormatError(
-                f"line {line_no}: answer_kind must be 'span', 'yes' or 'no', got {kind!r}"
-            )
-        examples.append(
-            QuestionExample(
-                qid=qid,
-                question=record["question"],
-                answers=answers,
-                gold_ids=gold_ids,
-                answer_kind=kind,
-                fixed_steps=fixed_steps,
-                dataset=dataset,
-            )
-        )
+        kind = kind or (answers[0] if answers in (["yes"], ["no"]) else "span")
+        examples.append(QuestionExample(qid, question, tuple(answers), tuple(gold_ids), kind,
+                                        fixed_steps, dataset))
     return examples
 
 
@@ -114,29 +88,24 @@ class BenchmarkReport:
     dynamic_vs_fixed: list[tuple[str, float, float]] = field(default_factory=list)
 
 
-def _score(example: QuestionExample, prediction: str) -> tuple[float | None, float | None]:
-    """(EM, F1) of a prediction; (None, None) when the question has no gold answers."""
-    if not example.answers:
-        return None, None
-    return float(exact_match(prediction, example.answers)), unigram_f1(prediction, example.answers)
-
-
-def _mean_scores(scores: Sequence[tuple[float | None, float | None]]) -> tuple[float, float]:
-    """Mean EM and F1 over the scored (em, f1) pairs; 0.0 each when none is scored."""
-    scored = [s for s in scores if s[0] is not None]
+def _mean_scores(rows: Sequence[PerQuestion]) -> tuple[float, float]:
+    """Mean EM and F1 over the scored rows; 0.0 each when none is scored."""
+    scored = [row for row in rows if row.em is not None]
     if not scored:
         return 0.0, 0.0
     em = f1 = 0.0
-    for em_i, f1_i in scored:  # left to right: sum() compensates from Python 3.12 on
-        em += em_i
-        f1 += f1_i
+    for row in scored:  # left to right: sum() compensates from Python 3.12 on
+        em += row.em
+        f1 += row.f1
     return em / len(scored), f1 / len(scored)
 
 
 def _row(example: QuestionExample, result: RunResult) -> PerQuestion:
-    """The report row of ``result``."""
+    """The report row of ``result``; EM and F1 are None when the question has no gold answers."""
     prediction = result.prediction
-    em, f1 = _score(example, prediction)
+    em = f1 = None
+    if answers := example.answers:
+        em, f1 = float(exact_match(prediction, answers)), unigram_f1(prediction, answers)
     return PerQuestion(
         example.qid, em, f1, len(result.final_path.steps), result.paragraphs_retrieved,
         result.status, prediction,
@@ -178,31 +147,27 @@ def run_benchmark(
     # Built before any question runs, so a bad grid value fails at once.
     docs_configs, fixed_configs = grid_configs(config, fixed_k_grid, docs_grid)
 
-    rows: list[PerQuestion] = []
-    budget_rows: list[list[PerQuestion]] = [[] for _ in docs_grid]
-    fixed_scores: list[list[tuple[float | None, float | None]]] = [[] for _ in fixed_k_grid]
+    settings = [config, *fixed_configs, *docs_configs]
+    rows: list[list[PerQuestion]] = [[] for _ in settings]  # one row list per setting
     for example in examples:
-        configs = [question_config(c, example) for c in (config, *fixed_configs, *docs_configs)]
-        main, *others = run_policies(example.question, corpus, index, factory(example), configs)
-        rows.append(_row(example, main))
-        for scores, run in zip(fixed_scores, others):
-            scores.append(_score(example, run.prediction))
-        for table, run in zip(budget_rows, others[len(fixed_configs):]):
+        configs = [question_config(c, example) for c in settings]
+        runs = run_policies(example.question, corpus, index, factory(example), configs)
+        for table, run in zip(rows, runs):
             table.append(_row(example, run))
 
-    em, f1 = _mean_scores([(r.em, r.f1) for r in rows])
-    n_scored = sum(r.em is not None for r in rows)
-    report = BenchmarkReport(em, f1, tuple(rows), n_scored, len(rows) - n_scored)
-    for row in rows:
+    main, *others = rows
+    em, f1 = _mean_scores(main)
+    n_scored = sum(r.em is not None for r in main)
+    report = BenchmarkReport(em, f1, tuple(main), n_scored, len(main) - n_scored)
+    for row in main:
         report.step_histogram[row.steps_used] = report.step_histogram.get(row.steps_used, 0) + 1
-    for docs, table in zip(docs_grid, budget_rows):
+    for docs, table in zip(docs_grid, others[len(fixed_configs):]):
         mean_retrieved = sum(r.paragraphs_retrieved_total for r in table) / len(table)
-        docs_em, docs_f1 = _mean_scores([(r.em, r.f1) for r in table])
-        report.budget_table.append((docs, mean_retrieved, docs_em, docs_f1))
+        report.budget_table.append((docs, mean_retrieved, *_mean_scores(table)))
     if fixed_k_grid:
         report.dynamic_vs_fixed.append(("dynamic", em, f1))
-        for k, scores in zip(fixed_k_grid, fixed_scores):
-            report.dynamic_vs_fixed.append((f"fixed-{k}", *_mean_scores(scores)))
+        for k, table in zip(fixed_k_grid, others):
+            report.dynamic_vs_fixed.append((f"fixed-{k}", *_mean_scores(table)))
     return report
 
 

@@ -3,8 +3,8 @@
 The tokenizer defined here is the normalization of indexing, queries and
 span overlap detection, so term identity is consistent across them (answer
 metrics use ``metrics.normalize_answer``, which also drops articles and all
-punctuation). ``read_json_lines`` reads every input file.
-"""
+punctuation). ``read_json_lines`` reads every input file, and ``check_fields``
+checks the fields of corpus records, question records and manifest roles."""
 
 from __future__ import annotations
 
@@ -101,23 +101,38 @@ class IngestError(ValueError):
     """A corpus input could not be ingested."""
 
 
-_REQUIRED_FIELDS = ("article_id", "title", "order", "text")
+REQUIRED = object()  # the default of a field that a record must hold
 
 
-def _check_record(line_no: int, record) -> None:
+def check_fields(record, fields, error: type[Exception], where: str) -> list:
+    """The values of ``fields``, each ``(name, test, what, default)``, in ``record``.
+
+    A missing field takes its default unless that is ``REQUIRED``. A fault raises
+    ``error(where + ...)``: "record is not an object", "missing field 'x'" or
+    "x must be <what>, got <value!r>", the first in field order."""
     if not isinstance(record, dict):
-        raise IngestError(f"line {line_no}: record is not an object")
-    for name in _REQUIRED_FIELDS:
-        if name not in record:
-            raise IngestError(f"line {line_no}: missing field {name!r}")
-    if not isinstance(record["article_id"], str) or not record["article_id"]:
-        raise IngestError(f"line {line_no}: article_id must be a non-empty string")
-    if not isinstance(record["title"], str):
-        raise IngestError(f"line {line_no}: title must be a string")
-    if not isinstance(record["order"], int) or isinstance(record["order"], bool) or record["order"] < 0:
-        raise IngestError(f"line {line_no}: order must be an integer >= 0")
-    if not isinstance(record["text"], str):
-        raise IngestError(f"line {line_no}: text must be a string")
+        raise error(f"{where}record is not an object")
+    values = []
+    for name, test, what, default in fields:
+        value = record.get(name, default)
+        if value is REQUIRED:
+            raise error(f"{where}missing field {name!r}")
+        if not test(value):
+            raise error(f"{where}{name} must be {what}, got {value!r}")
+        values.append(value)
+    return values
+
+
+def is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+_CORPUS_FIELDS = (
+    ("article_id", lambda v: isinstance(v, str) and v != "", "a non-empty string", REQUIRED),
+    ("title", is_str, "a string", REQUIRED),
+    ("order", lambda v: type(v) is int and v >= 0, "an integer >= 0", REQUIRED),
+    ("text", is_str, "a string", REQUIRED),
+)
 
 
 def ingest_corpus(records: Iterable[tuple[int, object]]) -> Corpus:
@@ -129,39 +144,33 @@ def ingest_corpus(records: Iterable[tuple[int, object]]) -> Corpus:
     record, or a title that differs from its article's earlier records,
     raises IngestError with its line number.
     """
-    by_article: dict[str, dict[int, dict]] = {}
+    titles: dict[str, str] = {}  # article id -> the title of its first record
+    by_article: dict[str, dict[int, str]] = {}  # article id -> order -> text
     for line_no, record in records:
-        _check_record(line_no, record)
-        orders = by_article.setdefault(record["article_id"], {})
-        if record["order"] in orders:
+        article_id, title, order, text = check_fields(
+            record, _CORPUS_FIELDS, IngestError, f"line {line_no}: "
+        )
+        orders = by_article.setdefault(article_id, {})
+        if order in orders:
             raise IngestError(
-                f"line {line_no}: duplicate (article_id, order) = "
-                f"({record['article_id']!r}, {record['order']})"
+                f"line {line_no}: duplicate (article_id, order) = ({article_id!r}, {order})"
             )
-        first = next(iter(orders.values()), record)
-        if record["title"] != first["title"]:
+        if title != titles.setdefault(article_id, title):
             raise IngestError(
-                f"line {line_no}: title {record['title']!r} differs from {first['title']!r}, "
-                f"the title of article {record['article_id']!r}"
+                f"line {line_no}: title {title!r} differs from {titles[article_id]!r}, "
+                f"the title of article {article_id!r}"
             )
-        orders[record["order"]] = record
+        orders[order] = text
 
     paragraphs: dict[str, Paragraph] = {}
     articles: dict[str, Article] = {}
     for article_id, orders in by_article.items():
+        title = titles[article_id]
         members = []
-        title = orders[min(orders)]["title"]
-        for order in sorted(orders):
-            record = orders[order]
-            text = record["text"]
-            para = Paragraph(
-                id=f"{article_id}#{order}",
-                article_id=article_id,
-                title=record["title"],
-                text=text,
-                # One string object per distinct word, shared by every paragraph.
-                tokens=tuple(map(sys.intern, tokenize(text))),
-            )
+        for order, text in sorted(orders.items()):
+            # One string object per distinct word, shared by every paragraph.
+            para = Paragraph(f"{article_id}#{order}", article_id, title, text,
+                             tuple(map(sys.intern, tokenize(text))))
             members.append(para)
             paragraphs[para.id] = para
         articles[article_id] = Article(article_id, title, tuple(members))

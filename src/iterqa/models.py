@@ -13,6 +13,7 @@ drives dynamic stopping.
 from __future__ import annotations
 
 import importlib
+import inspect
 import json
 import math
 from collections.abc import Sized
@@ -21,7 +22,7 @@ from functools import partial
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Callable, Collection, Sequence
 
-from .corpus import Corpus, Paragraph, tokenize
+from .corpus import Corpus, Paragraph, check_fields, is_str, tokenize
 from .oracle import UntrainableExample, build_oracle_query
 from .search import InvertedIndex, idf_paragraph
 
@@ -368,10 +369,18 @@ def _load_external(ref: str):
         raise ManifestError(f"cannot load external model {ref!r}: {exc}") from exc
     if not callable(make):
         raise ManifestError(f"external model {ref!r} is {type(make).__name__}, not callable")
+    try:
+        inspect.signature(make).bind(None, None, None)
+    except TypeError as exc:
+        raise ManifestError(f"external model {ref!r} cannot be called with "
+                            f"(example, index, corpus): {exc}") from None
+    except ValueError:  # no signature to check, as for some builtins
+        pass
     return make
 
 
 _DEFAULT_ROLES = {"retriever": "oracle", "reader": "gold", "reranker": "baseline"}
+_ROLE_FIELDS = tuple((role, is_str, "a string", name) for role, name in _DEFAULT_ROLES.items())
 
 
 def _external_role(role: str, make: Callable, index: InvertedIndex, corpus: Corpus, example):
@@ -395,7 +404,7 @@ def build_model_factory(
     "external:module:attr"), ``reader`` ("gold" or external), ``reranker``
     ("baseline" or external); any other key is refused, and a missing one
     takes its ``_DEFAULT_ROLES`` name. An external attribute must be
-    callable, and is called with (example, index, corpus) for the role
+    callable with (example, index, corpus); that call gives the role
     callable (see ``_external_role``). Gold-aware roles read ``gold_ids``,
     ``answers`` and ``answer_kind`` off the example. Every role is resolved
     here, so a bad manifest raises ManifestError before any question runs.
@@ -411,10 +420,8 @@ def build_model_factory(
         ("reranker", "baseline"): lambda ex: LexicalReranker(index),
     }
     constructors = {}
-    for role, default in _DEFAULT_ROLES.items():
-        name = manifest.get(role, default)
-        if not isinstance(name, str):
-            raise ManifestError(f"{role} must be a string, got {name!r}")
+    names = check_fields(manifest, _ROLE_FIELDS, ManifestError, "")
+    for role, name in zip(_DEFAULT_ROLES, names):
         if name.startswith("external:"):
             constructors[role] = partial(
                 _external_role, role, _load_external(name[len("external:"):]), index, corpus

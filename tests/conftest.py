@@ -482,6 +482,31 @@ def nan_class_reader_factory(example, index, corpus):
     return reader
 
 
+# External constructors of every signature, for the manifest's signature check.
+def two_argument_factory(example, index):
+    return external_retriever_factory(example, index, None)
+
+
+def keyword_factory(example, index, corpus, *, model):
+    return external_retriever_factory(example, index, corpus)
+
+
+class ExternalRetriever:
+    def __init__(self, example, index, corpus):
+        pass
+
+    def __call__(self, path):
+        return ["external", "query"]
+
+
+def varargs_factory(*args):
+    return external_retriever_factory(*args)
+
+
+def defaults_factory(example, index, corpus=None, extra=None):
+    return external_retriever_factory(example, index, corpus)
+
+
 def int_role_factory(example, index, corpus):
     return 42
 

@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -10,9 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterqa.cli import build_parser, main
-from iterqa.synth import write_benchmark
+from iterqa.synth import make_chain_benchmark, write_benchmark
 
 
 @pytest.fixture()
@@ -440,6 +444,27 @@ def test_cli_refuses_an_external_reference_that_is_not_callable(workspace, capsy
     )
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("role, ref, problem", [
+    ("retriever", "os:getcwd", "too many positional arguments"),
+    ("reranker", "math:floor", "too many positional arguments"),
+    ("reader", "conftest:two_argument_factory", "too many positional arguments"),
+    ("retriever", "conftest:keyword_factory", "missing a required argument: 'model'"),
+])
+def test_cli_refuses_an_external_reference_that_cannot_take_three_arguments(
+    workspace, capsys, command, role, ref, problem
+):
+    tmp_path, corpus_path, questions_path = workspace
+    manifest = tmp_path / "models.json"
+    manifest.write_text(json.dumps({role: f"external:{ref}"}))
+    argv = [command, "--corpus", str(corpus_path), "--models", str(manifest)]
+    argv += ["--question-file" if command == "run" else "--questions", str(questions_path)]
+    assert cli_error(argv, capsys) == (
+        f"iterqa {command}: manifest {str(manifest)!r}: external model {ref!r} cannot be called "
+        f"with (example, index, corpus): {problem}"
+    )
+
+
 @pytest.mark.parametrize("command", ["oracle", "traces", "bench"])
 def test_cli_reports_unknown_gold_id_before_running(workspace, capsys, command):
     tmp_path, corpus_path, questions_path = workspace
@@ -520,6 +545,39 @@ def test_cli_reports_bad_question_field(workspace, capsys, field, value, expecte
         "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
     ], capsys)
     assert message == f"iterqa bench: questions file {str(questions_path)!r}: line 3: {expected}"
+
+
+@pytest.mark.parametrize("field", ["id", "question"])
+def test_cli_reports_missing_question_field(workspace, capsys, field):
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(questions_path)
+    del records[2][field]
+    questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = cli_error([
+        "bench", "--corpus", str(corpus_path), "--questions", str(questions_path),
+    ], capsys)
+    assert message == (
+        f"iterqa bench: questions file {str(questions_path)!r}: line 3: missing field {field!r}"
+    )
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("article_id", "", "article_id must be a non-empty string, got ''"),
+    ("article_id", 7, "article_id must be a non-empty string, got 7"),
+    ("title", 3, "title must be a string, got 3"),
+    ("title", None, "title must be a string, got None"),
+    ("order", -1, "order must be an integer >= 0, got -1"),
+    ("order", True, "order must be an integer >= 0, got True"),
+    ("order", 1.0, "order must be an integer >= 0, got 1.0"),
+    ("text", ["x"], "text must be a string, got ['x']"),
+])
+def test_cli_reports_bad_corpus_field(workspace, capsys, field, value, expected):
+    tmp_path, corpus_path, _ = workspace
+    records = read_jsonl(corpus_path)
+    records[2][field] = value
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    message = cli_error(["run", "--corpus", str(corpus_path), "--question", "where"], capsys)
+    assert message == f"iterqa run: corpus {str(corpus_path)!r}: line 3: {expected}"
 
 
 def test_cli_reports_duplicate_question_id(workspace, capsys):
@@ -804,3 +862,88 @@ def test_cli_bench_makes_its_report_dir_before_any_question_runs(workspace, caps
     ], capsys)
     assert message.startswith("iterqa bench: ") and str(taken) in message
 
+
+
+# ---------------------------------------------------------------------------
+# property: a one-record fault in any input exits 0, or exits 2 with one line
+# ---------------------------------------------------------------------------
+
+JSON_VALUES = (None, True, 0, 2, -1, 1.5, "", "x", [], ["x"], {}, {"x": 1})
+EXTERNAL_REFS = ("external:math:pi", "external:os:getcwd", "external:nope:x")
+LINE_FAULTS = ("delete", "swap", "duplicate", "add", "non-utf8", "cut")
+FAULTS = {  # input -> (fault kinds, keys an "add" may add)
+    "corpus": (LINE_FAULTS, ("extra",)),
+    "questions": (LINE_FAULTS, ("extra", "fixed_steps")),
+    "manifest": (LINE_FAULTS + ("external",), ("extra", "reader")),
+}
+READERS = {  # input -> the commands that read it
+    "corpus": ("oracle", "traces", "run", "bench", "map"),
+    "questions": ("oracle", "traces", "run", "bench"),
+    "manifest": ("run", "bench"),
+}
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """Paths of a valid 9-paragraph corpus, 3-question file and manifest."""
+    directory = tmp_path_factory.mktemp("faults")
+    paths = {name: directory / f"{name}.jsonl" for name in ("corpus", "questions", "manifest")}
+    write_benchmark(make_chain_benchmark(n_per_hop=(1, 1, 1), n_distractors=2, seed=3),
+                    paths["corpus"], paths["questions"])
+    paths["manifest"].write_text(json.dumps({"retriever": "baseline", "reranker": "baseline"}))
+    return paths
+
+
+def with_one_fault(lines, target, data):
+    """``lines`` with one record changed by a fault that ``data`` draws."""
+    kinds, added_keys = FAULTS[target]
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    kind = data.draw(st.sampled_from(kinds), label="fault")
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "non-utf8":  # any byte would do: each line is decoded whole
+        half = len(lines[i]) // 2
+        lines[i] = lines[i][:half] + b"\xff" + lines[i][half + 1:]
+    elif kind == "cut":  # any length would do: no prefix of an object is JSON
+        lines[i] = lines[i][:len(lines[i]) // 2]
+    else:
+        record = json.loads(lines[i])
+        if kind == "add":
+            key = data.draw(st.sampled_from(added_keys), label="key")
+            values = JSON_VALUES + EXTERNAL_REFS if target == "manifest" else JSON_VALUES
+        else:
+            key = data.draw(st.sampled_from(sorted(record)), label="key")
+            values = [v for v in JSON_VALUES if type(v) is not type(record[key])]
+            if kind == "external":
+                values = EXTERNAL_REFS
+        if kind == "delete":
+            del record[key]
+        else:
+            record[key] = data.draw(st.sampled_from(values), label="value")
+        lines[i] = json.dumps(record).encode()
+    return lines
+
+
+@pytest.mark.parametrize("target", ["corpus", "questions", "manifest"])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_exits_0_or_2_with_one_line_on_any_one_record_fault(small_inputs, target, data):
+    faulty = small_inputs[target].with_name("fault.jsonl")
+    lines = with_one_fault(small_inputs[target].read_bytes().splitlines(), target, data)
+    faulty.write_bytes(b"".join(line + b"\n" for line in lines))
+    paths = {name: str(faulty if name == target else path) for name, path in small_inputs.items()}
+    for command in READERS[target]:
+        if command == "map":  # onto the valid corpus
+            argv = ["map", "--original", paths["corpus"], "--candidate",
+                    str(small_inputs["corpus"]), "--out", str(faulty.with_name("out.jsonl"))]
+        else:
+            argv = questions_argv(command, faulty.parent, paths["corpus"], paths["questions"])
+            argv += ["--models", paths["manifest"]] if command in ("run", "bench") else []
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            status = main(argv)
+        errors = stderr.getvalue().splitlines()
+        assert status == 0 or (
+            status == 2 and len(errors) == 1 and errors[0].startswith(f"iterqa {command}: ")
+        ), (command, status, stderr.getvalue())

@@ -115,6 +115,13 @@ def test_ingest_missing_title_reports_line():
         ])
 
 
+def test_ingest_reports_the_first_fault_in_field_order():
+    # article_id comes before the missing text in the field table.
+    with pytest.raises(IngestError, match="^line 1: article_id must be a non-empty string, "
+                                          "got ''$"):
+        corpus_from([{"article_id": "", "title": 3, "order": -1}])
+
+
 def test_ingest_refuses_a_title_that_differs_from_its_articles():
     records = [
         {"article_id": "b", "title": "B", "order": 0, "text": "w"},

@@ -494,6 +494,17 @@ def test_factory_external_loading(fixture_corpus, fixture_index):
     assert bundle.retriever(initial_path("q")) == ["external", "query"]
 
 
+@pytest.mark.parametrize("name", ["ExternalRetriever", "varargs_factory", "defaults_factory"])
+def test_factory_external_loading_takes_any_callable_of_three_arguments(
+    fixture_corpus, fixture_index, name
+):
+    factory = build_model_factory(
+        {"retriever": f"external:conftest:{name}"}, fixture_index, fixture_corpus
+    )
+    bundle = factory(example_for(fixture_corpus))
+    assert bundle.retriever(initial_path("q")) == ["external", "query"]
+
+
 def test_factory_bad_external_spec(fixture_corpus, fixture_index):
     with pytest.raises(ManifestError):
         build_model_factory(
