@@ -41,10 +41,9 @@ from .pipeline import (
     ReasoningPath,
     RunResult,
     StepOutcome,
-    TrainingTrace,
-    generate_training_traces,
     initial_path,
     run_question,
+    training_traces,
 )
 from .search import (
     InvertedIndex,

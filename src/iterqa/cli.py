@@ -19,10 +19,9 @@ from .pipeline import (
     ModelOutputError,
     PipelineConfig,
     QuestionExample,
-    generate_training_traces,
     run_question,
     step_log_record,
-    trace_record,
+    training_traces,
     walk_gold_path,
 )
 from .search import build_index
@@ -50,6 +49,17 @@ def _pipeline_config(args) -> PipelineConfig:
         stop_threshold=args.stop_threshold,
         fixed_steps=args.fixed_steps,
     )
+
+
+def _check_fixed_steps(config: PipelineConfig, fixed_k_grid, examples) -> None:
+    """Refuse a fixed step past the path cap: such a run ends exhausted, short of
+    that step, and would be scored on its best attempt as if it had answered."""
+    fixed = [("--fixed-steps", config.fixed_steps)]
+    fixed += [("--fixed-k-grid", k) for k in fixed_k_grid]
+    fixed += [(f"question {e.qid!r}: fixed_steps", e.fixed_steps) for e in examples]
+    for name, steps in fixed:
+        if steps is not None and steps > config.k_cap:
+            raise ConfigError(f"{name} {steps} is above --k-cap {config.k_cap}")
 
 
 def _factory(args, index, corpus):
@@ -127,16 +137,19 @@ def cmd_traces(args) -> int:
     index = build_index(corpus)
     examples = _examples_for(args.questions, corpus)
     config = PipelineConfig(k_cap=args.k_cap, docs_per_step=args.docs_per_step)
+    written = skipped = 0
     with open(args.out, "w", encoding="utf-8") as out:
-        generation = generate_training_traces(
-            corpus, index, examples, config, augment_nongold=not args.no_augment
-        )
-        for trace in generation.traces:
-            out.write(json.dumps(trace_record(trace)) + "\n")
-    print(
-        f"wrote {len(generation.traces)} traces to {args.out} "
-        f"({len(generation.skipped)} examples skipped: no path/target overlap)"
-    )
+        for example in examples:
+            try:
+                records = training_traces(corpus, index, example, config, not args.no_augment)
+            except UntrainableExample:
+                skipped += 1
+                continue
+            for record in records:
+                out.write(json.dumps(record) + "\n")
+            written += len(records)
+    print(f"wrote {written} traces to {args.out} "
+          f"({skipped} examples skipped: no path/target overlap)")
     return 0
 
 
@@ -148,7 +161,9 @@ def cmd_run(args) -> int:
     else:
         example = QuestionExample(qid="cli", question=args.question)
     factory = _factory(args, index, corpus)
-    config = question_config(_pipeline_config(args), example)
+    config = _pipeline_config(args)
+    _check_fixed_steps(config, (), [example])
+    config = question_config(config, example)
     result = run_question(example.question, corpus, index, factory(example), config)
     for i, outcome in enumerate(result.steps, start=1):
         record = step_log_record(outcome)
@@ -171,6 +186,7 @@ def cmd_bench(args) -> int:
     factory = _factory(args, index, corpus)
     config = _pipeline_config(args)
     grids = {"fixed_k_grid": args.fixed_k_grid or (), "docs_grid": args.docs_grid or ()}
+    _check_fixed_steps(config, grids["fixed_k_grid"], examples)
     if args.report_dir:
         grid_configs(config, **grids)  # a bad grid value fails before the directory is made
         os.makedirs(args.report_dir, exist_ok=True)

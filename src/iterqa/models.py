@@ -371,11 +371,9 @@ def _load_external(ref: str):
         raise ManifestError(f"external model {ref!r} is {type(make).__name__}, not callable")
     try:
         inspect.signature(make).bind(None, None, None)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ValueError: no signature, as for some builtins
         raise ManifestError(f"external model {ref!r} cannot be called with "
                             f"(example, index, corpus): {exc}") from None
-    except ValueError:  # no signature to check, as for some builtins
-        pass
     return make
 
 
@@ -412,12 +410,13 @@ def build_model_factory(
     unknown = sorted(manifest.keys() - _DEFAULT_ROLES.keys())
     if unknown:
         raise ManifestError(f"unknown manifest key {unknown[0]!r}")
-    lexical = LexicalRetriever(index)  # pure and the same for every question, so built once
+    # The lexical roles are pure and the same for every question, so each is built once.
+    lexical, reranker = LexicalRetriever(index), LexicalReranker(index)
     builtin = {  # (role, name) -> constructor: example -> role callable
         ("retriever", "baseline"): lambda ex: lexical,
         ("retriever", "oracle"): lambda ex: OracleRetriever(index, corpus, ex.gold_ids, lexical),
         ("reader", "gold"): lambda ex: GoldReader(ex.answers, ex.gold_ids, ex.answer_kind),
-        ("reranker", "baseline"): lambda ex: LexicalReranker(index),
+        ("reranker", "baseline"): lambda ex: reranker,
     }
     constructors = {}
     names = check_fields(manifest, _ROLE_FIELDS, ManifestError, "")

@@ -8,7 +8,7 @@ the path and the loop continues, up to a cap of K paragraphs. There is one
 loop, ``run_policies``, which runs it for several settings at once through
 one memo of reads; ``run_question`` is it with one setting.
 
-Also generates training traces along gold paths (``generate_training_traces``).
+Also builds training-trace records along gold paths (``training_traces``).
 
 Runs write only the index's caches, which stay safe under concurrent calls
 (see ``InvertedIndex``), so questions can be processed concurrently. Within
@@ -19,7 +19,8 @@ outcome never depends on candidate evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse, islice
 from numbers import Real
@@ -319,39 +320,6 @@ class QuestionExample:
     dataset: str = ""
 
 
-@dataclass(frozen=True)
-class TrainingTrace:
-    """One supervision record for the retriever, reranker, and reader."""
-
-    qid: str
-    variant: str  # gold | recovery
-    path_state: ReasoningPath
-    oracle_query: OracleQuery
-    candidates: tuple[str, ...]
-    gold_flags: tuple[bool, ...]
-    reader_label: str  # SPAN | YES | NO | NOANSWER
-    span: tuple[int, int] | None
-
-
-@dataclass
-class TraceGeneration:
-    traces: list[TrainingTrace] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)  # qids with no usable overlap
-
-
-def _trace_candidates(
-    hits: list[SearchHit], on_path: set[str], index: InvertedIndex, count: int
-) -> tuple[str, ...]:
-    candidates = [h.paragraph_id for h in hits if h.paragraph_id not in on_path][:count]
-    if len(candidates) < count:
-        # Pad from the remaining corpus so the reranker always sees a
-        # fixed-size candidate set.
-        used = set(candidates) | on_path
-        fill = filterfalse(used.__contains__, index.para_order)
-        candidates += islice(fill, count - len(candidates))
-    return tuple(candidates)
-
-
 def _reader_label(
     next_path: ReasoningPath, example: QuestionExample
 ) -> tuple[str, tuple[int, int] | None]:
@@ -366,37 +334,6 @@ def _reader_label(
     if span is None:
         return "NOANSWER", None
     return "SPAN", span
-
-
-def generate_training_traces(
-    corpus: Corpus,
-    index: InvertedIndex,
-    gold_examples: Iterable[QuestionExample],
-    config: PipelineConfig = PipelineConfig(k_cap=3),
-    augment_nongold: bool = True,
-) -> TraceGeneration:
-    """Emit supervision traces along each example's gold path.
-
-    Each gold step yields one trace (oracle query, top candidates, gold
-    flags, reader label for the gold continuation). With augmentation, each
-    step also yields a recovery trace: the top-ranked non-gold hit is
-    appended instead and the oracle re-derives a query from that polluted
-    path. Examples whose gold target shares no token with the path are
-    skipped and counted.
-
-    From ``config``, ``k_cap`` caps the paragraphs on a traced path and
-    ``docs_per_step`` sizes each step's search; the stop settings do not
-    apply.
-    """
-    result = TraceGeneration()
-    for example in gold_examples:
-        try:
-            traces = list(_example_traces(corpus, index, example, config, augment_nongold))
-        except UntrainableExample:
-            result.skipped.append(example.qid)
-            continue
-        result.traces.extend(traces)
-    return result
 
 
 def walk_gold_path(
@@ -414,74 +351,60 @@ def walk_gold_path(
         path = path.extended(target)
 
 
-def _trace(
-    index: InvertedIndex,
-    example: QuestionExample,
-    config: PipelineConfig,
-    variant: str,
-    path: ReasoningPath,
-    target: Paragraph,
-    query: OracleQuery,
-) -> tuple[TrainingTrace, list[SearchHit]]:
-    """The trace for reaching ``target`` from ``path``, and the query's hits."""
-    hits = search_topk(index, list(query.terms), config.docs_per_step)
-    candidates = _trace_candidates(hits, set(path.step_ids()), index, RERANKER_CANDIDATES)
-    label, span = _reader_label(path.extended(target), example)
-    gold = set(example.gold_ids)
-    trace = TrainingTrace(
-        qid=example.qid,
-        variant=variant,
-        path_state=path,
-        oracle_query=query,
-        candidates=candidates,
-        gold_flags=tuple(c in gold for c in candidates),
-        reader_label=label,
-        span=span,
-    )
-    return trace, hits
-
-
-def _example_traces(
+def training_traces(
     corpus: Corpus,
     index: InvertedIndex,
     example: QuestionExample,
-    config: PipelineConfig,
-    augment_nongold: bool,
-) -> Iterable[TrainingTrace]:
+    config: PipelineConfig = PipelineConfig(k_cap=3),
+    augment_nongold: bool = True,
+) -> list[dict]:
+    """The JSON records of the supervision traces along ``example``'s gold path.
+
+    Each gold step yields one record: the oracle query, the first
+    RERANKER_CANDIDATES hits off the path (padded from the index's paragraph
+    order when the hits are few, so the reranker always sees a fixed-size
+    set), their gold flags and the reader label of the gold continuation.
+    With augmentation, a gold step with room for a wrong paragraph and the
+    target also yields a recovery record: its top-ranked non-gold hit is
+    appended instead and the oracle re-derives a query from that polluted
+    path. Raises UntrainableExample as ``walk_gold_path`` does.
+
+    From ``config``, ``k_cap`` caps the paragraphs on a traced path and
+    ``docs_per_step`` sizes each step's search; the stop settings do not
+    apply.
+    """
+    gold = set(example.gold_ids)
+    records = []
     gold_path = walk_gold_path(corpus, index, example.question, example.gold_ids[: config.k_cap])
     for path, target, query in gold_path:
-        trace, hits = _trace(index, example, config, "gold", path, target, query)
-        yield trace
-
-        # A recovery step needs room for the wrong paragraph and the target.
-        if not augment_nongold or len(path.steps) + 2 > config.k_cap:
-            continue
-        excluded = set(path.step_ids()) | set(example.gold_ids)
-        nongold = next(
-            (h.paragraph_id for h in hits if h.score > 0.0 and h.paragraph_id not in excluded),
-            None,
-        )
-        if nongold is None:
-            continue
-        polluted = path.extended(corpus.paragraphs[nongold])
-        try:
-            query = build_oracle_query(index, polluted.path_tokens(), target)
-        except UntrainableExample:
-            continue
-        yield _trace(index, example, config, "recovery", polluted, target, query)[0]
-
-
-def trace_record(trace: TrainingTrace) -> dict:
-    """JSON-serializable form of one training trace."""
-    return {
-        "qid": trace.qid,
-        "variant": trace.variant,
-        "question": trace.path_state.question,
-        "path_ids": list(trace.path_state.step_ids()),
-        "oracle_query": list(trace.oracle_query.terms),
-        "achieved_rank": trace.oracle_query.achieved_rank,
-        "candidates": list(trace.candidates),
-        "gold_flags": list(trace.gold_flags),
-        "reader_label": trace.reader_label,
-        "span": list(trace.span) if trace.span is not None else None,
-    }
+        variant = "gold"
+        while query is not None:
+            hits = search_topk(index, list(query.terms), config.docs_per_step)
+            on_path = set(path.step_ids())
+            off_path = (h.paragraph_id for h in hits if h.paragraph_id not in on_path)
+            candidates = list(islice(off_path, RERANKER_CANDIDATES))
+            fill = filterfalse(on_path.union(candidates).__contains__, index.para_order)
+            candidates += islice(fill, RERANKER_CANDIDATES - len(candidates))
+            label, span = _reader_label(path.extended(target), example)
+            records.append({
+                "qid": example.qid,
+                "variant": variant,
+                "question": example.question,
+                "path_ids": list(path.step_ids()),
+                "oracle_query": list(query.terms),
+                "achieved_rank": query.achieved_rank,
+                "candidates": candidates,
+                "gold_flags": [c in gold for c in candidates],
+                "reader_label": label,
+                "span": list(span) if span is not None else None,
+            })
+            query = None  # a recovery record, when there is one, is the second and last pass
+            if variant == "gold" and augment_nongold and len(path.steps) + 2 <= config.k_cap:
+                excluded = on_path | gold
+                wrong = next((h.paragraph_id for h in hits
+                              if h.score > 0.0 and h.paragraph_id not in excluded), None)
+                if wrong is not None:
+                    variant, path = "recovery", path.extended(corpus.paragraphs[wrong])
+                    with suppress(UntrainableExample):
+                        query = build_oracle_query(index, path.path_tokens(), target)
+    return records

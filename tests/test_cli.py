@@ -236,6 +236,15 @@ def test_cli_bench_reports_do_not_depend_on_corpus_line_order(tmp_path, capsys):
             ]) == 0
         for name in ("summary.txt", "per_question.jsonl"):
             assert (reports[0] / name).read_bytes() == (reports[1] / name).read_bytes()
+    for command in ("oracle", "traces"):
+        outputs = []
+        for corpus in (corpus_path, shuffled):
+            outputs.append(tmp_path / f"{command}-{corpus.stem}.jsonl")
+            assert main([
+                command, "--corpus", str(corpus), "--questions", str(questions_path),
+                "--out", str(outputs[-1]),
+            ]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes() != b""
 
 
 def test_cli_bench_reports_do_not_depend_on_question_order(tmp_path, capsys):
@@ -450,6 +459,7 @@ def test_cli_refuses_an_external_reference_that_is_not_callable(workspace, capsy
     ("reranker", "math:floor", "too many positional arguments"),
     ("reader", "conftest:two_argument_factory", "too many positional arguments"),
     ("retriever", "conftest:keyword_factory", "missing a required argument: 'model'"),
+    ("retriever", "builtins:dict", "no signature found for builtin type <class 'dict'>"),
 ])
 def test_cli_refuses_an_external_reference_that_cannot_take_three_arguments(
     workspace, capsys, command, role, ref, problem
@@ -508,6 +518,38 @@ def test_cli_reports_bad_config_value(workspace, capsys, command, flags, name):
     rule = "a number" if name == "stop_threshold" else ">= 1"
     assert message.startswith(f"iterqa {command}: {name} must be {rule}, got ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, record_steps, problem", [
+    ("bench", ["--k-cap", "2", "--fixed-k-grid", "1", "2", "3", "4"], None,
+     "--fixed-k-grid 3 is above --k-cap 2"),
+    ("bench", ["--fixed-k-grid", "6"], None, "--fixed-k-grid 6 is above --k-cap 5"),
+    ("bench", ["--k-cap", "2", "--fixed-steps", "3"], None, "--fixed-steps 3 is above --k-cap 2"),
+    ("bench", ["--k-cap", "2"], 4, "question {qid!r}: fixed_steps 4 is above --k-cap 2"),
+    ("run", ["--k-cap", "2", "--fixed-steps", "3"], None, "--fixed-steps 3 is above --k-cap 2"),
+    ("run", ["--k-cap", "2"], 4, "question {qid!r}: fixed_steps 4 is above --k-cap 2"),
+], ids=["bench-grid", "bench-grid-default-cap", "bench-flag", "bench-record", "run-flag",
+        "run-record"])
+def test_cli_refuses_a_fixed_step_past_the_path_cap(
+    workspace, capsys, monkeypatch, command, flags, record_steps, problem
+):
+    # A run never reaches a step past k_cap: it would end exhausted and be
+    # scored on its best attempt, under the name of a policy that never ran.
+    tmp_path, corpus_path, questions_path = workspace
+    records = read_jsonl(questions_path)
+    records[0]["fixed_steps"] = record_steps
+    questions_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    monkeypatch.setattr("iterqa.cli.run_benchmark", must_not_run)
+    monkeypatch.setattr("iterqa.cli.run_question", must_not_run)
+    report_dir = tmp_path / "reports"
+    argv = [command, "--corpus", str(corpus_path), *flags]
+    if command == "run":
+        argv += ["--question-file", str(questions_path)]
+    else:
+        argv += ["--questions", str(questions_path), "--report-dir", str(report_dir)]
+    message = cli_error(argv, capsys)
+    assert message == f"iterqa {command}: " + problem.format(qid=records[0]["id"])
+    assert not report_dir.exists()
 
 
 def test_cli_reports_bad_fixed_steps_in_question_record(workspace, capsys):
@@ -842,7 +884,7 @@ def must_not_run(*args, **kwargs):
 
 def test_cli_traces_opens_its_output_before_any_question_runs(workspace, capsys, monkeypatch):
     tmp_path, corpus_path, questions_path = workspace
-    monkeypatch.setattr("iterqa.cli.generate_training_traces", must_not_run)
+    monkeypatch.setattr("iterqa.cli.training_traces", must_not_run)
     out = tmp_path / "missing" / "traces.jsonl"
     message = cli_error([
         "traces", "--corpus", str(corpus_path), "--questions", str(questions_path),

@@ -473,6 +473,8 @@ def test_factory_default_roles(fixture_corpus, fixture_index):
         assert isinstance(bundle.retriever, OracleRetriever)
         assert isinstance(bundle.reader, GoldReader)
         assert isinstance(bundle.reranker, LexicalReranker)
+        # Pure and the same for every question, so built once per factory.
+        assert factory(example_for(fixture_corpus)).reranker is bundle.reranker
 
 
 def test_factory_shares_one_lexical_retriever_as_the_oracle_fallback(fixture_corpus, fixture_index):

@@ -13,6 +13,7 @@ from iterqa.models import (
     NO, NOANSWER, SPAN, YES, GoldReader, LexicalReranker, ModelBundle, build_model_factory,
     serialize_path,
 )
+from iterqa.oracle import UntrainableExample
 from iterqa.pipeline import (
     ANSWERED,
     EXHAUSTED,
@@ -23,11 +24,10 @@ from iterqa.pipeline import (
     QuestionExample,
     RunResult,
     StepOutcome,
-    generate_training_traces,
     initial_path,
     run_question,
     step_log_record,
-    trace_record,
+    training_traces,
 )
 from iterqa.search import SearchHit, build_index
 from iterqa.synth import make_chain_benchmark
@@ -553,42 +553,40 @@ def test_one_hop_trace_without_augmentation():
         qid="t0", question="what does the braxmoor heath hide",
         answers=("silver chalice",), gold_ids=("hop2#0",),
     )
-    generation = generate_training_traces(
-        corpus, index, [example], augment_nongold=False
-    )
-    assert len(generation.traces) == 1
-    trace = generation.traces[0]
-    assert trace.reader_label == "SPAN"
-    assert trace.span is not None
-    assert trace.variant == "gold"
-    assert generation.skipped == []
+    [record] = training_traces(corpus, index, example, augment_nongold=False)
+    assert record["reader_label"] == "SPAN"
+    assert record["span"] is not None
+    assert record["variant"] == "gold"
+    assert list(record) == [
+        "qid", "variant", "question", "path_ids", "oracle_query", "achieved_rank",
+        "candidates", "gold_flags", "reader_label", "span",
+    ]
 
 
 def test_two_hop_traces_with_augmentation():
     corpus = trace_corpus()
     index = build_index(corpus)
-    generation = generate_training_traces(corpus, index, [two_hop_example()])
-    variants = [(t.variant, t.reader_label) for t in generation.traces]
+    records = training_traces(corpus, index, two_hop_example())
+    variants = [(r["variant"], r["reader_label"]) for r in records]
     assert ("gold", "NOANSWER") in variants  # first hop, evidence incomplete
     assert ("gold", "SPAN") in variants      # final hop
-    gold_traces = [t for t in generation.traces if t.variant == "gold"]
-    recovery_traces = [t for t in generation.traces if t.variant == "recovery"]
-    assert len(gold_traces) == 2
-    assert 1 <= len(recovery_traces) <= 2
-    for trace in recovery_traces:
+    gold_records = [r for r in records if r["variant"] == "gold"]
+    recovery_records = [r for r in records if r["variant"] == "recovery"]
+    assert len(gold_records) == 2
+    assert 1 <= len(recovery_records) <= 2
+    for record in recovery_records:
         # The polluted path holds a non-gold paragraph, and the candidate
         # flags still mark gold paragraphs.
-        assert any(pid not in ("hop1#0", "hop2#0") for pid in trace.path_state.step_ids())
-        assert len(trace.candidates) == len(trace.gold_flags)
+        assert any(pid not in ("hop1#0", "hop2#0") for pid in record["path_ids"])
+        assert len(record["candidates"]) == len(record["gold_flags"])
 
 
 def test_traces_always_have_five_candidates():
     corpus = trace_corpus()
     index = build_index(corpus)
-    generation = generate_training_traces(corpus, index, [two_hop_example()])
-    for trace in generation.traces:
-        assert len(trace.candidates) == 5
-        for pid, flag in zip(trace.candidates, trace.gold_flags):
+    for record in training_traces(corpus, index, two_hop_example()):
+        assert len(record["candidates"]) == 5
+        for pid, flag in zip(record["candidates"], record["gold_flags"]):
             assert flag == (pid in ("hop1#0", "hop2#0"))
 
 
@@ -605,23 +603,23 @@ def test_trace_candidates_padded_when_hits_are_few():
     example = QuestionExample(
         qid="t2", question="zarquon", answers=("word",), gold_ids=("hop1#0",),
     )
-    generation = generate_training_traces(
-        corpus, index, [example], PipelineConfig(k_cap=3, docs_per_step=2), augment_nongold=False
+    [record] = training_traces(
+        corpus, index, example, PipelineConfig(k_cap=3, docs_per_step=2), augment_nongold=False
     )
-    assert len(generation.traces[0].candidates) == 5
+    # The two hits (the target, then a zero-score fill), padded in paragraph order.
+    assert record["candidates"] == ["hop1#0", "d1#0", "d2#0", "d3#0", "d4#0"]
 
 
-def test_untrainable_example_counted_and_skipped():
+def test_untrainable_example_raises():
     corpus = trace_corpus()
     index = build_index(corpus)
     bad = QuestionExample(
         qid="bad", question="zz yy xx", answers=("a",), gold_ids=("d5#0",),
     )
-    generation = generate_training_traces(
-        corpus, index, [bad, two_hop_example()], augment_nongold=False
-    )
-    assert generation.skipped == ["bad"]
-    assert {t.qid for t in generation.traces} == {"t1"}
+    with pytest.raises(UntrainableExample):
+        training_traces(corpus, index, bad, augment_nongold=False)
+    records = training_traces(corpus, index, two_hop_example(), augment_nongold=False)
+    assert {r["qid"] for r in records} == {"t1"}
 
 
 def test_trace_walk_truncated_at_k_cap():
@@ -631,20 +629,17 @@ def test_trace_walk_truncated_at_k_cap():
         qid="t3", question="what is hidden beyond the quorind vale",
         answers=("silver chalice",), gold_ids=("hop1#0", "hop2#0"),
     )
-    generation = generate_training_traces(
-        corpus, index, [example], PipelineConfig(k_cap=1), augment_nongold=False
-    )
-    assert len(generation.traces) == 1  # gold walk truncated at the cap
+    records = training_traces(corpus, index, example, PipelineConfig(k_cap=1),
+                              augment_nongold=False)
+    assert len(records) == 1  # gold walk truncated at the cap
 
 
 def test_trace_record_round_trips_json():
+    # Every value is a JSON type already: a tuple would come back a list.
     corpus = trace_corpus()
     index = build_index(corpus)
-    generation = generate_training_traces(corpus, index, [two_hop_example()])
-    for trace in generation.traces:
-        parsed = json.loads(json.dumps(trace_record(trace)))
-        assert parsed["qid"] == trace.qid
-        assert parsed["candidates"] == list(trace.candidates)
+    records = training_traces(corpus, index, two_hop_example())
+    assert records and json.loads(json.dumps(records)) == records
 
 
 @pytest.mark.parametrize("field, value", [
