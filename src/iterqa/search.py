@@ -24,7 +24,10 @@ paragraphs a scorer skips. The brute-force scorer in ``tests/conftest.py``
 computes exactly that and is the reference, and the tie order relies on
 it. (Merged per-span sums would reassociate the additions.) Contributions
 are positive, so a paragraph the query reaches scores above 0.0 and any
-other exactly 0.0.
+other exactly 0.0. A term that reaches a paragraph reaches its article,
+unless the term's article idf clamps to 0.0; so for a query with no such
+term, the paragraphs it reaches are exactly the members of the articles it
+reaches, and only a query with one must scan every paragraph's score.
 
 Bounds. ``search_topk`` scores every reached paragraph, but for a query
 with a term in every paragraph only those its rarer terms reach
@@ -68,6 +71,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, compress, count, filterfalse, islice
 from operator import countOf
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -104,15 +108,16 @@ class InvertedIndex:
     """Paragraph-level postings over an ingested corpus (see the module docstring).
 
     Immutable after build_index or load_index except the lazily filled
-    caches ``impacts``, ``rank_tables`` and ``sighted`` (see the module
-    docstring), left out of ``==`` and ``repr``. ``impacts`` holds no term
-    the index lacks, and the others no query that reaches no paragraph.
+    caches ``idfs`` (see ``idf_paragraph``), ``impacts``, ``rank_tables``
+    and ``sighted`` (see the module docstring), left out of ``==`` and
+    ``repr``. ``idfs`` and ``impacts`` hold no term the index lacks, and
+    the others no query that reaches no paragraph.
 
-    Concurrent reads stay safe: each ``impacts`` and ``rank_tables`` entry
-    is an idempotent value, derived from the immutable postings, built
-    whole and set with one dict assignment under the GIL, so a reader
-    never sees a partial entry. ``sighted`` only decides when a table is
-    built, and changes under ``_admit``'s lock.
+    Concurrent reads stay safe: each ``idfs``, ``impacts`` and
+    ``rank_tables`` entry is an idempotent value, derived from the
+    immutable postings, built whole and set with one dict assignment under
+    the GIL, so a reader never sees a partial entry. ``sighted`` only
+    decides when a table is built, and changes under ``_admit``'s lock.
     """
 
     postings: dict[str, dict[str, int]]          # term -> {paragraph_id: tf}
@@ -126,6 +131,7 @@ class InvertedIndex:
     article_of: tuple[int, ...]                  # paragraph ordinal -> article ordinal
     ordinals: tuple[int, ...]                    # tuple(range(n_para)), shared ints
     rank_budget: int                             # bytes for rank tables and sighted keys
+    idfs: dict[str, float] = field(default_factory=dict, init=False, repr=False, compare=False)
     impacts: dict[str, tuple[_Level, _Level]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -188,9 +194,15 @@ def build_index(corpus: Corpus) -> InvertedIndex:
 
 
 def idf_paragraph(index: InvertedIndex, term: str) -> float:
-    """Paragraph-level idf, ln(1 + (N-n+0.5)/(n+0.5)); always positive."""
-    n = len(index.postings.get(term, ()))
-    return math.log(1.0 + (index.n_para - n + 0.5) / (n + 0.5))
+    """Paragraph-level idf, ln(1 + (N-n+0.5)/(n+0.5)); always positive.
+    Kept in ``index.idfs`` for a term the index has."""
+    idf = index.idfs.get(term)
+    if idf is None:
+        n = len(index.postings.get(term, ()))
+        idf = math.log(1.0 + (index.n_para - n + 0.5) / (n + 0.5))
+        if n:
+            index.idfs[term] = idf
+    return idf
 
 
 class SearchHit(NamedTuple):
@@ -199,6 +211,8 @@ class SearchHit(NamedTuple):
     paragraph_id: str
     score: float
 
+
+_hit = partial(tuple.__new__, SearchHit)  # SearchHit((id, score)) without its Python-level __new__
 
 # The levels of a term the index lacks.
 _NO_LEVEL: _Level = ((), array("d"), 0.0)
@@ -242,20 +256,17 @@ def _levels(index: InvertedIndex, query: Query) -> list[tuple[_Level, _Level]]:
     return [cache.get(term) or _impacts(index, term) for term in query]
 
 
-def _accumulate(
-    index: InvertedIndex, levels: _Levels, candidates: Sequence[int] = ()
-) -> list[float]:
-    """Combined score of every paragraph, by ordinal, under the query of
-    these ``levels``, a term at a time, exact (see the module docstring).
-
-    Given ``candidates``, only their values are full scores: a term in
-    every paragraph, which holds ordinal i's contribution at position i,
-    is added at them alone, and only they get their article's total.
+def _accumulate(index: InvertedIndex, levels: _Levels, candidates: Sequence[int]) -> list[float]:
+    """Combined score of each of the ``candidates``, at its ordinal, under
+    the query of these ``levels``, a term at a time, exact (see the module
+    docstring); the other values are partial. A term in every paragraph,
+    which holds ordinal i's contribution at position i, is added at the
+    candidates alone, and only they get their article's total.
     """
     scores = [0.0] * index.n_para
     article_scores = [0.0] * index.n_article
     for (para_ordinals, para, _), (article_ordinals, article, _) in levels:
-        if candidates and len(para) == index.n_para:  # ordinal i's entry is para[i]
+        if len(para) == index.n_para:  # ordinal i's entry is para[i]
             for i in candidates:
                 scores[i] += para[i]
         else:
@@ -263,18 +274,39 @@ def _accumulate(
                 scores[i] += c
         for a, c in zip(article_ordinals, article):
             article_scores[a] += c
-    if candidates:
-        article_of = index.article_of
-        for i in candidates:
-            scores[i] += article_scores[article_of[i]]
-        return scores
+    article_of = index.article_of
+    for i in candidates:
+        scores[i] += article_scores[article_of[i]]
+    return scores
+
+
+def _ranking(index: InvertedIndex, levels: _Levels) -> tuple[list[int], list[float]]:
+    """The ordinals that score above 0.0 under the query of these
+    ``levels``, in ranking order, and every paragraph's score by ordinal,
+    summed as ``_accumulate`` sums them. The ordinals are the reached
+    articles' members, listed as the article totals are spread, unless a
+    query term's article idf clamps to 0.0 (see the module docstring)."""
+    scores = [0.0] * index.n_para
+    article_scores = [0.0] * index.n_article
+    for (para_ordinals, para, _), (article_ordinals, article, _) in levels:
+        for i, c in zip(para_ordinals, para):
+            scores[i] += c
+        for a, c in zip(article_ordinals, article):
+            article_scores[a] += c
+    reached: list[int] = []
     members = index.article_members
     # An article has at least one paragraph, so the ordinals cover every article.
     for a in compress(index.ordinals, article_scores):
         total = article_scores[a]
+        reached += members[a]
         for i in members[a]:
             scores[i] += total
-    return scores
+    if all(article for (_, para, _), (_, article, _) in levels if para):
+        reached.sort()
+    else:
+        reached = list(compress(index.ordinals, scores))
+    reached.sort(key=scores.__getitem__, reverse=True)
+    return reached, scores
 
 
 def _score_at(index: InvertedIndex, levels: _Levels, i: int) -> float:
@@ -300,17 +332,10 @@ def _lookups_cost_less(index: InvertedIndex, levels: _Levels, n_candidates: int)
     return probes < sum(len(para) + len(article) for (para, _, _), (article, _, _) in levels)
 
 
-def _ranked(index: InvertedIndex, scores: list[float]) -> list[int]:
-    """The ordinals that score above 0.0, in ranking order."""
-    ranked = list(compress(index.ordinals, scores))
-    ranked.sort(key=scores.__getitem__, reverse=True)
-    return ranked
-
-
 def _rank_table(index: InvertedIndex, levels: _Levels) -> array:
     """The rank table of the query of these ``levels`` (see the module docstring)."""
     table = array("i", [index.sentinel_rank]) * index.n_para
-    for rank, i in enumerate(_ranked(index, _accumulate(index, levels)), start=1):
+    for rank, i in enumerate(_ranking(index, levels)[0], start=1):
         table[i] = rank
     return table
 
@@ -417,14 +442,13 @@ def search_topk(index: InvertedIndex, query: Query, k: int) -> list[SearchHit]:
     if found is not None:
         top, scores = found
     else:
-        scores = _accumulate(index, levels)
-        top = _ranked(index, scores)
+        top, scores = _ranking(index, levels)
         del top[k:]
         if len(top) < k and len(top) < index.n_para:
             taken = set(top)
             top += islice(filterfalse(taken.__contains__, index.ordinals), k - len(top))
     ids = map(index.para_order.__getitem__, top)
-    return list(map(SearchHit, ids, map(scores.__getitem__, top)))
+    return list(map(_hit, zip(ids, map(scores.__getitem__, top))))
 
 
 def rank_of(index: InvertedIndex, target_paragraph_id: str, query: Query) -> int:

@@ -478,19 +478,25 @@ def test_step_log_record_serializes():
 def test_runs_do_not_depend_on_what_the_index_caches(chain_benchmark):
     # No rank depends on what the cache holds (the search module docstring),
     # so every question runs the same on a fresh index, on one warmed by a
-    # full pass, and on one that admits no rank table.
+    # full pass, and on one that admits no rank table; and under the
+    # baseline manifest, on a fresh index and on one whose idfs are memoized.
     corpus, examples = chain_benchmark.corpus, chain_benchmark.examples
 
-    def run_all(index):
-        factory = build_model_factory({}, index, corpus)
+    def run_all(index, manifest):
+        factory = build_model_factory(manifest, index, corpus)
         return [run_question(ex.question, corpus, index, factory(ex)) for ex in examples]
 
     index = build_index(corpus)
-    fresh = run_all(index)
+    fresh = run_all(index, {})
     assert index.rank_tables
     tableless = replace(index, rank_budget=0)
-    assert run_all(index) == fresh == run_all(tableless)
+    assert run_all(index, {}) == fresh == run_all(tableless, {})
     assert not tableless.rank_tables
+    baseline = {"retriever": "baseline"}
+    index = build_index(corpus)
+    fresh = run_all(index, baseline)
+    assert index.idfs
+    assert run_all(index, baseline) == fresh
 
 
 @pytest.mark.parametrize("retriever", ["oracle", "baseline"])

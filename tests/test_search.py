@@ -24,6 +24,7 @@ from iterqa.search import (
     _accumulate,
     _bounded_top,
     _impacts,
+    _ranking,
     _score_at,
     build_index,
     idf_paragraph,
@@ -602,6 +603,57 @@ def test_topk_with_k_above_the_reached_paragraphs(tmp_path):
             assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, k)
 
 
+def ranked_and_way(index, query, k):
+    """search_topk's hits as (id, score) pairs, the query's rank table, and
+    how both listed the reached paragraphs: "members" of the reached
+    articles, or a "scan" of every paragraph's score through ``compress``."""
+    selectors = []
+
+    def compress(data, chosen):
+        selectors.append(len(chosen))
+        return real(data, chosen)
+
+    real = search.compress
+    with mock.patch.object(search, "compress", compress):
+        hits = search_topk(index, query, k)
+        table = search._rank_table(index, search._levels(index, query))
+    assert index.n_para != index.n_article  # premise: a scan is told apart by its length
+    scans = selectors.count(index.n_para)
+    assert len(selectors) - scans == 2 and scans in (0, 2)  # two rankings, ranked alike
+    return [(h.paragraph_id, h.score) for h in hits], list(table), "scan" if scans else "members"
+
+
+@pytest.mark.parametrize("query, way", [
+    (["heron"], "members"),                    # ties across articles "a" and "a!"
+    (["reed", "heron", "reed"], "members"),
+    (["the"], "scan"),                         # in 4 of 7 articles: article idf clamps to 0.0
+    (["heron", "the", "mud"], "scan"),
+    (["zzqabsent"], "members"),                # absent: reaches nothing, all fill
+    (["mud", "zzqabsent"], "members"),
+])
+def test_ranking_lists_members_unless_an_article_idf_clamps(tmp_path, query, way):
+    # Ids sort a!#0 < a#0 < a#1, but articles sort a < a!, so the members of
+    # the reached articles come unsorted: a#0, a#1, a!#0.
+    corpus = corpus_of(
+        ("a", 0, "heron reed the"), ("a!", 0, "heron reed the"), ("a", 1, "mud flats"),
+        ("b", 0, "reed bed the"), ("c", 0, "the tide pool the"), ("d", 0, "sand bar"),
+        ("e", 0, "pine cone"), ("f", 0, "owl night"),
+    )
+    brute = BruteForceScorer(corpus)
+    assert brute.combined("a!#0", ["heron"]) == brute.combined("a#0", ["heron"])
+    assert (brute.df_article["the"], brute.n_article) == (4, 7)
+    for index in built_and_loaded(corpus, tmp_path):
+        assert index.para_order[:3] == ("a!#0", "a#0", "a#1")
+        assert index.article_order[:2] == ("a", "a!")
+        reached = [pid for pid in index.para_order if brute.combined(pid, query) > 0.0]
+        for k in (1, 3, index.n_para):
+            hits, table, ran = ranked_and_way(index, query, k)
+            assert ran == way
+            assert hits == brute.topk(query, k)
+        assert len(reached) < index.n_para  # the zero-score fill ran at k = n_para
+        assert table == [brute.rank_of(pid, query) for pid in index.para_order]
+
+
 # ---------------------------------------------------------------------------
 # rank_of's bound and its two ways of scoring the candidates, on a built and
 # on a reloaded index
@@ -731,7 +783,7 @@ def test_restricted_accumulate_equals_full_at_every_candidate(seed, data):
     zero_total = [i for i in index.ordinals if index.article_of[i] not in reached]
     assert zero_total  # premise: some article is reached by no unclamped term
     candidates = sorted({*candidates, data.draw(st.sampled_from(zero_total), label="zero")})
-    full = _accumulate(index, search._levels(index, query))
+    _, full = _ranking(index, search._levels(index, query))
     restricted = _accumulate(index, search._levels(index, query), candidates)
     assert [restricted[i] for i in candidates] == [full[i] for i in candidates]
     # A lookup gives every paragraph its full score too.
@@ -747,7 +799,7 @@ def test_term_in_every_paragraph_adds_at_its_own_ordinal(corpus, data):
     terms = data.draw(st.lists(st.sampled_from([*"abcdef", "every"]), max_size=5), label="terms")
     query = data.draw(st.permutations([*terms, "every"]), label="query")
     brute = BruteForceScorer(corpus)
-    full = _accumulate(index, search._levels(index, query))
+    _, full = _ranking(index, search._levels(index, query))
     assert full == [brute.combined(pid, query) for pid in index.para_order]
     hits = search_topk(index, query, index.n_para)
     assert [(h.paragraph_id, h.score) for h in hits] == brute.topk(query, index.n_para)
@@ -1068,15 +1120,18 @@ def test_one_term_rank_of_reads_its_table_on_a_second_call():
     expected = [BruteForceScorer(corpus).rank_of(pid, [term]) for pid in pids]
     reached = [(pid, rank) for pid, rank in zip(pids, expected) if rank != index.sentinel_rank]
     first, second = reached[:2]
-    with mock.patch.object(search, "_accumulate", wraps=_accumulate) as scoring:
+    with mock.patch.object(search, "_accumulate", wraps=_accumulate) as scoring, \
+            mock.patch.object(search, "_ranking", wraps=_ranking) as ranking:
         assert rank_of(index, first[0], [term]) == first[1]
         assert scoring.call_args.args[2]  # scored at its candidates, and sighted
         assert index.sighted == {(term,)} and not index.rank_tables
+        assert not ranking.called
         assert rank_of(index, second[0], [term]) == second[1]
-        assert scoring.call_count == 2 and len(scoring.call_args.args) == 2  # the table's pass
+        assert scoring.call_count == 1 and ranking.call_count == 1  # the table's pass
     table = index.rank_tables[(term,)]
     assert list(table) == expected
-    with mock.patch.object(search, "_accumulate", side_effect=AssertionError("scored")):
+    with mock.patch.object(search, "_accumulate", side_effect=AssertionError("scored")), \
+            mock.patch.object(search, "_ranking", side_effect=AssertionError("ranked")):
         assert [rank_of(index, pid, [term]) for pid in pids] == expected
     assert index.rank_tables[(term,)] is table
     assert index == build_index(corpus)
@@ -1292,7 +1347,27 @@ def test_article_level_is_in_article_order_where_paragraph_order_differs(tmp_pat
 def test_absent_terms_are_not_cached():
     index = build_index(make_random_corpus(random.Random(27), n_articles=5))
     search_topk(index, ["zzqabsent", "w000"], 3)
-    assert set(index.impacts) == {"w000"}
+    assert set(index.impacts) == set(index.idfs) == {"w000"}
+
+
+def test_idf_memo_equals_the_formula_and_holds_only_indexed_terms():
+    corpus = make_random_corpus(random.Random(30), n_articles=20)
+    index = build_index(corpus)
+    brute = BruteForceScorer(corpus)
+    expected = {
+        term: math.log(1.0 + (brute.n_para - n + 0.5) / (n + 0.5))
+        for term, n in sorted(brute.df_para.items())
+    }
+    absent = math.log(1.0 + (brute.n_para - 0 + 0.5) / (0 + 0.5))
+    assert {term: idf_paragraph(index, term) for term in expected} == expected
+    assert idf_paragraph(index, "zzqabsent") == absent
+    assert index.idfs == expected  # bit for bit, and no absent term
+    with mock.patch.object(search.math, "log", side_effect=AssertionError("computed")):
+        assert {term: idf_paragraph(index, term) for term in expected} == expected
+        with pytest.raises(AssertionError, match="computed"):
+            idf_paragraph(index, "zzqabsent")
+    assert index == build_index(corpus)
+    assert "idfs" not in repr(index)
 
 
 def test_warm_index_matches_fresh_load(tmp_path):
@@ -1313,9 +1388,9 @@ def test_warm_index_matches_fresh_load(tmp_path):
     cold = results(index)
     warm = results(index)
     fresh = load_index(path)
-    assert index.impacts and not fresh.impacts
+    assert index.impacts and index.idfs and not fresh.impacts and not fresh.idfs
     assert fresh == index
-    assert "impacts" not in repr(index)
+    assert "impacts" not in repr(index) and "idfs" not in repr(index)
     assert results(fresh) == warm == cold
 
 
